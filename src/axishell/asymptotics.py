@@ -242,7 +242,7 @@ class _GammaScan:
     toroidal (-2, +4) scans.  A structural lower bound
     gamma^p_low lambda_1[K_op] + gamma^p_high min(b) serves as shift: at
     extreme gamma the operator is almost a multiplication operator with a
-    clustered bottom, where unshifted inverse iteration crawls.
+    clustered bottom, where an unshifted solve crawls.
     """
 
     def __init__(self, K_op, K_b, M, p_low: int, p_high: int,

@@ -99,8 +99,8 @@ def test_toroidal_constants(asym_results):
     assert res.a0 == 0.25
     assert res.lambda2 > 0.0
     # faithful values of the printed reduced operator; the source table's row
-    # (0.85935, 0.71500) is inconsistent with its own formulas (see the
-    # decisions ledger and the thin-shell oracle test)
+    # (0.85935, 0.71500) is inconsistent with its own formulas (see Known
+    # deviations in README.md and the thin-shell oracle test)
     assert abs(res.gamma - 0.857004) <= 2e-4
     assert abs(res.a1 - 0.707981) <= 2e-4
     ends = res.diagnostics["mu1_bracket_ends"]
@@ -160,7 +160,7 @@ def test_gauss_two_way_cross_check(asym_results):
 def test_airy_two_way_cross_check(asym_results):
     # the boundary-layer expansion converges like eps^(2/7): at eps = 1e-4 the
     # two routes differ by ~10% on a1 and the gap shrinks at the predicted
-    # rate (measured 10.3% -> 5.9% -> 3.2% per decade; see decisions ledger)
+    # rate (measured 10.3% -> 5.9% -> 3.2% per decade; see Known deviations in README.md)
     res = asym_results("L")
     errs = []
     for eps, n in ((1e-4, 256), (1e-5, 384)):

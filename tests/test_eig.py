@@ -65,12 +65,53 @@ def test_deterministic_given_seed():
     assert np.array_equal(a.vectors, b.vectors)
 
 
+def _sparse_pencil(n=400, seed=3):
+    # banded SPD stiffness with a far off-diagonal coupling, random diagonal mass
+    rng = np.random.default_rng(seed)
+    off = -rng.random(n - 1)
+    far = -0.3 * np.ones(n - 20)
+    K = sp.diags([far, off, 4.0 + rng.random(n), off, far], [-20, -1, 0, 1, 20])
+    M = sp.diags(1.0 + rng.random(n))
+    return eig.SymmetricPencil(K.tocsr(), M.tocsr())
+
+
+def test_sparse_pencil_deterministic_given_seed():
+    pencil = _sparse_pencil()
+    a = eig.solve_smallest(pencil, 3, seed=11)
+    b = eig.solve_smallest(pencil, 3, seed=11)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_warm_start_matches_cold_start():
+    pencil = _sparse_pencil()
+    cold = eig.solve_smallest(pencil, 1)
+    # warm start from the mode of a nearby pencil, as a parameter scan does
+    nearby = eig.SymmetricPencil(pencil.K + 1e-2 * sp.eye(pencil.K.shape[0]), pencil.M)
+    x0 = eig.solve_smallest(nearby, 1).vectors
+    warm = eig.solve_smallest(pencil, 1, x0=x0)
+    np.testing.assert_allclose(warm.values, cold.values, rtol=1e-12)
+
+
 def test_singular_shift_retry():
     # shift exactly at an eigenvalue: K - shift M singular; the retry kicks in
     K = np.diag([1.0, 2.0, 3.0])
     M = np.eye(3)
     out = eig.solve_smallest(eig.SymmetricPencil(K, M), 1, shift=1.0)
     np.testing.assert_allclose(out.values, [1.0], rtol=1e-9)
+    assert out.shift == pytest.approx(0.999, rel=1e-12)
+    assert out.iterations > 0
+
+
+def test_unmet_tolerance_and_no_convergence_raise():
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((50, 50))
+    B = rng.standard_normal((50, 50))
+    pencil = eig.SymmetricPencil(A @ A.T + 50 * np.eye(50), B @ B.T + 50 * np.eye(50))
+    with pytest.raises(SolverError, match="exceed tol"):
+        eig.solve_smallest(pencil, 4, tol=1e-30)
+    with pytest.raises(SolverError, match="No convergence"):
+        eig.solve_smallest(pencil, 4, max_iter=1)
 
 
 def test_residuals_reported():

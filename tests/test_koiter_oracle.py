@@ -3,7 +3,8 @@
 The oracle assembles the surface membrane/bending forms directly from the
 covariant strain tensors, sharing nothing with the symbol-based reduction.
 In the thin limit at the optimal wavenumber scaling it must reproduce the
-per-class constants; this arbitrates the toroidal row (see decisions ledger).
+per-class constants; this arbitrates the toroidal row (see Known deviations
+from the paper in README.md).
 """
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_oracle_matches_gauss_constant():
 def test_oracle_arbitrates_toroidal_row():
     # the faithful reduced operator gives (gamma, a1) = (0.857004, 0.707981);
     # the source table prints (0.85935, 0.71500).  The from-first-principles
-    # thin-shell system sides with the former (see decisions ledger).
+    # thin-shell system sides with the former (see Known deviations in README.md).
     pD = ax.preset("D")
     mesh = Mesh1D.boundary_graded(pD.interval, 48, 1.12)
     ours = 0.707981
