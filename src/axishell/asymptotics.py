@@ -23,7 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import fem1d
-from .errors import AdmissibilityError, ReductionNotApplicableError, SolverError
+from .errors import (
+    AdmissibilityError, AxishellError, ReductionNotApplicableError, SolverError,
+)
 from .geometry import (
     ShellClass,
     ShellClassTag,
@@ -571,7 +573,7 @@ def toroidal_sweep(
             )
             res = toroidal_constants(prof, n_elements=n_elements)
             row.update(Lambda2=res.lambda2, gamma_min=res.gamma, a1=res.a1)
-        except Exception as err:  # per-point failure, sweep continues
+        except AxishellError as err:  # per-point failure, sweep continues
             row["error"] = f"{type(err).__name__}: {err}"
         rows.append(row)
     return rows

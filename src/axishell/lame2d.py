@@ -9,7 +9,10 @@ serves the whole wavenumber sweep.
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
 elements are tensor-product Lagrange of degree p (default 6) on curvilinear
-quadrilaterals, clamped on the two lateral ends z = z+-.
+quadrilaterals, clamped on the two lateral ends z = z+-.  Assembly is batched
+over cells: the map, the basis gradients and every X^T diag(w) Y block are
+computed for all cells at once, and each matrix is summed into one CSR
+pattern shared by the family.
 """
 
 from __future__ import annotations
@@ -69,17 +72,15 @@ def _lagrange_tables(nodes: np.ndarray, at: np.ndarray):
 
 @dataclass
 class MeridianMesh:
-    """Parametric-rectangle mesh with the exact geometric map cached."""
+    """Parametric-rectangle mesh; assembly evaluates the exact map."""
 
     profile: ShellProfile
     eps: float
     n_meridian: int
     n_thickness: int
-    geometric_degree: int
     z_breaks: np.ndarray
     t_breaks: np.ndarray
     min_jacobian: float
-    edge_geometry: np.ndarray  # (r, tau) samples of cell edges at geometric nodes
     _families: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -139,8 +140,12 @@ class MidlineTrace:
 
 
 def _map_data(profile: ShellProfile, zq: np.ndarray, tq: np.ndarray):
-    """Geometry of the normal-coordinate map at (z, x3) points (flattened)."""
-    jets = np.array([profile.jet(z, 2) for z in zq])
+    """Geometry of the normal-coordinate map at paired (z, x3) points (flattened).
+
+    The profile jet depends on z alone, so it is evaluated once per distinct z.
+    """
+    zu, inv = np.unique(zq, return_inverse=True)
+    jets = np.array([profile.jet(z, 2) for z in zu])[inv]
     f, fp, fpp = jets[:, 0], jets[:, 1], jets[:, 2]
     s2 = 1.0 + fp**2
     s = np.sqrt(s2)
@@ -159,14 +164,12 @@ def build_meridian_mesh(
     eps: float,
     n_meridian: int = 12,
     n_thickness: int = 2,
-    degree: int = 3,
 ) -> MeridianMesh:
     """Subdivide the parametric rectangle and validate the geometric map.
 
-    ``degree`` is the geometric sampling degree for the cached edge geometry;
-    assembly always uses the exact map, so geometry carries no discretization
-    error.  A nonpositive Jacobian anywhere means the half-thickness exceeds
-    the injectivity range of the normal-coordinate map.
+    Assembly uses the exact map, so geometry carries no discretization error.
+    A nonpositive Jacobian anywhere means the half-thickness exceeds the
+    injectivity range of the normal-coordinate map.
     """
     if n_thickness < 2:
         raise ThicknessError("need at least two cells through the thickness")
@@ -185,21 +188,46 @@ def build_meridian_mesh(
             f"normal-coordinate map degenerates (eps = {eps:g} too large for the "
             "meridian curvature)"
         )
-    geo = _lobatto_nodes(degree)
-    edges = []
-    for zb in z_breaks:
-        zq = np.full(len(geo), zb)
-        tq = -eps + 2 * eps * geo
-        r, tau, *_ = _map_data(profile, zq, tq)
-        edges.append(np.stack([r, tau], axis=1))
     return MeridianMesh(
         profile=profile, eps=eps, n_meridian=n_meridian, n_thickness=n_thickness,
-        geometric_degree=degree, z_breaks=z_breaks, t_breaks=t_breaks,
-        min_jacobian=min_jac, edge_geometry=np.array(edges),
+        z_breaks=z_breaks, t_breaks=t_breaks, min_jacobian=min_jac,
     )
 
 
+def _cell_nodes(breaks: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Nodal coordinates along one direction; a node shared by two cells once."""
+    pts = breaks[:-1, None] + np.diff(breaks)[:, None] * ref
+    return np.append(pts[:, :-1].ravel(), pts[-1, -1])
+
+
+def _shared_pattern(fn: np.ndarray):
+    """CSR pattern over the free DOFs, shared by every family matrix.
+
+    ``fn[c, i]`` is the index among the free nodes of local node i of cell c,
+    or -1 on the clamped ends; a clamped node has all three components fixed,
+    so the free DOFs are 3 fn + comp.  Returns ``(indptr, indices, slot)``:
+    ``slot`` holds the CSR position of every local entry (cell, comp, i,
+    comp', j) in that order, or nnz where the entry touches a clamped DOF.
+    """
+    n_free = int(fn.max()) + 1
+    both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
+    fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
+    fj = np.broadcast_to(fn[:, None, :], both.shape)[both]
+    pairs, pair = np.unique(fi * n_free + fj, return_inverse=True)
+    node = sp.csr_matrix((np.ones(len(pairs)), divmod(pairs, n_free)),
+                         shape=(n_free, n_free))
+    dof = sp.kron(node, np.ones((3, 3)), format="csr")
+    dof.sort_indices()
+    # row 3 fi + a lists 3 fj + b for the neighbours fj of fi in order, b fastest
+    a, b = np.arange(3)[:, None], np.arange(3)
+    pos = np.full(both.shape + (3, 3), dof.nnz)
+    pos[both] = (dof.indptr[3 * fi[:, None, None] + a]
+                 + 3 * (pair - node.indptr[fi])[:, None, None] + b)
+    return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
+
+
 def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
+    """Assemble A0, A1, A2 and M with every cell's quadrature in one batch."""
     profile = mesh.profile
     E, nu = profile.E, profile.nu
     p = degree
@@ -211,142 +239,117 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
     V1, D1 = _lagrange_tables(ref, gx)
 
     nz_cells, nt_cells = mesh.n_meridian, mesh.n_thickness
+    n_cells = nz_cells * nt_cells
     nz = p * nz_cells + 1
     nt = p * nt_cells + 1
     n_nodes = nz * nt
-    n_dofs = 3 * n_nodes
-
-    node_z = np.empty(nz)
-    for c in range(nz_cells):
-        z0, z1 = mesh.z_breaks[c], mesh.z_breaks[c + 1]
-        node_z[p * c : p * (c + 1) + 1] = z0 + (z1 - z0) * ref
-    node_t = np.empty(nt)
-    for c in range(nt_cells):
-        t0, t1 = mesh.t_breaks[c], mesh.t_breaks[c + 1]
-        node_t[p * c : p * (c + 1) + 1] = t0 + (t1 - t0) * ref
+    nloc = (p + 1) ** 2
+    nq = nq1 * nq1
+    node_z = _cell_nodes(mesh.z_breaks, ref)
+    node_t = _cell_nodes(mesh.t_breaks, ref)
 
     c_fac = E / (1.0 - nu * nu)
     a_c = (1.0 - nu) ** 2 / (1.0 - 2.0 * nu)
     b_c = nu * (1.0 - nu) / (1.0 - 2.0 * nu)
     d_c = 0.5 * (1.0 - nu)
 
-    nloc = (p + 1) ** 2
-    rows0, cols0 = np.meshgrid(np.arange(3 * nloc), np.arange(3 * nloc), indexing="ij")
+    # cells run meridian-major: cell = cz * nt_cells + ct; quadrature point
+    # q = iz * nq1 + it on each cell's tensor Gauss grid
+    cz = np.repeat(np.arange(nz_cells), nt_cells)
+    ct = np.tile(np.arange(nt_cells), nz_cells)
+    hz, ht = np.diff(mesh.z_breaks), np.diff(mesh.t_breaks)
+    zq = mesh.z_breaks[:-1, None] + hz[:, None] * gx
+    tq = mesh.t_breaks[:-1, None] + ht[:, None] * gx
+    Zq = np.broadcast_to(zq[cz][:, :, None], (n_cells, nq1, nq1))
+    Tq = np.broadcast_to(tq[ct][:, None, :], (n_cells, nq1, nq1))
+    r, tau, r_z, r_t, tau_z, tau_t, det = (
+        a.reshape(n_cells, nq) for a in _map_data(profile, Zq.ravel(), Tq.ravel())
+    )
+    adet = np.abs(det)
+    if adet.min() <= 0.0:
+        raise ThicknessError("map Jacobian vanished inside a cell")
+    wz, wt = gw * hz[:, None], gw * ht[:, None]
+    wq = (wz[cz][:, :, None] * wt[ct][:, None, :]).reshape(n_cells, nq) * adet
 
-    data = {name: [] for name in ("A0", "A1", "A2", "M")}
-    rows = {name: [] for name in data}
-    cols = {name: [] for name in data}
+    # scalar basis tables on the tensor quadrature grid, (cells, q, nloc)
+    N = np.broadcast_to(np.einsum("qi,sj->qsij", V1, V1).reshape(nq, nloc),
+                        (n_cells, nq, nloc))
+    Gz = np.einsum("cqi,sj->cqsij", D1 / hz[:, None, None], V1)
+    Gt = np.einsum("qi,csj->cqsij", V1, D1 / ht[:, None, None])
+    Gz = Gz.reshape(nz_cells, nq, nloc)[cz]
+    Gt = Gt.reshape(nt_cells, nq, nloc)[ct]
+    inv = 1.0 / det
+    Gr = (tau_t * inv)[:, :, None] * Gz - (tau_z * inv)[:, :, None] * Gt
+    Gtau = (-r_t * inv)[:, :, None] * Gz + (r_z * inv)[:, :, None] * Gt
 
-    for cz in range(nz_cells):
-        z0, z1 = mesh.z_breaks[cz], mesh.z_breaks[cz + 1]
-        hz = z1 - z0
-        for ct in range(nt_cells):
-            t0, t1 = mesh.t_breaks[ct], mesh.t_breaks[ct + 1]
-            ht = t1 - t0
-            zq = z0 + hz * gx
-            tq = t0 + ht * gx
-            Zq, Tq = np.meshgrid(zq, tq, indexing="ij")
-            r, tau, r_z, r_t, tau_z, tau_t, det = _map_data(
-                profile, Zq.ravel(), Tq.ravel()
-            )
-            adet = np.abs(det)
-            if adet.min() <= 0.0:
-                raise ThicknessError("map Jacobian vanished inside a cell")
-            wq = np.outer(gw * hz, gw * ht).ravel() * adet
+    def blk(w, X, Y):
+        # X^T diag(w) Y for every cell at once
+        return np.matmul(X.transpose(0, 2, 1), w[:, :, None] * Y)
 
-            # scalar basis tables on the tensor quadrature grid
-            N = np.einsum("qi,sj->qsij", V1, V1).reshape(nq1 * nq1, nloc)
-            Gz = np.einsum("qi,sj->qsij", D1 / hz, V1).reshape(nq1 * nq1, nloc)
-            Gt = np.einsum("qi,sj->qsij", V1, D1 / ht).reshape(nq1 * nq1, nloc)
-            inv = 1.0 / det
-            Gr = (tau_t * inv)[:, None] * Gz - (tau_z * inv)[:, None] * Gt
-            Gtau = (-r_t * inv)[:, None] * Gz + (r_z * inv)[:, None] * Gt
+    R, P, T3 = 0, 1, 2
+    cpl = a_c + (1.0 - nu)
+    blocks = {
+        # k^0 terms
+        "A0": {
+            (R, R): (blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
+                     + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
+                     + blk(d_c * r * wq, Gtau, Gtau)),
+            (T3, T3): blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr),
+            (R, T3): (blk(b_c * r * wq, Gr, Gtau) + blk(b_c * wq, N, Gtau)
+                      + blk(d_c * r * wq, Gtau, Gr)),
+            (P, P): (blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
+                     - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
+                     + blk(4 * d_c / r**3 * wq, N, N)),
+        },
+        # k^1 terms (phi couples to r and tau)
+        "A1": {
+            (P, R): (blk(cpl / r**2 * wq, N, N) + blk(b_c / r * wq, N, Gr)
+                     - blk(d_c / r * wq, Gr, N)),
+            (P, T3): blk(b_c / r * wq, N, Gtau) - blk(d_c / r * wq, Gtau, N),
+        },
+        # k^2 terms
+        "A2": {
+            (R, R): blk(d_c / r * wq, N, N),
+            (T3, T3): blk(d_c / r * wq, N, N),
+            (P, P): blk(a_c / r**3 * wq, N, N),
+        },
+        "M": {
+            (R, R): blk(r * wq, N, N),
+            (T3, T3): blk(r * wq, N, N),
+            (P, P): blk(wq / r, N, N),
+        },
+    }
 
-            def blk(w, X, Y):
-                return np.einsum("q,qi,qj->ij", w, X, Y)
-
-            K0 = np.zeros((3 * nloc, 3 * nloc))
-            K1 = np.zeros_like(K0)
-            K2 = np.zeros_like(K0)
-            Me = np.zeros_like(K0)
-            R, P, T3 = np.s_[0:nloc], np.s_[nloc : 2 * nloc], np.s_[2 * nloc :]
-
-            # k^0 terms
-            K0[R, R] = (
-                blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
-                + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
-                + blk(d_c * r * wq, Gtau, Gtau)
-            )
-            K0[T3, T3] = blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr)
-            B_rt = (
-                blk(b_c * r * wq, Gr, Gtau) + blk(b_c * wq, N, Gtau)
-                + blk(d_c * r * wq, Gtau, Gr)
-            )
-            K0[R, T3] = B_rt
-            K0[T3, R] = B_rt.T
-            K0[P, P] = (
-                blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
-                - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
-                + blk(4 * d_c / r**3 * wq, N, N)
-            )
-
-            # k^2 terms
-            K2[R, R] = blk(d_c / r * wq, N, N)
-            K2[T3, T3] = blk(d_c / r * wq, N, N)
-            K2[P, P] = blk(a_c / r**3 * wq, N, N)
-
-            # k^1 terms (phi couples to r and tau)
-            cpl = a_c + (1.0 - nu)
-            B_pr = (
-                blk(cpl / r**2 * wq, N, N)
-                + blk(b_c / r * wq, N, Gr)
-                - blk(d_c / r * wq, Gr, N)
-            )
-            B_pt = blk(b_c / r * wq, N, Gtau) - blk(d_c / r * wq, Gtau, N)
-            K1[P, R] = B_pr
-            K1[R, P] = B_pr.T
-            K1[P, T3] = B_pt
-            K1[T3, P] = B_pt.T
-
-            Me[R, R] = blk(r * wq, N, N)
-            Me[T3, T3] = blk(r * wq, N, N)
-            Me[P, P] = blk(wq / r, N, N)
-
-            # exact symmetry by construction (floating addition commutes)
-            K0 = 0.5 * (K0 + K0.T) * c_fac
-            K1 = 0.5 * (K1 + K1.T) * c_fac
-            K2 = 0.5 * (K2 + K2.T) * c_fac
-            Me = 0.5 * (Me + Me.T)
-
-            # scatter: node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp
-            iz0, it0 = p * cz, p * ct
-            ids = ((iz0 + np.arange(p + 1))[:, None] * nt
-                   + (it0 + np.arange(p + 1))[None, :]).ravel()
-            gdof = np.concatenate([3 * ids, 3 * ids + 1, 3 * ids + 2])
-            grows = gdof[rows0.ravel()]
-            gcols = gdof[cols0.ravel()]
-            for name, local in (("A0", K0), ("A1", K1), ("A2", K2), ("M", Me)):
-                rows[name].append(grows)
-                cols[name].append(gcols)
-                data[name].append(local.ravel())
+    # node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp.  The clamped
+    # lateral ends z = z+- hold the first and the last nt ids.
+    ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
+           + (p * ct[:, None] + np.arange(p + 1))[:, None, :]).reshape(n_cells, nloc)
+    free = np.arange(3 * nt, 3 * (nz - 1) * nt)
+    indptr, indices, slot = _shared_pattern(
+        np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
+    )
+    nnz = int(indptr[-1])
 
     mats = {}
-    for name in data:
-        mats[name] = sp.csr_matrix(
-            (np.concatenate(data[name]),
-             (np.concatenate(rows[name]), np.concatenate(cols[name]))),
-            shape=(n_dofs, n_dofs),
-        )
-    # clamped lateral ends: all components on the two node columns z = z+-
-    clamped_nodes = np.concatenate([np.arange(nt), (nz - 1) * nt + np.arange(nt)])
-    fixed = np.concatenate([3 * clamped_nodes, 3 * clamped_nodes + 1,
-                            3 * clamped_nodes + 2])
-    free = np.setdiff1d(np.arange(n_dofs), fixed)
-    for name in mats:
-        a = mats[name][free][:, free].tocsr()
-        # duplicate summation order in the sparse build can differ between
-        # (i, j) and (j, i); re-symmetrize exactly
-        mats[name] = (0.5 * (a + a.T)).tocsr()
+    for name, parts in blocks.items():
+        local = np.zeros((n_cells, 3, nloc, 3, nloc))
+        for (a, b), block in parts.items():
+            local[:, a, :, b, :] = block
+            if a != b:
+                local[:, b, :, a, :] = block.transpose(0, 2, 1)
+        # exactly symmetric cell matrices; one bincount sums each global entry
+        # over its cells in cell order, so the global matrix stays exactly
+        # symmetric too.  Entries touching a clamped DOF land in slot nnz.
+        local = 0.5 * (local + local.transpose(0, 3, 4, 1, 2))
+        if name != "M":
+            local *= c_fac
+        data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+        # drop this matrix's zero blocks from the shared pattern; it compacts
+        # the index arrays in place, so each matrix gets its own copies
+        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                            shape=(len(free), len(free)))
+        mat.eliminate_zeros()
+        mats[name] = mat
     return LameFamily(
         degree=p, A0=mats["A0"], A1=mats["A1"], A2=mats["A2"], M=mats["M"],
         free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes,
@@ -475,15 +478,13 @@ def midline_mode_trace(
     Vt, _ = _lagrange_tables(ref, np.array([xt]))
     z_lo, z_hi = profile.interval
     zs = np.linspace(z_lo, z_hi, n_samples)
-    vals = np.empty(n_samples)
-    for i, z in enumerate(zs):
-        cz = min(np.searchsorted(mesh.z_breaks, z, side="right") - 1,
-                 mesh.n_meridian - 1)
-        z0, z1 = mesh.z_breaks[cz], mesh.z_breaks[cz + 1]
-        xz = (z - z0) / (z1 - z0)
-        Vz, _ = _lagrange_tables(ref, np.array([xz]))
-        block = u_r[p * cz : p * cz + p + 1, p * ct : p * ct + p + 1]
-        vals[i] = float(Vz[0] @ block @ Vt[0])
+    cz = np.minimum(np.searchsorted(mesh.z_breaks, zs, side="right") - 1,
+                    mesh.n_meridian - 1)
+    z0, z1 = mesh.z_breaks[cz], mesh.z_breaks[cz + 1]
+    Vz, _ = _lagrange_tables(ref, (zs - z0) / (z1 - z0))
+    # nodal u_r interpolated to x3 = 0, then along each sample's meridian cell
+    mid = u_r[:, p * ct : p * ct + p + 1] @ Vt[0]
+    vals = np.einsum("si,si->s", Vz, mid[p * cz[:, None] + np.arange(p + 1)])
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         return MidlineTrace(z=zs, u_r=vals, argmax_z=zs[0], half_width=0.0)

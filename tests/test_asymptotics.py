@@ -206,6 +206,15 @@ def test_toroidal_sweep_rows():
     assert bad[0]["error"]
 
 
+def test_toroidal_sweep_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken toroidal_constants")
+
+    monkeypatch.setattr(asy, "toroidal_constants", broken)
+    with pytest.raises(TypeError):
+        asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.0], n_elements=64)
+
+
 def test_energy_ratio_parabolic_and_json(asym_results):
     r = asy.energy_ratio(ax.preset("A"), 0.01)
     assert abs(r - 0.5) <= 1e-6

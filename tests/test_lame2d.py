@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.interpolate import BarycentricInterpolator
 
 import axishell as ax
 from axishell import lame2d
@@ -22,7 +23,6 @@ def test_map_cylinder_trivial():
 def test_mesh_jacobians_model_D():
     mesh = lame2d.build_meridian_mesh(ax.preset("D"), 0.2, 16, 2)
     assert mesh.min_jacobian > 0.0
-    assert mesh.edge_geometry.shape == (17, 4, 2)
 
 
 def test_mesh_jacobian_curvature_bound_model_H():
@@ -68,6 +68,49 @@ def test_symmetry_and_spd_mass():
     M = system.mass.toarray()
     assert np.array_equal(M, M.T)
     np.linalg.cholesky(M)  # SPD
+
+
+# Fingerprints of the per-cell assembly that preceded the batched one, at
+# eps 0.1 on 4 x 2 cells: stored entries of (A0, A1, A2, M), those above
+# 1e-13 max|A|, and lambda_1 at k = 3.
+ASSEMBLY_PINS = {
+    ("B", 3): ((7285, 5828, 4371, 4371), (7285, 5828, 4371, 4371), 0.20762870637703135),
+    ("B", 6): ((80995, 64796, 48597, 48597), (80995, 64796, 48597, 48597),
+               0.20613100139303123),
+    ("D", 3): ((7279, 5826, 4371, 4371), (7223, 5766, 4371, 4371), 0.6329759503341575),
+    ("D", 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
+               0.6306502825866545),
+    ("H", 3): ((7281, 5822, 4371, 4371), (7223, 5766, 4371, 4371), 0.5398947620387022),
+    ("H", 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
+               0.5375096711284458),
+}
+
+
+@pytest.mark.parametrize("model, degree", sorted(ASSEMBLY_PINS))
+def test_assembly_regression(model, degree):
+    nnz, significant, lam = ASSEMBLY_PINS[model, degree]
+    mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.1, 4, 2)
+    fam = lame2d.get_family(mesh, degree=degree)
+    # M holds one 3 x 3 diagonal block per pair of nodes sharing a cell; A0
+    # couples 5 of the 9 component pairs, A1 4, A2 3
+    node_pairs = fam.M.nnz // 3
+    for name, n, n_sig, blocks in zip(("A0", "A1", "A2", "M"), nnz, significant,
+                                      (5, 4, 3, 3)):
+        A = getattr(fam, name)
+        assert (A.data == 0).sum() == 0, name
+        dense = A.toarray()
+        assert np.array_equal(dense, dense.T), name
+        big = np.abs(A.data) > 1e-13 * np.abs(A.data).max()
+        assert np.count_nonzero(big) == n_sig, name
+        if n == n_sig:
+            assert A.nnz == n, name
+        else:
+            # the even profiles D and H leave rounding residue of order
+            # 1e-18 max|A| on entries that vanish by symmetry; which of them
+            # round to an exact zero depends on the summation order
+            assert n_sig <= A.nnz <= blocks * node_pairs, name
+    system = lame2d.assemble_fourier_lame(mesh, 3, degree=degree)
+    assert abs(lame2d.first_eigenvalue_2d(system).lambda1 / lam - 1.0) <= 1e-11
 
 
 def test_positive_eigenvalues_all_k():
@@ -129,3 +172,23 @@ def test_midline_trace_normalization(mode_trace):
     assert abs(np.abs(trace.u_r).max() - 1.0) < 1e-12
     assert trace.u_r[np.argmax(np.abs(trace.u_r))] > 0
     assert trace.half_width > 0.3
+
+
+def test_midline_trace_on_cell_boundaries_matches_nodal_values():
+    mesh = lame2d.build_meridian_mesh(ax.preset("H"), 0.01, 16, 2)
+    system = lame2d.assemble_fourier_lame(mesh, 5)
+    _, vec = lame2d.first_eigenpair_2d(system)
+    trace = lame2d.midline_mode_trace(system, vec)
+    fam = system.family
+    p = fam.degree
+    full = np.zeros(3 * fam.n_nodes)
+    full[fam.free] = vec
+    u_r = full[0::3].reshape(len(fam.node_z), len(fam.node_t))
+    # 241 samples on 16 cells: every 15th sample sits on a cell boundary,
+    # where the trace is the nodal u_r of that column interpolated to x3 = 0
+    # over the upper thickness cell
+    want = BarycentricInterpolator(fam.node_t[p:], u_r[::p, p:], axis=1)(0.0)
+    got = trace.u_r[::15]
+    assert len(got) == len(want) == mesh.n_meridian + 1
+    i = int(np.argmax(np.abs(want)))
+    np.testing.assert_allclose(got / got[i], want / want[i], rtol=0, atol=1e-13)
