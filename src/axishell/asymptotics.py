@@ -29,6 +29,7 @@ from .errors import (
 from .geometry import (
     ShellClass,
     ShellClassTag,
+    _golden_min,
     b0_at,
     classify,
     frame_at,
@@ -215,27 +216,6 @@ def predict(result: AsymptoticsResult, eps: float) -> Prediction:
 # gamma optimization machinery (shared by cone and toroidal paths)
 # ---------------------------------------------------------------------------
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min_log(fun, lo: float, hi: float, rtol: float):
-    a, b = math.log(lo), math.log(hi)
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = fun(math.exp(x1)), fun(math.exp(x2))
-    while b - a > rtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = fun(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = fun(math.exp(x2))
-    g = math.exp(0.5 * (a + b))
-    return g, fun(g)
-
-
 class _GammaScan:
     """Minimize mu1(gamma) = lambda_1[c_low(gamma) K_op + c_high(gamma) K_b].
 
@@ -296,7 +276,11 @@ class _GammaScan:
             else:
                 hi *= 10.0
             expansions += 1
-        g_min, mu_min = _golden_min_log(self.mu1, grid[i - 1], grid[i + 1], GAMMA_RTOL)
+        # golden section in log gamma; the solve at the minimizer warm-starts
+        # the equilibration below
+        g_min = math.exp(_golden_min(lambda x: self.mu1(math.exp(x)),
+                                     math.log(grid[i - 1]), math.log(grid[i + 1]), GAMMA_RTOL))
+        self.mu1(g_min)
         for _ in range(3):
             g_new = self.equilibration_gamma(g_min)
             if not math.isfinite(g_new) or abs(g_new / g_min - 1.0) > 0.05:
@@ -466,21 +450,22 @@ def airy_constants(profile: ShellProfile, cls: ShellClass | None = None) -> Asym
     )
 
 
+def _h2_and_bending(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
+    """The H2 pencil (lam0 substituted) and the B0-weighted mass, on H^1_0."""
+
+    def h2(z):
+        return h2_coefficients(frame_at(profile, z), lam0)
+
+    asm_h2 = fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
+    b0_fun = lambda z: b0_at(profile.f(z), profile.E, profile.nu)  # noqa: E731
+    return asm_h2, fem1d.assemble_weighted_mass(profile, b0_fun, mesh, "H10")
+
+
 def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int, seed: int = 0):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-
-    def g_fun(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([-h2_coefficients(frame_at(profile, zz), lam0)[2] for zz in z])
-
-    def pot_fun(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([h2_coefficients(frame_at(profile, zz), lam0)[0] for zz in z])
-
-    asm_h2 = fem1d.assemble_h10(profile, g_fun, pot_fun, mesh)
-    b0_fun = lambda z: b0_at(profile.f(z), profile.E, profile.nu)  # noqa: E731
-    K_b = fem1d.assemble_weighted_mass(profile, b0_fun, mesh, "H10")
-    b_min = float(np.min(b0_fun(np.linspace(*profile.interval, 1025))))
+    asm_h2, K_b = _h2_and_bending(profile, lam0, mesh)
+    b_min = float(np.min(b0_at(profile.f(np.linspace(*profile.interval, 1025)),
+                                profile.E, profile.nu)))
     return asm_h2, _GammaScan(asm_h2.stiffness, K_b, asm_h2.mass, -2, 4,
                               b_min=b_min, seed=seed)
 
@@ -586,25 +571,10 @@ def toroidal_sweep(
 
 def _elliptic_assembled(profile: ShellProfile, n_elements: int, lam0: float):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-
-    def g_fun(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([-h2_coefficients(frame_at(profile, zz), lam0)[2] for zz in z])
-
-    def h20_fun(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([h2_coefficients(frame_at(profile, zz), lam0)[0] for zz in z])
-
-    def h0_fun(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([h0_taylor(profile, zz, 0).value for zz in z])
-
-    def b0_fun(z):
-        return b0_at(profile.f(z), profile.E, profile.nu)
-
-    asm_h2 = fem1d.assemble_h10(profile, g_fun, h20_fun, mesh)
-    K_h0 = fem1d.assemble_weighted_mass(profile, h0_fun, mesh, "H10")
-    K_b0 = fem1d.assemble_weighted_mass(profile, b0_fun, mesh, "H10")
+    asm_h2, K_b0 = _h2_and_bending(profile, lam0, mesh)
+    K_h0 = fem1d.assemble_weighted_mass(
+        profile, lambda z: h0_taylor(profile, z, 0).value, mesh, "H10"
+    )
     return asm_h2.stiffness, K_h0, K_b0, asm_h2.mass
 
 
@@ -625,7 +595,7 @@ def elliptic_k_minimization(
     k_center = res.gamma * eps ** float(-res.beta)
     warm = {"x": None}
     zgrid = np.linspace(*profile.interval, 1025)
-    h0_min = float(min(h0_taylor(profile, z, 0).value for z in zgrid[:: 8]))
+    h0_min = float(np.min(h0_taylor(profile, zgrid[::8], 0).value))
     b0_min = float(np.min(b0_at(profile.f(zgrid), profile.E, profile.nu)))
     lam_h2 = fem1d.smallest_eigenpairs(K_h2, M, m=1, seed=seed)[0].eigenvalue
 
@@ -637,9 +607,11 @@ def elliptic_k_minimization(
         warm["x"] = sols[0].coefficients[:, np.newaxis]
         return sols[0].eigenvalue
 
-    k_opt, lam_min = _golden_min_log(
-        lam1_of_k, k_center * k_bracket_scale[0], k_center * k_bracket_scale[1], 1e-8
-    )
+    k_opt = math.exp(_golden_min(
+        lambda x: lam1_of_k(math.exp(x)),
+        math.log(k_center * k_bracket_scale[0]), math.log(k_center * k_bracket_scale[1]), 1e-8,
+    ))
+    lam_min = lam1_of_k(k_opt)
     return k_opt, lam_min, {
         "K_h2": K_h2, "K_h0": K_h0, "K_b0": K_b0, "M": M,
         "result": res, "lam0": lam0,

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, fem1d, lame2d, symbols
+from . import __version__, asymptotics, fem1d, lame2d, symbols, verify
 from .errors import AxishellError
 from .geometry import classify, essential_spectrum_range, frame_at
 from .profiles import ShellProfile, preset
@@ -92,10 +91,8 @@ def cmd_classify(args) -> int:
     profile = _load_profile(args)
     cls = classify(profile, n_samples=args.samples)
     lo, hi = essential_spectrum_range(profile)
-    zs = np.linspace(*profile.interval, 513)
-    adm = 1.0 + profile.df(zs) ** 2 + profile.f(zs) * np.array(
-        [profile.jet(z, 2)[2] for z in zs]
-    )
+    f, fp, fpp = profile.jet(np.linspace(*profile.interval, 513), 2)
+    adm = 1.0 + fp**2 + f * fpp
     doc = {
         "class": cls.tag.value,
         "z0": cls.z0,
@@ -303,101 +300,10 @@ def cmd_symbols(args) -> int:
     return 0
 
 
-def _verify_checks(args):
-    """Yield (name, residual, tolerance, passed)."""
-    rng = np.random.default_rng(args.seed)
-    presets = [preset(m) for m in "ABDHL"]
-
-    worst = 0.0
-    for p in presets:
-        zs = rng.uniform(*p.interval, size=20)
-        for z in zs:
-            fr = frame_at(p, float(z))
-            worst = max(worst, abs(fr.H0 - p.E * fr.b_zz**2) / max(fr.H0, 1e-3))
-    yield "H0 equals E b_zz^2", worst, 1e-14, worst <= 1e-14
-
-    worst = 0.0
-    for p in presets:
-        for z in rng.uniform(*p.interval, size=20):
-            fr = frame_at(p, float(z))
-            h2 = symbols.h2_coefficients(fr, 0.0)
-            curv = 2 * p.E * (fr.f**2 / fr.s**2) * fr.b_zz * (fr.b_pp - fr.b_zz)
-            worst = max(worst, abs(-h2[2] - curv) / max(abs(curv), 1e-3))
-    yield "second-order coefficient curvature identity", worst, 1e-12, worst <= 1e-12
-
-    worst = 0.0
-    for p in presets:
-        for z in rng.uniform(*p.interval, size=20):
-            fr = frame_at(p, float(z))
-            _, red = symbols.symbols_at(fr)
-            curv = p.E * (fr.f**4 / fr.s**4) * (fr.b_pp - 3 * fr.b_zz) * (fr.b_pp - fr.b_zz)
-            worst = max(worst, abs(red.H4_principal - curv) / max(abs(curv), 1e-3))
-    yield "fourth-order principal coefficient identity", worst, 1e-12, worst <= 1e-12
-
-    worst = 0.0
-    for p in presets:
-        for z in rng.uniform(*p.interval, size=10):
-            worst = max(worst, symbols.verify_H0_recurrence(frame_at(p, float(z))))
-    yield "H0 elimination recurrence", worst, 1e-12, worst <= 1e-12
-
-    worst = 0.0
-    for p in presets:
-        for z in rng.uniform(*p.interval, size=5):
-            fr = frame_at(p, float(z))
-            worst = max(worst, symbols.verify_V2_equation(fr, [0.0, 1.0, 0.5, -0.25]))
-    yield "V2 elimination equation", worst, 1e-10, worst <= 1e-10
-
-    ok = True
-    for p in presets[:2]:
-        for z in rng.uniform(*p.interval, size=5):
-            mats, _ = symbols.symbols_at(frame_at(p, float(z)))
-            m1_zero = [(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)]
-            m2_zero = [(0, 1), (1, 0), (1, 2), (2, 1)]
-            ok &= all(mats.M1[i][j].is_zero for i, j in m1_zero)
-            ok &= all(mats.M2[i][j].is_zero for i, j in m2_zero)
-    yield "symbol sparsity pattern", 0.0 if ok else 1.0, 0.0, ok
-
-    beam = ShellProfile("affine", (0.0, 1.0), coeffs=(1.0,))
-    mesh = fem1d.Mesh1D.uniform((0.0, 1.0), 64)
-    asm = fem1d.assemble_h20(beam, 1.0, 0.0, mesh)
-    sym_exact = np.array_equal(asm.stiffness, asm.stiffness.T)
-    yield "assembled matrix exact symmetry", 0.0 if sym_exact else 1.0, 0.0, sym_exact
-
-    from scipy.optimize import brentq
-
-    kappa = brentq(lambda x: math.cos(x) * math.cosh(x) - 1.0, 4.0, 5.5, xtol=1e-14)
-    lam_beam = fem1d.smallest_eigenpairs(asm, m=1)[0].eigenvalue
-    res_beam = abs(lam_beam - kappa**4) / kappa**4
-    yield "clamped-beam eigenvalue vs characteristic root", res_beam, 1e-5, res_beam <= 1e-5
-
-    za = asymptotics.airy_first_zero()
-    res_airy = abs(asymptotics.airy_ai(-za))
-    yield "reversed-Airy first zero", res_airy, 1e-12, res_airy <= 1e-12
-
-    prof2d = _load_profile(args) if (args.model or args.profile) else preset("D")
-    mesh2 = lame2d.build_meridian_mesh(prof2d, 0.1, 4, 2)
-    fam = lame2d.get_family(mesh2, degree=3)
-    k = 3
-    Kp = (fam.A0 + k * fam.A1 + k * k * fam.A2).toarray()
-    Km = (fam.A0 - k * fam.A1 + k * k * fam.A2).toarray()
-    comp = fam.free % 3
-    sgn = np.where(comp == 1, -1.0, 1.0)
-    flip = np.abs(sgn[:, None] * Km * sgn[None, :] - Kp).max()
-    scale = max(np.abs(Kp).max(), 1.0)
-    yield "wavenumber sign-flip assembly identity", flip / scale, 1e-15, flip / scale <= 1e-15
-
-    asym_2d = np.abs(Kp - Kp.T).max() / scale
-    yield "2D stiffness symmetry", asym_2d, 1e-13, asym_2d <= 1e-13
-
-    if args.model == "D" or (not args.model and not args.profile):
-        resD = asymptotics.toroidal_constants(preset("D"))
-        yield ("toroidal second-order eigenvalue positive", -resD.lambda2, 0.0,
-               resD.lambda2 > 0.0)
-
-
 def cmd_verify(args) -> int:
+    profile = _load_profile(args) if (args.model or args.profile) else None
     failures = 0
-    for name, residual, tol, passed in _verify_checks(args):
+    for name, residual, tol, passed in verify.identity_suite(profile, seed=args.seed):
         status = "PASS" if passed else "FAIL"
         print(f"{status}  {name}: residual {residual:.3e} (tol {tol:g})")
         failures += int(not passed)

@@ -7,9 +7,10 @@ f(z) s(z) dz and with clamped traces eliminated:
   (value + slope unknowns per node),
 * second-order forms on H^1_0 with quadratic Lagrange elements.
 
-Assembly is symmetrized by construction: every local block is a Gram-type
-product X^T diag(c) X, so the assembled matrices satisfy K == K.T bit for
-bit.
+Assembly runs over all elements at once: every coefficient is evaluated in
+one call on all quadrature points, and every local block is a Gram-type
+product X^T diag(c) X over (element, quadrature point, i, j), made exactly
+symmetric, so the assembled matrices satisfy K == K.T bit for bit.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class Assembled1D:
     free_dofs: np.ndarray   # indices into the unconstrained DOF vector
     n_dofs: int
 
-    def __iter__(self):
-        return iter((self.stiffness, self.mass))
-
     def full_vector(self, coeffs: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_dofs)
         out[self.free_dofs] = coeffs
@@ -106,66 +104,93 @@ class EigenSolution1D:
     mesh: Mesh1D
 
 
-def _gauss(a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+class _Elements:
+    """Quadrature and shape tables of every element of a mesh at once.
+
+    Arrays are indexed (element, quadrature point, local shape function).
+    """
+
+    def __init__(self, profile: ShellProfile, mesh: Mesh1D, space: str):
+        x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+        x0, x1 = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+        h = x1 - x0
+        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        self.z = mid + half * x
+        self.measure = half * w * profile.weight(self.z)  # f s dz per point
+        xi = (self.z - x0) / h
+        e = np.arange(mesh.n_elements)[:, None]
+        if space == "H20":
+            self.n_dofs = 2 * (mesh.n_elements + 1)
+            self.free = np.arange(2, self.n_dofs - 2)
+            self.dofs = 2 * e + np.arange(4)
+            self.N, self.D = _hermite_shapes(h, xi)
+        elif space == "H10":
+            self.n_dofs = 2 * mesh.n_elements + 1
+            self.free = np.arange(1, self.n_dofs - 1)
+            self.dofs = 2 * e + np.arange(3)
+            self.N, self.D = _quadratic_shapes(h, xi)
+        else:
+            raise AssemblyError(f"unknown space {space!r}")
+
+    def values(self, coeff) -> np.ndarray:
+        """A constant, or a callable of an array of z, at every quadrature point."""
+        if callable(coeff):
+            coeff = coeff(self.z)
+        return np.broadcast_to(np.asarray(coeff, dtype=float), self.z.shape)
+
+    def gram(self, *terms) -> np.ndarray:
+        """sum over (c, X) of int c X_i X_j f s dz, assembled on the free DOFs.
+
+        Each element block is made exactly symmetric, and every global entry
+        sums its element contributions in element order, so the result
+        equals its transpose bit for bit.
+        """
+        blocks = 0.0
+        for c, X in terms:
+            b = np.einsum("eq,eqi,eqj->eij", self.measure * c, X, X)
+            blocks = blocks + 0.5 * (b + b.transpose(0, 2, 1))
+        n = self.n_dofs
+        slots = self.dofs[:, :, None] * n + self.dofs[:, None, :]
+        A = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=n * n)
+        return A.reshape(n, n)[np.ix_(self.free, self.free)]
 
 
-def _as_callable(coeff):
-    if callable(coeff):
-        return coeff
-    value = float(coeff)
-    return lambda z: np.full_like(np.asarray(z, dtype=float), value)
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    # floating addition is commutative, so this is exactly symmetric
-    return 0.5 * (a + a.T)
-
-
-def _hermite_shapes(h: float, xi: np.ndarray):
+def _hermite_shapes(h, xi):
     N = np.stack([
         1 - 3 * xi**2 + 2 * xi**3,
         h * (xi - 2 * xi**2 + xi**3),
         3 * xi**2 - 2 * xi**3,
         h * (-(xi**2) + xi**3),
-    ], axis=1)
+    ], axis=-1)
     D2 = np.stack([
         (-6 + 12 * xi) / h**2,
         (-4 + 6 * xi) / h,
         (6 - 12 * xi) / h**2,
         (-2 + 6 * xi) / h,
-    ], axis=1)
+    ], axis=-1)
     return N, D2
 
 
-def _quadratic_shapes(h: float, xi: np.ndarray):
+def _quadratic_shapes(h, xi):
     N = np.stack([
         (2 * xi - 1) * (xi - 1),
         4 * xi * (1 - xi),
         xi * (2 * xi - 1),
-    ], axis=1)
+    ], axis=-1)
     D1 = np.stack([
         (4 * xi - 3) / h,
         (4 - 8 * xi) / h,
         (4 * xi - 1) / h,
-    ], axis=1)
+    ], axis=-1)
     return N, D1
 
 
-def _space_layout(space: str, n_elements: int):
-    if space == "H20":
-        n_dofs = 2 * (n_elements + 1)
-        free = np.arange(2, n_dofs - 2)
-        dofs = lambda e: [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]  # noqa: E731
-    elif space == "H10":
-        n_dofs = 2 * n_elements + 1
-        free = np.arange(1, n_dofs - 1)
-        dofs = lambda e: [2 * e, 2 * e + 1, 2 * e + 2]  # noqa: E731
-    else:
-        raise AssemblyError(f"unknown space {space!r}")
-    return n_dofs, free, dofs
+def _require(bad: np.ndarray, values: np.ndarray, z: np.ndarray, error, what: str):
+    """Raise ``error`` naming the minimum in the first element with a bad point."""
+    if np.any(bad):
+        e = int(np.argmax(bad.any(axis=1)))
+        q = int(np.argmin(values[e]))
+        raise error(f"{what} (min {values[e, q]:.3g} near z = {z[e, q]:.6g})")
 
 
 def assemble_h20(profile: ShellProfile, a4_coeff, shift, mesh: Mesh1D) -> Assembled1D:
@@ -175,34 +200,13 @@ def assemble_h20(profile: ShellProfile, a4_coeff, shift, mesh: Mesh1D) -> Assemb
     mass      = int u v f s dz.
     Clamped value and slope unknowns at both ends are eliminated.
     """
-    a4_fun = _as_callable(a4_coeff)
-    shift_fun = _as_callable(shift if shift is not None else 0.0)
-    nodes = mesh.nodes
-    n_dofs, free, dofs = _space_layout("H20", mesh.n_elements)
-    K = np.zeros((n_dofs, n_dofs))
-    M = np.zeros((n_dofs, n_dofs))
-    for e in range(mesh.n_elements):
-        x0, x1 = nodes[e], nodes[e + 1]
-        h = x1 - x0
-        zq, wq = _gauss(x0, x1)
-        N, D2 = _hermite_shapes(h, (zq - x0) / h)
-        wgt = profile.weight(zq)
-        a4 = np.asarray(a4_fun(zq), dtype=float)
-        if np.any(a4 <= 0.0):
-            raise AssemblyError(
-                f"fourth-order coefficient must be positive (min {a4.min():.3g} "
-                f"near z = {zq[int(np.argmin(a4))]:.6g})"
-            )
-        sh = np.asarray(shift_fun(zq), dtype=float)
-        ke = _sym(np.einsum("q,qi,qj->ij", wq * wgt * a4, D2, D2))
-        ke += _sym(np.einsum("q,qi,qj->ij", wq * wgt * sh, N, N))
-        me = _sym(np.einsum("q,qi,qj->ij", wq * wgt, N, N))
-        dof = dofs(e)
-        K[np.ix_(dof, dof)] += ke
-        M[np.ix_(dof, dof)] += me
+    el = _Elements(profile, mesh, "H20")
+    a4 = el.values(a4_coeff)
+    _require(a4 <= 0.0, a4, el.z, AssemblyError, "fourth-order coefficient must be positive")
+    sh = el.values(shift if shift is not None else 0.0)
     return Assembled1D(
-        stiffness=K[np.ix_(free, free)], mass=M[np.ix_(free, free)],
-        mesh=mesh, space="H20", free_dofs=free, n_dofs=n_dofs,
+        stiffness=el.gram((a4, el.D), (sh, el.N)), mass=el.gram((1.0, el.N)),
+        mesh=mesh, space="H20", free_dofs=el.free, n_dofs=el.n_dofs,
     )
 
 
@@ -213,34 +217,14 @@ def assemble_h10(profile: ShellProfile, g_coeff, potential, mesh: Mesh1D) -> Ass
     Endpoint values are eliminated; a negative g at any quadrature point is
     an admissibility violation.
     """
-    g_fun = _as_callable(g_coeff)
-    v_fun = _as_callable(potential if potential is not None else 0.0)
-    nodes = mesh.nodes
-    n_dofs, free, dofs = _space_layout("H10", mesh.n_elements)
-    K = np.zeros((n_dofs, n_dofs))
-    M = np.zeros((n_dofs, n_dofs))
-    for e in range(mesh.n_elements):
-        x0, x1 = nodes[e], nodes[e + 1]
-        h = x1 - x0
-        zq, wq = _gauss(x0, x1)
-        N, D1 = _quadratic_shapes(h, (zq - x0) / h)
-        wgt = profile.weight(zq)
-        g = np.asarray(g_fun(zq), dtype=float)
-        if np.any(g < -1e-12 * max(1.0, float(np.abs(g).max()))):
-            raise AdmissibilityError(
-                f"second-order coefficient g is negative (min {g.min():.3g} "
-                f"near z = {zq[int(np.argmin(g))]:.6g})"
-            )
-        V = np.asarray(v_fun(zq), dtype=float)
-        ke = _sym(np.einsum("q,qi,qj->ij", wq * wgt * g, D1, D1))
-        ke += _sym(np.einsum("q,qi,qj->ij", wq * wgt * V, N, N))
-        me = _sym(np.einsum("q,qi,qj->ij", wq * wgt, N, N))
-        dof = dofs(e)
-        K[np.ix_(dof, dof)] += ke
-        M[np.ix_(dof, dof)] += me
+    el = _Elements(profile, mesh, "H10")
+    g = el.values(g_coeff)
+    g_tol = 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
+    _require(g < -g_tol, g, el.z, AdmissibilityError, "second-order coefficient g is negative")
+    V = el.values(potential if potential is not None else 0.0)
     return Assembled1D(
-        stiffness=K[np.ix_(free, free)], mass=M[np.ix_(free, free)],
-        mesh=mesh, space="H10", free_dofs=free, n_dofs=n_dofs,
+        stiffness=el.gram((g, el.D), (V, el.N)), mass=el.gram((1.0, el.N)),
+        mesh=mesh, space="H10", free_dofs=el.free, n_dofs=el.n_dofs,
     )
 
 
@@ -248,24 +232,8 @@ def assemble_weighted_mass(
     profile: ShellProfile, density, mesh: Mesh1D, space: str
 ) -> np.ndarray:
     """int density u v f s dz on the free DOFs of the given space."""
-    d_fun = _as_callable(density)
-    nodes = mesh.nodes
-    n_dofs, free, dofs = _space_layout(space, mesh.n_elements)
-    A = np.zeros((n_dofs, n_dofs))
-    for e in range(mesh.n_elements):
-        x0, x1 = nodes[e], nodes[e + 1]
-        h = x1 - x0
-        zq, wq = _gauss(x0, x1)
-        if space == "H20":
-            N, _ = _hermite_shapes(h, (zq - x0) / h)
-        else:
-            N, _ = _quadratic_shapes(h, (zq - x0) / h)
-        wgt = profile.weight(zq)
-        dens = np.asarray(d_fun(zq), dtype=float)
-        ae = _sym(np.einsum("q,qi,qj->ij", wq * wgt * dens, N, N))
-        dof = dofs(e)
-        A[np.ix_(dof, dof)] += ae
-    return A[np.ix_(free, free)]
+    el = _Elements(profile, mesh, space)
+    return el.gram((el.values(density), el.N))
 
 
 def smallest_eigenpairs(
@@ -275,17 +243,14 @@ def smallest_eigenpairs(
 ) -> list[EigenSolution1D]:
     """m smallest eigenpairs of the assembled pencil (banded shift-invert).
 
-    Accepts either (stiffness, mass, m) matrices or (Assembled1D, m=...).
+    Accepts either (stiffness, mass) matrices or an Assembled1D, which
+    carries its own mass matrix.
     """
     if isinstance(stiffness, Assembled1D):
-        asm = stiffness
         if mass is not None:
-            if isinstance(mass, (int, np.integer)) and m == 1:
-                m = int(mass)
-            else:
-                raise TypeError("pass m as keyword when an Assembled1D is given")
-        mesh = asm.mesh
-        stiffness, mass = asm.stiffness, asm.mass
+            raise TypeError("an Assembled1D carries its own mass matrix")
+        mesh = stiffness.mesh
+        stiffness, mass = stiffness.stiffness, stiffness.mass
     pairs = eig.solve_smallest(
         eig.SymmetricPencil(stiffness, mass), m, shift=shift, tol=tol, seed=seed, x0=x0
     )

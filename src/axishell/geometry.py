@@ -4,6 +4,9 @@ Everything derives from the profile jet: arc-length factor s, the two
 principal curvatures, the Gaussian curvature, the concentration potential
 H0 = E f''^2 / s^6, the second-order coefficient g of the elliptic reduction,
 and the leading bending coefficient B0 = E / (3 (1 - nu^2) f^4).
+
+``frame_at`` takes one coordinate or an array of them; an array is evaluated
+in one batch of numpy calls, and classification samples its grid that way.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ class ShellClassTag(enum.Enum):
 
 @dataclass(frozen=True)
 class GeometryFrame:
-    """All pointwise geometric and reduction quantities at one z."""
+    """All pointwise geometric and reduction quantities at z.
+
+    Fields are floats for a scalar z and arrays of z's shape for an array.
+    """
 
     z: float
     f: float
@@ -107,7 +113,7 @@ class ShellClass:
         )
 
 
-def h0_taylor(profile: ShellProfile, z: float, order: int = 2) -> Jet:
+def h0_taylor(profile: ShellProfile, z, order: int = 2) -> Jet:
     """H0 = E f''^2 / s^6 as a jet (order 2 needs the f jet to order 4)."""
     fj = profile.taylor(z, order + 2)
     fpp = fj.diff().diff()
@@ -127,32 +133,31 @@ def b0_at(f, E, nu):
     return E / (3.0 * (1.0 - nu * nu) * f * f * f * f)
 
 
-def frame_at(profile: ShellProfile, z: float) -> GeometryFrame:
-    """Evaluate the full geometric frame at one coordinate."""
-    profile.require_inside(z)
-    d = profile.jet(z, 4)
-    f, fp, fpp, fppp, fpppp = (float(v) for v in d)
-    if f <= 0.0:
-        raise GeometryError(f"nonpositive radius f({z}) = {f}")
-    s = math.sqrt(1.0 + fp * fp)
-    b_zz = fpp / s**3
-    b_pp = -1.0 / (f * s)
-    K = -fpp / (f * s**4)
-    H0 = profile.E * fpp * fpp / s**6
-    g = g_at(f, fp, fpp, profile.E)
-    B0 = b0_at(f, profile.E, profile.nu)
-    admissible = 1.0 + fp * fp + f * fpp >= 0.0
-    return GeometryFrame(
-        z=z, f=f, fp=fp, fpp=fpp, fppp=fppp, fpppp=fpppp, s=s,
-        b_zz=b_zz, b_pp=b_pp, K=K, H0=H0, g=g, B0=B0,
-        admissible=admissible, E=profile.E, nu=profile.nu,
+def frame_at(profile: ShellProfile, z) -> GeometryFrame:
+    """Evaluate the full geometric frame at one coordinate or an array of them."""
+    f, fp, fpp, fppp, fpppp = profile.jet(z, 4)
+    if np.any(f <= 0.0):
+        i = int(np.argmin(f))
+        raise GeometryError(
+            f"nonpositive radius f({np.ravel(z)[i]}) = {np.ravel(f)[i]}"
+        )
+    # powers as products: numpy's vectorized pow rounds differently from the
+    # scalar one, and a frame must not depend on how many points it holds
+    s2 = 1.0 + fp * fp
+    s = np.sqrt(s2)
+    fields = dict(
+        z=np.asarray(z, dtype=float), f=f, fp=fp, fpp=fpp, fppp=fppp, fpppp=fpppp, s=s,
+        b_zz=fpp / (s2 * s),
+        b_pp=-1.0 / (f * s),
+        K=-fpp / (f * s2 * s2),
+        H0=profile.E * fpp * fpp / (s2 * s2 * s2),
+        g=g_at(f, fp, fpp, profile.E),
+        B0=b0_at(f, profile.E, profile.nu),
+        admissible=1.0 + fp * fp + f * fpp >= 0.0,
     )
-
-
-def _h0_values(profile: ShellProfile, zs: np.ndarray) -> np.ndarray:
-    fpp = np.array([profile.jet(z, 2)[2] for z in zs])
-    s2 = 1.0 + profile.df(zs) ** 2
-    return profile.E * fpp**2 / s2**3
+    if np.ndim(z) == 0:
+        fields = {name: v.item() for name, v in fields.items()}
+    return GeometryFrame(E=profile.E, nu=profile.nu, **fields)
 
 
 def _golden_min(fun, a: float, b: float, tol: float) -> float:
@@ -184,7 +189,7 @@ def locate_H0_minimum(
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
-    vals = _h0_values(profile, zs)
+    vals = frame_at(profile, zs).H0
 
     def h0(z: float) -> float:
         return h0_taylor(profile, z, 0).value
@@ -213,15 +218,13 @@ def locate_H0_minimum(
             z_ref = z_new
         candidates.append((z_ref, False))
 
-    branches = []
-    for z0, boundary in candidates:
-        j = h0_taylor(profile, z0, 2)
-        branches.append(
-            H0Minimum(
-                z0=z0, value=j.value, d1=j.derivative(1), d2=j.derivative(2),
-                boundary=boundary,
-            )
+    j = h0_taylor(profile, np.array([z0 for z0, _ in candidates]), 2)
+    branches = [
+        H0Minimum(z0=z0, value=value, d1=d1, d2=d2, boundary=boundary)
+        for (z0, boundary), value, d1, d2 in zip(
+            candidates, j.value.tolist(), j.derivative(1).tolist(), j.derivative(2).tolist()
         )
+    ]
     global_min = min(b.value for b in branches)
     scale = max(abs(global_min), 1.0e-30)
     kept = sorted(
@@ -246,8 +249,8 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
         raise ValueError("classification needs at least 64 samples")
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
-    jets = np.array([profile.jet(z, 2) for z in zs])
-    f, fp, fpp = jets[:, 0], jets[:, 1], jets[:, 2]
+    fr = frame_at(profile, zs)
+    f, fp, fpp = fr.f, fr.fp, fr.fpp
     scale = max(1.0, float(np.abs(f).max()))
     tol = 1e-13 * scale
 
@@ -262,11 +265,9 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
         )
 
     # elliptic: f'' < 0 (up to roundoff) everywhere
-    h0 = _h0_values(profile, zs)
-    h0_span = float(h0.max() - h0.min())
-    if h0_span <= H0_CONST_RTOL * max(float(h0.max()), 1e-300):
-        adm = 1.0 + fp**2 + f * fpp
-        if np.min(adm) < 0.0:
+    h0_span = float(fr.H0.max() - fr.H0.min())
+    if h0_span <= H0_CONST_RTOL * max(float(fr.H0.max()), 1e-300):
+        if not np.all(fr.admissible):
             return ShellClass(
                 ShellClassTag.INADMISSIBLE,
                 detail="constant potential but azimuthal curvature does not dominate",
@@ -276,8 +277,7 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
     minimum = locate_H0_minimum(profile, n_samples=max(n_samples, 1024))
     branch = minimum
     z0 = branch.z0
-    fr = frame_at(profile, z0)
-    if not fr.admissible:
+    if not frame_at(profile, z0).admissible:
         return ShellClass(
             ShellClassTag.INADMISSIBLE, z0=z0, h0_minimum=minimum,
             detail="admissibility 1 + f'^2 + f f'' >= 0 violated at the minimizer",
@@ -308,21 +308,19 @@ def essential_spectrum_range(profile: ShellProfile, n_samples: int = 2048):
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
-    f = profile.f(zs)
-    s2 = 1.0 + profile.df(zs) ** 2
-    vals = profile.E / (f**2 * s2)
 
-    def sig(z: float) -> float:
-        ff = float(profile.f(z))
-        ss2 = 1.0 + float(profile.df(z)) ** 2
-        return profile.E / (ff * ff * ss2)
+    def sig(z):
+        f, fp = profile.f(z), profile.df(z)
+        return profile.E / (f * f * (1.0 + fp * fp))
+
+    vals = sig(zs)
 
     def refine_extremum(idx: int, sign: float) -> float:
         """sig value at the local extremum inside the cells around sample idx."""
         lo = zs[max(idx - 1, 0)]
         hi = zs[min(idx + 1, len(zs) - 1)]
         z_star = _golden_min(lambda z: sign * sig(z), lo, hi, 1e-12)
-        return sig(z_star)
+        return float(sig(z_star))
 
     lower = min(float(vals.min()), refine_extremum(int(np.argmin(vals)), +1.0))
     upper = max(float(vals.max()), refine_extremum(int(np.argmax(vals)), -1.0))

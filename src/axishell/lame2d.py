@@ -140,13 +140,8 @@ class MidlineTrace:
 
 
 def _map_data(profile: ShellProfile, zq: np.ndarray, tq: np.ndarray):
-    """Geometry of the normal-coordinate map at paired (z, x3) points (flattened).
-
-    The profile jet depends on z alone, so it is evaluated once per distinct z.
-    """
-    zu, inv = np.unique(zq, return_inverse=True)
-    jets = np.array([profile.jet(z, 2) for z in zu])[inv]
-    f, fp, fpp = jets[:, 0], jets[:, 1], jets[:, 2]
+    """Geometry of the normal-coordinate map at paired (z, x3) points (flattened)."""
+    f, fp, fpp = profile.jet(zq, 2)
     s2 = 1.0 + fp**2
     s = np.sqrt(s2)
     r = f + tq / s

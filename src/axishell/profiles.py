@@ -82,21 +82,11 @@ class ShellProfile:
 
     def f(self, z):
         """Radius f(z), vectorized."""
-        z = np.asarray(z, dtype=float)
-        if self.kind in ("polynomial", "affine"):
-            return np.polynomial.polynomial.polyval(z, np.asarray(self.coeffs))
-        r_c, radius, z_c = self.params
-        return r_c + np.sqrt(radius**2 - (z - z_c) ** 2)
+        return self.taylor(z, 0).value
 
     def df(self, z):
         """First derivative f'(z), vectorized."""
-        z = np.asarray(z, dtype=float)
-        if self.kind in ("polynomial", "affine"):
-            der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-            return np.polynomial.polynomial.polyval(z, der) * np.ones_like(z)
-        r_c, radius, z_c = self.params
-        t = z - z_c
-        return -t / np.sqrt(radius**2 - t**2)
+        return self.taylor(z, 1).derivative(1)
 
     def arc_factor(self, z):
         """Arc-length factor sqrt(1 + f'(z)^2), vectorized."""
@@ -106,28 +96,32 @@ class ShellProfile:
         """Measure density f(z) * sqrt(1 + f'(z)^2), vectorized."""
         return self.f(z) * self.arc_factor(z)
 
-    def taylor(self, z: float, order: int) -> Jet:
-        """Exact Taylor expansion of f at z (descriptor evaluated in jets)."""
-        t = Jet.variable(float(z), order)
+    def taylor(self, z, order: int) -> Jet:
+        """Exact Taylor expansion of f at z, a point or an array of points."""
         if self.kind in ("polynomial", "affine"):
-            acc = Jet.constant(0.0, order)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
+            return Jet.polynomial(self.coeffs, z, order)
+        t = Jet.variable(z, order)
         r_c, radius, z_c = self.params
         u = radius**2 - (t - z_c) * (t - z_c)
         return u.sqrt() + r_c
 
-    def jet(self, z: float, order: int = 4) -> np.ndarray:
-        """Array [f, f', ..., f^(order)] at z, exact for the descriptor."""
+    def jet(self, z, order: int = 4) -> np.ndarray:
+        """Array [f, f', ..., f^(order)] at z, exact for the descriptor.
+
+        Shape ``(order + 1,)`` for a scalar z, ``(order + 1, *z.shape)`` for
+        an array of points, all evaluated at once.
+        """
         self.require_inside(z)
         return self.taylor(z, order).derivatives()
 
-    def require_inside(self, z: float) -> None:
+    def require_inside(self, z) -> None:
+        """Raise DomainError unless every point of z lies in the interval."""
         z_minus, z_plus = self.interval
         tol = 1e-12 * (1 + abs(z_minus) + abs(z_plus))
-        if not (z_minus - tol <= z <= z_plus + tol):
-            raise DomainError(f"z = {z} outside [{z_minus}, {z_plus}]")
+        z = np.asarray(z, dtype=float)
+        outside = ~((z_minus - tol <= z) & (z <= z_plus + tol))
+        if np.any(outside):
+            raise DomainError(f"z = {z[outside].flat[0]} outside [{z_minus}, {z_plus}]")
 
     @property
     def length(self) -> float:

@@ -4,7 +4,9 @@ The azimuthal Fourier symbol of the membrane operator is a formal series
 k^2 M0 + k M1 + M2 in 3x3 operator matrices acting on (zeta_z, zeta_phi,
 zeta_3).  Eliminating the tangential components against M0 produces scalar
 operators H0..H4 and reconstruction operators V1..V3; all of them are stored
-here through their printed closed forms.
+here through their printed closed forms.  Every function takes a frame at one
+point or at an array of points (see ``geometry.frame_at``); coefficients are
+floats for the first and arrays for the second.
 
 Convention for complex factors: several entries are purely imaginary.  A
 ``DiffOpSymbol`` with ``imag=True`` stores the real coefficient of i, which
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import GeometryFrame
-from .jets import Jet
+from .jets import Jet, _point_value
 
 __all__ = [
     "DiffOpSymbol",
@@ -44,15 +46,8 @@ class DiffOpSymbol:
     imag: bool = False
 
     @property
-    def max_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
-    def padded(self, order: int) -> tuple:
-        return tuple(self.coeffs) + (0.0,) * (order - self.max_order)
+        return all(np.all(c == 0.0) for c in self.coeffs)
 
     @classmethod
     def zero(cls, order: int = 0, imag: bool = False) -> "DiffOpSymbol":
@@ -81,10 +76,12 @@ class ReductionCoeffs:
 
 
 def _sym_entries(f, fp, fpp, fppp, fpppp, E, nu, lam0=0.0, lam1=0.0):
-    """All symbol entry coefficients from a 4-jet; works on floats or jets.
+    """All symbol entry coefficients from a 4-jet; works on floats, arrays or jets.
 
     Returns a dict entry name -> list of coefficients (ascending derivative
-    order).  Imaginary entries store the real coefficient of i.
+    order).  Imaginary entries store the real coefficient of i.  Powers are
+    written as products, so an array of points rounds exactly as each point
+    does alone (numpy's vectorized pow does not).
     """
     s2 = 1.0 + fp * fp
     s = s2.sqrt() if isinstance(s2, Jet) else np.sqrt(s2)
@@ -100,6 +97,8 @@ def _sym_entries(f, fp, fpp, fppp, fpppp, E, nu, lam0=0.0, lam1=0.0):
     f2 = f * f
     f3 = f2 * f
     f4 = f2 * f2
+    fpp3 = fpp * fpp * fpp
+    fpp4 = fpp3 * fpp
     C = E / (1.0 - nu * nu)
 
     e = {}
@@ -137,21 +136,22 @@ def _sym_entries(f, fp, fpp, fppp, fpppp, E, nu, lam0=0.0, lam1=0.0):
     e["M2_33"] = [C * (fpp * fpp / s6 + 1.0 / (f2 * s2) - 2.0 * nu * fpp / (f * s4))]
 
     e["H0"] = [E * fpp * fpp / s6]
+    v1 = 1.0 / s - nu * fpp * f / s3
     e["H2"] = [
         E * (-10.0 * fp * fp * fpp * fpp / s8
              + 4.0 * fp * fppp / s6
              + 2.0 * fp * fp * fpp / (f * s6)
-             - (nu - 2.0) * f * fp * fp * fpp**3 / s10
+             - (nu - 2.0) * f * fp * fp * fpp3 / s10
              - 5.0 * f * fp * fpp * fppp / s8
              + f * fpppp / s6
              + 2.0 * f2 * fpp * fpppp / s8
-             + 36.0 * f2 * fp * fp * fpp**4 / s12
-             + (nu - 2.0) * f * fpp**3 / s8
-             - 6.0 * f2 * fpp**4 / s10
+             + 36.0 * f2 * fp * fp * fpp4 / s12
+             + (nu - 2.0) * f * fpp3 / s8
+             - 6.0 * f2 * fpp4 / s10
              - 20.0 * f2 * fp * fpp * fpp * fppp / s10)
-        - lam0 * (1.0 / s - nu * fpp * f / s3) ** 2,
+        - lam0 * v1 * v1,
         2.0 * E * (2.0 * fp * fpp / s6 + f * fppp / s6 - 2.0 * f * fp * fpp * fpp / s8
-                   + 2.0 * f2 * fpp * fppp / s8 - 7.0 * f2 * fp * fpp**3 / s10),
+                   + 2.0 * f2 * fpp * fppp / s8 - 7.0 * f2 * fp * fpp3 / s10),
         2.0 * E * (f * fpp / s6 + f2 * fpp * fpp / s8),
     ]
     e["H3"] = [lam1 * (-1.0 / s2 + 2.0 * nu * f * fpp / s4 - nu * nu * f2 * fpp * fpp / s6)]
@@ -173,11 +173,11 @@ def _sym_entries(f, fp, fpp, fppp, fpppp, E, nu, lam0=0.0, lam1=0.0):
         ((nu * nu + 19.0 * nu + 19.0) * f3 * fp * fp * fpp * fpp / s7
          - (6.0 * nu + 6.0) * f3 * fp * fppp / s5
          - (5.0 * nu + 3.0) * f2 * fp * fp * fpp / s5
-         - (36.0 * nu + 18.0) * f4 * fp * fp * fpp**3 / s9
+         - (36.0 * nu + 18.0) * f4 * fp * fp * fpp3 / s9
          + (20.0 * nu + 10.0) * f4 * fp * fpp * fppp / s7
          + nu * fpp * f2 / s3
          + fp * fp * f / s3
-         + (6.0 * nu + 3.0) * f4 * fpp**3 / s7
+         + (6.0 * nu + 3.0) * f4 * fpp3 / s7
          - (2.0 * nu + 1.0) * f4 * fpppp / s5
          - (nu * nu + nu + 1.0) * f3 * fpp * fpp / s5)
         + lam0 * (1.0 - nu * nu) / E * (f3 / s - nu * f4 * fpp / s3),
@@ -186,6 +186,12 @@ def _sym_entries(f, fp, fpp, fppp, fpppp, E, nu, lam0=0.0, lam1=0.0):
         -nu * f3 / s3 - (1.0 + 2.0 * nu) * f4 * fpp / s5,
     ]
     return e
+
+
+def _relative_gap(a, b):
+    """|a - b| relative to max(|a|, |b|, 1e-3), point by point."""
+    scale = np.maximum(np.maximum(abs(a), abs(b)), 1e-3)
+    return _point_value(abs(a - b) / scale)
 
 
 def _float_entries(frame: GeometryFrame, lam0: float, lam1: float):
@@ -212,7 +218,7 @@ def _jet_entries(frame: GeometryFrame, lam0: float = 0.0, lam1: float = 0.0):
 
 
 def symbols_at(frame: GeometryFrame, lam0: float = 0.0, lam1: float = 0.0):
-    """Evaluate every printed symbol entry and reduction coefficient at one z.
+    """Evaluate every printed symbol entry and reduction coefficient at the frame.
 
     ``lam0`` enters the zeroth-order coefficient of H2 and the constant part
     of V3; ``lam1`` scales H3.  Returns (MembraneSymbols, ReductionCoeffs).
@@ -220,12 +226,12 @@ def symbols_at(frame: GeometryFrame, lam0: float = 0.0, lam1: float = 0.0):
     e = _float_entries(frame, lam0, lam1)
 
     def sym(name: str, imag: bool = False) -> DiffOpSymbol:
-        return DiffOpSymbol(tuple(float(c) for c in e[name]), imag)
+        return DiffOpSymbol(tuple(_point_value(c) for c in e[name]), imag)
 
     zero0 = DiffOpSymbol.zero()
-    M0 = np.zeros((3, 3))
-    M0[0, 0] = float(e["M0_zz"][0])
-    M0[1, 1] = float(e["M0_pp"][0])
+    M0 = np.zeros((3, 3) + np.shape(frame.z))
+    M0[0, 0] = e["M0_zz"][0]
+    M0[1, 1] = e["M0_pp"][0]
     M1 = (
         (DiffOpSymbol.zero(imag=True), sym("M1_zp", True), DiffOpSymbol.zero(imag=True)),
         (sym("M1_pz", True), DiffOpSymbol.zero(imag=True), sym("M1_p3", True)),
@@ -237,10 +243,10 @@ def symbols_at(frame: GeometryFrame, lam0: float = 0.0, lam1: float = 0.0):
         (sym("M2_3z"), zero0, sym("M2_33")),
     )
     red = ReductionCoeffs(
-        H0=float(e["H0"][0]),
+        H0=_point_value(e["H0"][0]),
         H2=sym("H2"),
         H3=sym("H3"),
-        H4_principal=float(e["H4_principal"][0]),
+        H4_principal=_point_value(e["H4_principal"][0]),
         H4_parabolic=sym("H4_parabolic"),
         V1=(zero0, sym("V1_p", True)),
         V2=(sym("V2_z"), zero0),
@@ -260,14 +266,6 @@ def _apply_jet(coeffs, u: Jet) -> Jet:
     return out
 
 
-def _poly_jet(poly_coeffs, z: float, order: int) -> Jet:
-    t = Jet.variable(z, order)
-    acc = Jet.constant(0.0, order)
-    for c in reversed(list(poly_coeffs)):
-        acc = acc * t + c
-    return acc
-
-
 def verify_H0_recurrence(frame: GeometryFrame) -> float:
     """Residual of the order-0 elimination identity defining H0.
 
@@ -276,14 +274,12 @@ def verify_H0_recurrence(frame: GeometryFrame) -> float:
     real coefficients.  Returns a relative residual.
     """
     e = _float_entries(frame, 0.0, 0.0)
-    m0pp = float(e["M0_pp"][0])
-    c3p = float(e["M1_3p"][0])
-    cp3 = float(e["M1_p3"][0])
+    m0pp = e["M0_pp"][0]
+    c3p = e["M1_3p"][0]
+    cp3 = e["M1_p3"][0]
     # (i c3p) (i cp3) = -c3p*cp3
-    rec = float(e["M2_33"][0]) - (-(c3p * cp3) / m0pp)
-    h0 = float(e["H0"][0])
-    scale = max(abs(h0), abs(rec), 1e-3)
-    return abs(h0 - rec) / scale
+    rec = e["M2_33"][0] - (-(c3p * cp3) / m0pp)
+    return _relative_gap(e["H0"][0], rec)
 
 
 def verify_V2_equation(frame: GeometryFrame, poly_coeffs) -> float:
@@ -297,7 +293,7 @@ def verify_V2_equation(frame: GeometryFrame, poly_coeffs) -> float:
     if len(coeffs) - 1 > 6:
         raise ValueError("test polynomial degree must be at most 6")
     e = _jet_entries(frame)
-    p = _poly_jet(coeffs, frame.z, 4)
+    p = Jet.polynomial(coeffs, frame.z, 4)
 
     lhs = e["M0_zz"][0] * _apply_jet(e["V2_z"], p)
 
@@ -305,8 +301,7 @@ def verify_V2_equation(frame: GeometryFrame, poly_coeffs) -> float:
     m1zp_g = _apply_jet(e["M1_zp"], g_inner)             # still coefficient of i
     rhs = -1.0 * m1zp_g - _apply_jet(e["M2_z3"], p)      # i*i = -1 on the first term
 
-    scale = max(abs(lhs.value), abs(rhs.value), 1e-3)
-    return abs(lhs.value - rhs.value) / scale
+    return _relative_gap(lhs.value, rhs.value)
 
 
 def verify_H2_recurrence(frame: GeometryFrame, poly_coeffs, lam0: float = 0.0) -> float:
@@ -316,7 +311,7 @@ def verify_H2_recurrence(frame: GeometryFrame, poly_coeffs, lam0: float = 0.0) -
     -1 sign on their composition.
     """
     e = _jet_entries(frame, lam0=lam0)
-    p = _poly_jet(list(poly_coeffs), frame.z, 5)
+    p = Jet.polynomial(poly_coeffs, frame.z, 5)
 
     lhs = _apply_jet(e["H2"], p)
     v3p = _apply_jet(e["V3_p"], p)        # coefficient of i
@@ -324,50 +319,41 @@ def verify_H2_recurrence(frame: GeometryFrame, poly_coeffs, lam0: float = 0.0) -
     v2z = _apply_jet(e["V2_z"], p)
     term2 = _apply_jet(e["M2_3z"], v2z)
     rhs = term1 + term2
-    scale = max(abs(lhs.value), abs(rhs.value), 1e-3)
-    return abs(lhs.value - rhs.value) / scale
+    return _relative_gap(lhs.value, rhs.value)
 
 
 def h2_coefficients(frame: GeometryFrame, lam0: float = 0.0):
     """(H2^(0), H2^(1), H2^(2)) at the frame point, with lam0 substituted."""
     e = _float_entries(frame, lam0, 0.0)
-    return tuple(float(c) for c in e["H2"])
+    return tuple(_point_value(c) for c in e["H2"])
 
 
 def reconstruct_surface_mode(
-    frames, k: float, eta0, eta0_d1=None, eta0_d2=None, lam0: float = 0.0
+    frame: GeometryFrame, k: float, eta0, eta0_d1=None, eta0_d2=None, lam0: float = 0.0
 ) -> np.ndarray:
     """Leading surface displacement generated by a scalar profile eta0.
 
-    Returns the real-form components (zeta_z, zeta_phi, zeta_3) on the frame
-    grid: (0, 0, eta0) + k^-1 V1 eta0 + k^-2 V2 eta0 + k^-3 V3 eta0.  The phi
+    ``frame`` holds the grid points (``frame_at`` on an array of z).  Returns
+    the real-form components (zeta_z, zeta_phi, zeta_3) on that grid:
+    (0, 0, eta0) + k^-1 V1 eta0 + k^-2 V2 eta0 + k^-3 V3 eta0.  The phi
     component stores the real coefficient of i.  Derivatives of eta0 may be
     supplied; otherwise they are taken by second-order differences on the
     grid (fine for smooth data, not for identity-level tolerances).
     """
     if k == 0:
         raise GeometryError("surface reconstruction assumes a nonzero wavenumber")
-    frames = list(frames)
-    zs = np.array([fr.z for fr in frames])
     eta0 = np.asarray(eta0, dtype=float)
     if eta0_d1 is None:
-        eta0_d1 = np.gradient(eta0, zs, edge_order=2)
+        eta0_d1 = np.gradient(eta0, frame.z, edge_order=2)
     if eta0_d2 is None:
-        eta0_d2 = np.gradient(np.asarray(eta0_d1, dtype=float), zs, edge_order=2)
+        eta0_d2 = np.gradient(np.asarray(eta0_d1, dtype=float), frame.z, edge_order=2)
     eta0_d1 = np.asarray(eta0_d1, dtype=float)
     eta0_d2 = np.asarray(eta0_d2, dtype=float)
 
-    out = np.zeros((3, len(frames)))
-    for i, fr in enumerate(frames):
-        e = _float_entries(fr, lam0, 0.0)
-        v1p = float(e["V1_p"][0])
-        v2z = e["V2_z"]
-        v3p = e["V3_p"]
-        zeta_z = (float(v2z[0]) * eta0[i] + float(v2z[1]) * eta0_d1[i]) / k**2
-        zeta_p = v1p * eta0[i] / k + (
-            float(v3p[0]) * eta0[i] + float(v3p[1]) * eta0_d1[i] + float(v3p[2]) * eta0_d2[i]
-        ) / k**3
-        out[0, i] = zeta_z
-        out[1, i] = zeta_p
-        out[2, i] = eta0[i]
-    return out
+    e = _float_entries(frame, lam0, 0.0)
+    v2z, v3p = e["V2_z"], e["V3_p"]
+    zeta_z = (v2z[0] * eta0 + v2z[1] * eta0_d1) / k**2
+    zeta_p = e["V1_p"][0] * eta0 / k + (
+        v3p[0] * eta0 + v3p[1] * eta0_d1 + v3p[2] * eta0_d2
+    ) / k**3
+    return np.stack([zeta_z, zeta_p, eta0])

@@ -15,11 +15,11 @@ from the paper" in README.md:
 import math
 import time
 
-import numpy as np
 import pytest
 
 import axishell as ax
-from axishell import asymptotics as asy, fem1d, lame2d, symbols as sy
+from axishell import asymptotics as asy
+from axishell.verify import identity_suite
 from conftest import record_criterion
 
 TAB_ASY = {
@@ -111,8 +111,7 @@ def test_criterion_3_cylinder_routes():
     from scipy.optimize import brentq
 
     kappa = brentq(lambda x: math.cos(x) * math.cosh(x) - 1.0, 4.0, 5.5, xtol=1e-14)
-    beam = ShellProfileBeam()
-    lam = fem1d.smallest_eigenpairs(beam, m=1)[0].eigenvalue
+    lam = asy._clamped_unit_bilaplacian(64)
     beam_ok = abs(lam - kappa**4) <= 1e-5 * kappa**4
     record_criterion(
         "criterion 3 (cylinder closed form vs optimization; beam oracle): "
@@ -123,54 +122,14 @@ def test_criterion_3_cylinder_routes():
     assert route_ok and beam_ok
 
 
-def ShellProfileBeam():
-    from axishell.profiles import ShellProfile
-
-    prof = ShellProfile("affine", (0.0, 1.0), coeffs=(1.0,))
-    mesh = fem1d.Mesh1D.uniform((0.0, 1.0), 64)
-    return fem1d.assemble_h20(prof, 1.0, 0.0, mesh)
-
-
 def test_criterion_4_identity_suite():
-    rng = np.random.default_rng(0)
-    worst = {"h0rec": 0.0, "r2": 0.0, "r4": 0.0, "v2": 0.0}
-    sparsity_ok = True
-    for mid in "ABDHL":
-        prof = ax.preset(mid)
-        for z in rng.uniform(*prof.interval, size=20):
-            fr = ax.frame_at(prof, float(z))
-            worst["h0rec"] = max(worst["h0rec"], sy.verify_H0_recurrence(fr))
-            h2 = sy.h2_coefficients(fr, 0.0)
-            curv2 = 2 * prof.E * (fr.f**2 / fr.s**2) * fr.b_zz * (fr.b_pp - fr.b_zz)
-            worst["r2"] = max(worst["r2"], abs(-h2[2] - curv2) / max(abs(curv2), 1e-3))
-            mats, red = sy.symbols_at(fr)
-            curv4 = prof.E * (fr.f**4 / fr.s**4) * (fr.b_pp - 3 * fr.b_zz) * (fr.b_pp - fr.b_zz)
-            worst["r4"] = max(worst["r4"], abs(red.H4_principal - curv4) / max(abs(curv4), 1e-3))
-            worst["v2"] = max(worst["v2"], sy.verify_V2_equation(fr, [0.0, 1.0, -0.5, 0.25]))
-            m1_zero = [(0, 0), (1, 1), (0, 2), (2, 0), (2, 2)]
-            m2_zero = [(0, 1), (1, 0), (1, 2), (2, 1)]
-            sparsity_ok &= all(mats.M1[i][j].is_zero for i, j in m1_zero)
-            sparsity_ok &= all(mats.M2[i][j].is_zero for i, j in m2_zero)
-    # symmetry (exact) and the wavenumber sign-flip identity
-    prof = ax.preset("D")
-    mesh = lame2d.build_meridian_mesh(prof, 0.1, 4, 2)
-    fam = lame2d.get_family(mesh, degree=3)
-    K = (fam.A0 + 3 * fam.A1 + 9 * fam.A2).toarray()
-    sym_ok = np.array_equal(K, K.T)
-    comp = fam.free % 3
-    sgn = np.where(comp == 1, -1.0, 1.0)
-    Km = (fam.A0 - 3 * fam.A1 + 9 * fam.A2).toarray()
-    flip_ok = np.array_equal(sgn[:, None] * Km * sgn[None, :], K)
-    asm = ShellProfileBeam()
-    sym1d_ok = np.array_equal(asm.stiffness, asm.stiffness.T)
-    ok = (worst["h0rec"] <= 1e-12 and worst["r2"] <= 1e-12 and worst["r4"] <= 1e-12
-          and worst["v2"] <= 1e-10 and sparsity_ok and sym_ok and flip_ok and sym1d_ok)
+    checks = list(identity_suite())
+    failed = [name for name, _, _, passed in checks if not passed]
     record_criterion(
-        "criterion 4 (identity suite): " + ("PASS" if ok else "FAIL")
-        + f"  H0rec {worst['h0rec']:.1e} 6R2 {worst['r2']:.1e} 6R4 {worst['r4']:.1e}"
-        + f" V2 {worst['v2']:.1e} sparsity {sparsity_ok} sym {sym_ok and sym1d_ok} flip {flip_ok}"
+        "criterion 4 (identity suite): " + ("PASS" if not failed else "FAIL " + ", ".join(failed))
+        + "  " + "; ".join(f"{name} {residual:.1e}/{tol:g}" for name, residual, tol, _ in checks)
     )
-    assert ok
+    assert not failed
 
 
 def test_criterion_5_energy_ratio(asym_results):

@@ -147,3 +147,25 @@ def test_eigen_solution_rayleigh_quotient():
     full = asm.full_vector(x)
     assert full.shape == (asm.n_dofs,)
     assert np.all(full[:2] == 0.0) and np.all(full[-2:] == 0.0)
+
+
+def test_batched_assembly_regression():
+    # z-dependent coefficients on a boundary-graded mesh of an arc profile;
+    # the eigenvalues are pinned from the per-element-loop assembly
+    prof = ax.preset("D")
+    mesh = fem1d.Mesh1D.boundary_graded(prof.interval, 24, 1.2)
+    a20 = fem1d.assemble_h20(prof, lambda z: 1.0 + 0.5 * z**2, lambda z: 0.25 * np.cos(z), mesh)
+    a10 = fem1d.assemble_h10(prof, lambda z: 2.0 - z, lambda z: z * z, mesh)
+    w20 = fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H20")
+    w10 = fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H10")
+    for A in (a20.stiffness, a20.mass, a10.stiffness, a10.mass, w20, w10):
+        assert np.array_equal(A, A.T)
+    pinned = [
+        (a20.stiffness, a20.mass, 36.18832496042644),
+        (a10.stiffness, a10.mass, 4.4398066987458416),
+        (a20.stiffness, w20, 35.54440758007932),
+        (a10.stiffness, w10, 4.234406648806372),
+    ]
+    for K, M, lam_ref in pinned:
+        lam = fem1d.smallest_eigenpairs(K, M, m=1)[0].eigenvalue
+        assert abs(lam / lam_ref - 1.0) <= 1e-12

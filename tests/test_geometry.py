@@ -1,5 +1,7 @@
 """Pointwise geometry, classification, and the potential minimum."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,30 @@ def test_frame_errors():
         ShellProfile("circular_arc", (-1.0, 1.0), params=(0.5, 0.9, 0.0))
     with pytest.raises(GeometryError):
         ShellProfile("polynomial", (-1.0, 1.0), coeffs=(2.0,), nu=0.6)
+
+
+def test_array_frame_matches_pointwise_frames():
+    # frame_at and h2_coefficients on an array equal the per-point results
+    # field by field, bit for bit; scalar frames keep plain float fields
+    from axishell.symbols import h2_coefficients
+
+    profiles = [ax.preset(mid) for mid in "ABDHL"] + [
+        ShellProfile("circular_arc", (-0.5, 0.8), params=(-1.0, 2.0, 0.3))
+    ]
+    for prof in profiles:
+        zs = np.linspace(*prof.interval, 41)
+        batched = ax.frame_at(prof, zs)
+        frames = [ax.frame_at(prof, z) for z in zs]
+        for field in dataclasses.fields(geometry.GeometryFrame):
+            got = np.broadcast_to(getattr(batched, field.name), zs.shape)
+            want = np.array([getattr(fr, field.name) for fr in frames])
+            np.testing.assert_array_equal(got, want, err_msg=f"{prof.name} {field.name}")
+        h2 = np.array([h2_coefficients(fr, 0.3) for fr in frames]).T
+        np.testing.assert_array_equal(np.array(h2_coefficients(batched, 0.3)), h2)
+        assert all(type(c) is float for c in h2_coefficients(frames[0], 0.3))
+        assert type(frames[0].H0) is float and type(frames[0].admissible) is bool
+    with pytest.raises(DomainError):
+        ax.frame_at(ax.preset("H"), np.array([0.0, 1.2]))
 
 
 def test_h0_equals_meridian_curvature_squared():

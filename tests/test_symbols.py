@@ -114,7 +114,7 @@ def test_H2_selfadjoint_coefficient_relation():
 def test_reconstruct_cylinder():
     prof = ax.preset("A")
     zs = np.linspace(-1, 1, 41)
-    frames = [ax.frame_at(prof, float(z)) for z in zs]
+    frames = ax.frame_at(prof, zs)
     eta = np.sin(np.pi * zs) ** 2
     d1 = 2 * np.pi * np.sin(np.pi * zs) * np.cos(np.pi * zs)
     d2 = 2 * np.pi**2 * np.cos(2 * np.pi * zs)
@@ -132,7 +132,7 @@ def test_reconstruct_cylinder():
 def test_reconstruct_zero_and_k0():
     prof = ax.preset("H")
     zs = np.linspace(-1, 1, 21)
-    frames = [ax.frame_at(prof, float(z)) for z in zs]
+    frames = ax.frame_at(prof, zs)
     field = sy.reconstruct_surface_mode(frames, 5.0, np.zeros_like(zs))
     assert np.all(field == 0.0)
     with pytest.raises(GeometryError):
