@@ -8,7 +8,11 @@ thin-shell operator obeys
 with exponents fixed by the class through eta1 (beta = 2/(4+eta1),
 alpha1 = eta1*beta) and constants computed either in closed form
 (cylinder, Gauss, Airy) or by optimizing a one-parameter family of 1D
-eigenvalue problems (cone, toroidal).
+eigenvalue problems (cone, toroidal).  One optimizer serves every such
+family, and also the direct minimization over k behind the elliptic
+cross-check: a short log grid brackets the minimum, and the zero of the
+Hellmann-Feynman slope, which every eigen-solve gives at no extra cost,
+locates it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import (
 from .geometry import (
     ShellClass,
     ShellClassTag,
-    _golden_min,
     b0_at,
     classify,
     frame_at,
@@ -57,8 +60,9 @@ __all__ = [
 ]
 
 GAMMA_BRACKET = (0.3, 30.0)
-GAMMA_COARSE = 64
-GAMMA_RTOL = 1e-6
+GAMMA_COARSE = 8
+GAMMA_XTOL = 1e-12     # step in log gamma that ends the stationarity iteration
+GAMMA_MAX_STEPS = 60   # bisection alone closes a grid cell to GAMMA_XTOL in 40
 DEFAULT_ELEMENTS = 128
 
 
@@ -213,32 +217,72 @@ def predict(result: AsymptoticsResult, eps: float) -> Prediction:
 
 
 # ---------------------------------------------------------------------------
-# gamma optimization machinery (shared by cone and toroidal paths)
+# gamma optimization machinery (shared by the cone, toroidal and elliptic k scans)
 # ---------------------------------------------------------------------------
 
-class _GammaScan:
-    """Minimize mu1(gamma) = lambda_1[c_low(gamma) K_op + c_high(gamma) K_b].
+@dataclass(frozen=True)
+class _ScanPoint:
+    """One solve of a scan at t = log gamma, and what its eigenvector gives for free."""
 
-    K_op carries the membrane-side operator, K_b the bending potential;
-    the two prefactor exponents differ between the parabolic (-4, +4) and
-    toroidal (-2, +4) scans.  A structural lower bound
-    gamma^p_low lambda_1[K_op] + gamma^p_high min(b) serves as shift: at
+    t: float
+    mu: float
+    vector: np.ndarray
+    slope: float    # d mu1 / d t, by Hellmann-Feynman
+    t_fixed: float  # log of the gamma that balances the two energies of this vector
+
+
+@dataclass(frozen=True)
+class _ScanMinimum:
+    """What ``_GammaScan.minimize`` found, and how."""
+
+    gamma: float
+    mu: float
+    vector: np.ndarray
+    ends: tuple[float, float]  # mu1 at the ends of the last coarse grid
+    iterations: int            # solves of the stationarity iteration
+    fallbacks: int             # bisection steps taken in place of a rejected step
+    expansions: int            # decades added to the bracket
+
+    def counts(self, var: str) -> dict:
+        return {f"{var}_iterations": self.iterations, f"{var}_fallbacks": self.fallbacks,
+                "bracket_expansions": self.expansions}
+
+
+class _GammaScan:
+    """Minimize mu1(gamma) = lambda_1[K_0 + gamma^p_low K_op + gamma^p_high K_b].
+
+    K_op carries the membrane-side operator, K_b the bending potential and the
+    optional K_0 a gamma-independent part (H0 in the elliptic k scan); the
+    prefactor exponents are (-4, +4) in the parabolic scan and (-2, +4) in the
+    toroidal and elliptic ones.  A structural lower bound
+    lb_0 + gamma^p_low lambda_1[K_op] + gamma^p_high min(b) serves as shift: at
     extreme gamma the operator is almost a multiplication operator with a
     clustered bottom, where an unshifted solve crawls.
+
+    By Hellmann-Feynman, with x the M-normalized eigenvector,
+    d mu1 / d log gamma = p_low gamma^p_low x^T K_op x + p_high gamma^p_high x^T K_b x,
+    so every solve also gives the slope, and its zero, where the two energies
+    balance, is the minimizer.  ``minimize`` brackets that zero on a short log
+    grid, then iterates on t = log gamma: the fixed point that balances the
+    energies of the current vector, then secant steps on the slope, with a
+    bisection of the bracket whenever a step would leave it.
     """
 
-    def __init__(self, K_op, K_b, M, p_low: int, p_high: int,
-                 b_min: float = 0.0, seed: int = 0):
-        self.K_op, self.K_b, self.M = K_op, K_b, M
+    def __init__(self, K_op, K_b, M, p_low: int, p_high: int, b_min: float = 0.0,
+                 seed: int = 0, K_0=None, lb_0: float = 0.0):
+        self.K_op, self.K_b, self.M, self.K_0 = K_op, K_b, M, K_0
         self.p_low, self.p_high = p_low, p_high
-        self.b_min = b_min
+        self.b_min, self.lb_0 = b_min, lb_0
         self.seed = seed
         self._warm = None
         self.lam_op_min = fem1d.smallest_eigenpairs(K_op, M, m=1, seed=seed)[0].eigenvalue
 
     def mu1(self, gamma: float, with_vector: bool = False):
         K = gamma ** self.p_low * self.K_op + gamma ** self.p_high * self.K_b
-        lb = gamma ** self.p_low * self.lam_op_min + gamma ** self.p_high * self.b_min
+        if self.K_0 is not None:
+            K = self.K_0 + K
+        lb = (self.lb_0 + gamma ** self.p_low * self.lam_op_min
+              + gamma ** self.p_high * self.b_min)
         shift = lb - 0.005 * abs(lb)
         sols = fem1d.smallest_eigenpairs(
             K, self.M, m=1, seed=self.seed, x0=self._warm, shift=shift
@@ -248,27 +292,34 @@ class _GammaScan:
             return sols[0].eigenvalue, sols[0].coefficients
         return sols[0].eigenvalue
 
-    def equilibration_gamma(self, gamma: float) -> float:
-        """Fixed-point polish: balance the two energy contributions exactly."""
-        _, vec = self.mu1(gamma, with_vector=True)
-        a = float(vec @ (self.K_op @ vec))
-        b = float(vec @ (self.K_b @ vec))
-        # optimality of g^p_low a + g^p_high b in gamma
-        expo = 1.0 / (self.p_high - self.p_low)
-        return ((-self.p_low * a) / (self.p_high * b)) ** expo
+    def _point(self, t: float) -> _ScanPoint:
+        gamma = math.exp(t)
+        mu, x = self.mu1(gamma, with_vector=True)
+        low = self.p_low * gamma ** self.p_low * float(x @ (self.K_op @ x))
+        high = self.p_high * gamma ** self.p_high * float(x @ (self.K_b @ x))
+        # the gamma at which the two energies of this x would balance
+        balance = -low / high
+        t_fixed = t + math.log(balance) / (self.p_high - self.p_low) if balance > 0 else math.nan
+        return _ScanPoint(t, mu, x, low + high, t_fixed)
 
-    def minimize(self, bracket=GAMMA_BRACKET, n_coarse: int = GAMMA_COARSE):
+    def minimize(self, bracket=GAMMA_BRACKET, n_coarse: int = GAMMA_COARSE) -> _ScanMinimum:
+        """The interior minimizer of mu1 over the scan variable (gamma, or k).
+
+        Raises SolverError when three decades of bracket expansion find no
+        interior grid minimum, or when the iteration has not converged after
+        GAMMA_MAX_STEPS solves.
+        """
         lo, hi = bracket
         expansions = 0
         while True:
             grid = np.geomspace(lo, hi, n_coarse)
-            vals = np.array([self.mu1(g) for g in grid])
-            i = int(np.argmin(vals))
-            if 0 < i < len(grid) - 1:
+            pts = [self._point(math.log(g)) for g in grid]
+            i = min(range(n_coarse), key=lambda j: pts[j].mu)
+            if 0 < i < n_coarse - 1:
                 break
             if expansions >= 3:
                 raise SolverError(
-                    f"no interior minimum of mu1(gamma) in [{lo:g}, {hi:g}] "
+                    f"no interior minimum of mu1 in [{lo:g}, {hi:g}] "
                     "after 3 decades of bracket expansion"
                 )
             if i == 0:
@@ -276,19 +327,35 @@ class _GammaScan:
             else:
                 hi *= 10.0
             expansions += 1
-        # golden section in log gamma; the solve at the minimizer warm-starts
-        # the equilibration below
-        g_min = math.exp(_golden_min(lambda x: self.mu1(math.exp(x)),
-                                     math.log(grid[i - 1]), math.log(grid[i + 1]), GAMMA_RTOL))
-        self.mu1(g_min)
-        for _ in range(3):
-            g_new = self.equilibration_gamma(g_min)
-            if not math.isfinite(g_new) or abs(g_new / g_min - 1.0) > 0.05:
+        # mu1 at grid point i is no larger than at its neighbours, so a minimum
+        # lies between them; each new point replaces the end whose slope has its sign
+        cur, prev = pts[i], None
+        lo, hi = (pts[i - 1], cur) if cur.slope > 0.0 else (cur, pts[i + 1])
+        iterations = fallbacks = 0
+        while True:
+            if prev is None or cur.slope == prev.slope:
+                t_new = cur.t_fixed
+            else:
+                t_new = cur.t - cur.slope * (cur.t - prev.t) / (cur.slope - prev.slope)
+            if not lo.t < t_new < hi.t:
+                # also where the slope's sign is noise: the secant then steps
+                # wide, and halving closes the bracket in a few solves
+                t_new = 0.5 * (lo.t + hi.t)
+                fallbacks += 1
+            step = t_new - cur.t
+            if abs(step) <= GAMMA_XTOL:
                 break
-            g_min = g_new
-        mu_min, vec = self.mu1(g_min, with_vector=True)
-        ends = (self.mu1(grid[0]), self.mu1(grid[-1]))
-        return g_min, mu_min, vec, ends
+            if iterations >= GAMMA_MAX_STEPS:
+                raise SolverError(
+                    "stationarity iteration on the log of the scan variable still "
+                    f"stepping {step:.3g} after {iterations} solves"
+                )
+            prev, cur = cur, self._point(t_new)
+            iterations += 1
+            lo, hi = (lo, cur) if cur.slope > 0.0 else (cur, hi)
+        best = min(lo, hi, key=lambda p: abs(p.slope))
+        return _ScanMinimum(math.exp(best.t), best.mu, best.vector,
+                            (pts[0].mu, pts[-1].mu), iterations, fallbacks, expansions)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +429,17 @@ def optimize_gamma_parabolic(
     """Cone (or cylinder, as a cross-check) constants by gamma optimization."""
     cls = _require_class(profile, (ShellClassTag.CONE, ShellClassTag.CYLINDER), cls)
     scan = _parabolic_scan(profile, n_elements, seed=seed)
-    gamma, a1, vec, ends = scan.minimize()
+    opt = scan.minimize()
+    gamma, vec = opt.gamma, opt.vector
     op_energy = float(vec @ (scan.K_op @ vec)) * gamma**-4
     bend_energy = float(vec @ (scan.K_b @ vec)) * gamma**4
     ratio = bend_energy / (op_energy + bend_energy)
     beta, alpha1 = exponents_from_eta1(4)
     return AsymptoticsResult(
         shell_class=cls, eta1=Fraction(4), beta=beta, alpha1=alpha1,
-        a0=0.0, a1=a1, gamma=gamma, ratio_exact=0.5,
-        diagnostics={"ratio_at_optimum": ratio, "mu1_bracket_ends": ends},
+        a0=0.0, a1=opt.mu, gamma=gamma, ratio_exact=0.5,
+        diagnostics={"ratio_at_optimum": ratio, "mu1_bracket_ends": opt.ends,
+                     **opt.counts("gamma")},
     )
 
 
@@ -466,8 +535,7 @@ def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int, seed: in
     asm_h2, K_b = _h2_and_bending(profile, lam0, mesh)
     b_min = float(np.min(b0_at(profile.f(np.linspace(*profile.interval, 1025)),
                                 profile.E, profile.nu)))
-    return asm_h2, _GammaScan(asm_h2.stiffness, K_b, asm_h2.mass, -2, 4,
-                              b_min=b_min, seed=seed)
+    return _GammaScan(asm_h2.stiffness, K_b, asm_h2.mass, -2, 4, b_min=b_min, seed=seed)
 
 
 def _arc_parameters(profile: ShellProfile):
@@ -495,14 +563,15 @@ def toroidal_constants(
             "azimuthal curvature to dominate"
         )
     a0 = profile.E / radius**2
-    asm_h2, scan = _toroidal_scan(profile, a0, n_elements, seed=seed)
-    lambda2 = fem1d.smallest_eigenpairs(asm_h2, m=1)[0].eigenvalue
+    scan = _toroidal_scan(profile, a0, n_elements, seed=seed)
+    lambda2 = scan.lam_op_min
     if lambda2 <= 0.0:
         raise AdmissibilityError(
             f"first eigenvalue of the second-order reduction is {lambda2:.6g} <= 0"
         )
     # wider bracket than the fourth-order scan: the gamma^-2 side climbs slower
-    gamma, a1, vec, ends = scan.minimize(bracket=(0.1, 30.0))
+    opt = scan.minimize(bracket=(0.1, 30.0))
+    gamma, vec = opt.gamma, opt.vector
     h2_energy = float(vec @ (scan.K_op @ vec)) * gamma**-2
     bend_energy = float(vec @ (scan.K_b @ vec)) * gamma**4
     mass = float(vec @ (scan.M @ vec))
@@ -510,10 +579,10 @@ def toroidal_constants(
     beta, alpha1 = exponents_from_eta1(2)
     return AsymptoticsResult(
         shell_class=cls, eta1=Fraction(2), beta=beta, alpha1=alpha1,
-        a0=a0, a1=a1, gamma=gamma, b=None, c=None,
+        a0=a0, a1=opt.mu, gamma=gamma, b=None, c=None,
         ratio_coeff=ratio_coeff, lambda2=lambda2,
-        diagnostics={"mu1_bracket_ends": ends, "arc_radius": radius,
-                     "arc_center_r": r_center},
+        diagnostics={"mu1_bracket_ends": opt.ends, "arc_radius": radius,
+                     "arc_center_r": r_center, **opt.counts("gamma")},
     )
 
 
@@ -585,7 +654,8 @@ def elliptic_k_minimization(
     """Directly minimize over k the first eigenvalue of H0 + k^-2 H2 + eps^2 k^4 B0.
 
     Returns (k_opt, lambda_min, details).  The independent route for the
-    Gauss/Airy closed forms; also provides the energy-ratio data.
+    Gauss/Airy closed forms: the gamma scan with K_0 = H0 and p = (-2, 4),
+    started on a log grid over ``k_bracket_scale`` times the predicted k.
     """
     cls = classify(profile)
     res = compute(profile, cls)
@@ -593,28 +663,15 @@ def elliptic_k_minimization(
         lam0 = res.a0
     K_h2, K_h0, K_b0, M = _elliptic_assembled(profile, n_elements, lam0)
     k_center = res.gamma * eps ** float(-res.beta)
-    warm = {"x": None}
     zgrid = np.linspace(*profile.interval, 1025)
     h0_min = float(np.min(h0_taylor(profile, zgrid[::8], 0).value))
     b0_min = float(np.min(b0_at(profile.f(zgrid), profile.E, profile.nu)))
-    lam_h2 = fem1d.smallest_eigenpairs(K_h2, M, m=1, seed=seed)[0].eigenvalue
-
-    def lam1_of_k(k: float) -> float:
-        K = K_h0 + k**-2 * K_h2 + eps**2 * k**4 * K_b0
-        lb = h0_min + k**-2 * lam_h2 + eps**2 * k**4 * b0_min
-        sols = fem1d.smallest_eigenpairs(K, M, m=1, seed=seed, x0=warm["x"],
-                                         shift=lb - 0.005 * abs(lb))
-        warm["x"] = sols[0].coefficients[:, np.newaxis]
-        return sols[0].eigenvalue
-
-    k_opt = math.exp(_golden_min(
-        lambda x: lam1_of_k(math.exp(x)),
-        math.log(k_center * k_bracket_scale[0]), math.log(k_center * k_bracket_scale[1]), 1e-8,
-    ))
-    lam_min = lam1_of_k(k_opt)
-    return k_opt, lam_min, {
+    scan = _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4, b_min=eps**2 * b0_min,
+                      seed=seed, K_0=K_h0, lb_0=h0_min)
+    opt = scan.minimize(bracket=(k_center * k_bracket_scale[0], k_center * k_bracket_scale[1]))
+    return opt.gamma, opt.mu, {
         "K_h2": K_h2, "K_h0": K_h0, "K_b0": K_b0, "M": M,
-        "result": res, "lam0": lam0,
+        "result": res, "lam0": lam0, **opt.counts("k"),
     }
 
 
@@ -627,15 +684,11 @@ def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed:
     """
     cls = classify(profile)
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE):
-        scan = _parabolic_scan(profile, n_elements, seed=seed)
-        gamma, _, vec, _ = scan.minimize()
-        a = float(vec @ (scan.K_op @ vec)) * gamma**-4
-        b = float(vec @ (scan.K_b @ vec)) * gamma**4
-        return b / (a + b)
+        res = optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
+        return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
     k = res.gamma * eps ** float(-res.beta)
-    _, _, data = elliptic_k_minimization(profile, eps, n_elements=n_elements, seed=seed)
-    K_h2, K_h0, K_b0, M = data["K_h2"], data["K_h0"], data["K_b0"], data["M"]
+    K_h2, K_h0, K_b0, M = _elliptic_assembled(profile, n_elements, res.a0)
     K = K_h0 + k**-2 * K_h2 + eps**2 * k**4 * K_b0
     sols = fem1d.smallest_eigenpairs(K, M, m=1, seed=seed)
     vec = sols[0].coefficients

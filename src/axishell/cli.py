@@ -129,7 +129,7 @@ def cmd_sweep1d(args) -> int:
     if tag in ("Cylinder", "Cone", "TorusElliptic"):
         if tag == "TorusElliptic":
             res = asymptotics.toroidal_constants(profile, cls, seed=args.seed)
-            _, scan = asymptotics._toroidal_scan(profile, res.a0, 128, seed=args.seed)
+            scan = asymptotics._toroidal_scan(profile, res.a0, 128, seed=args.seed)
         else:
             res = asymptotics.optimize_gamma_parabolic(profile, cls, seed=args.seed)
             scan = asymptotics._parabolic_scan(profile, 128, seed=args.seed)

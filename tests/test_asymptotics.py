@@ -1,5 +1,6 @@
 """Per-class constants, exponents, power laws, and numeric cross-routes."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 import axishell as ax
 from axishell import asymptotics as asy
-from axishell.errors import AdmissibilityError, ReductionNotApplicableError
+from axishell import fem1d
+from axishell.errors import AdmissibilityError, ReductionNotApplicableError, SolverError
 from axishell.profiles import ShellProfile
 
 
@@ -223,3 +225,67 @@ def test_energy_ratio_parabolic_and_json(asym_results):
     assert doc["eta1"] == "2" and doc["beta"] == "1/3"
     docA = asym_results("A").to_dict()
     assert docA["ratio"] == 0.5
+
+
+def _relative_log_slope(K_low, K_high, M, p_low, gamma, K_0=0.0):
+    """|d mu1 / d log gamma| / mu1 of lambda_1[K_0 + g^p_low K_low + g^4 K_high] at
+    gamma, by Hellmann-Feynman, from a cold solve."""
+    low, high = gamma**p_low * K_low, gamma**4 * K_high
+    sol = fem1d.smallest_eigenpairs(K_0 + low + high, M, m=1)[0]
+    x, mu = sol.coefficients, sol.eigenvalue
+    slope = (p_low * float(x @ (low @ x)) + 4 * float(x @ (high @ x))) / float(x @ (M @ x))
+    return abs(slope) / mu
+
+
+def test_stationarity_certificate_at_returned_optima(asym_results):
+    # the scans stop where the Hellmann-Feynman slope vanishes, not on a golden
+    # bracket width: a fresh solve at each returned optimum certifies it.  The
+    # secant steps take B and H there in 7 and 6 solves; the energy-balance
+    # fixed point alone needs 15
+    res = asym_results("B")
+    scan = asy._parabolic_scan(ax.preset("B"), asy.DEFAULT_ELEMENTS)
+    assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -4, res.gamma) <= 1e-9
+    assert abs(res.diagnostics["ratio_at_optimum"] - 0.5) <= 1e-9
+    assert res.diagnostics["gamma_iterations"] <= 10
+    torus_row = ShellProfile("circular_arc", (-1.0, 1.0), params=(-1.4, 2.0, 0.0))
+    for prof in (ax.preset("D"), torus_row):
+        res = ax.toroidal_constants(prof)
+        scan = asy._toroidal_scan(prof, res.a0, asy.DEFAULT_ELEMENTS)
+        assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -2, res.gamma) <= 1e-9
+        assert res.diagnostics["gamma_iterations"] > 0
+        assert res.diagnostics["bracket_expansions"] == 0
+    eps = 1e-4
+    k_opt, _, data = asy.elliptic_k_minimization(ax.preset("H"), eps, n_elements=256)
+    assert _relative_log_slope(data["K_h2"], eps**2 * data["K_b0"], data["M"], -2, k_opt,
+                               K_0=data["K_h0"]) <= 1e-9
+    assert 0 < data["k_iterations"] <= 10 and data["bracket_expansions"] == 0
+
+
+def test_stationarity_iteration_falls_back_outside_fixed_point_basin(monkeypatch):
+    # an energy balance that points to the bracket edge gamma = 30 stands for a
+    # start outside the fixed point's basin: the grid leaves D's optimum ~ 0.857
+    # in a bracket two grid steps wide, the step to gamma = 30 is replaced by a
+    # bisection, and the secant steps still reach the same gamma
+    scan = asy._toroidal_scan(ax.preset("D"), 0.25, asy.DEFAULT_ELEMENTS)
+    ref = scan.minimize(bracket=(0.1, 30.0))
+    point, solved = asy._GammaScan._point, []
+
+    def balance_at_edge(self, t):
+        solved.append(t)
+        return dataclasses.replace(point(self, t), t_fixed=math.log(30.0))
+
+    monkeypatch.setattr(asy._GammaScan, "_point", balance_at_edge)
+    edge = scan.minimize(bracket=(0.1, 30.0))
+    assert ref.fallbacks == 0
+    assert edge.fallbacks > 0
+    assert abs(edge.gamma / ref.gamma - 1) <= 1e-10
+    grid_step = math.log(30.0 / 0.1) / (asy.GAMMA_COARSE - 1)
+    iterates = solved[asy.GAMMA_COARSE:]
+    assert iterates and all(abs(t - math.log(ref.gamma)) < 2 * grid_step for t in iterates)
+
+
+def test_gamma_bracket_expansion_gives_up_after_three_decades():
+    scan = asy._parabolic_scan(ax.preset("B"), asy.DEFAULT_ELEMENTS)
+    # three decades down from [1e4, 1e5] still leave B's optimum ~ 2.12 outside
+    with pytest.raises(SolverError, match=r"in \[10, 100000\] after 3 decades"):
+        scan.minimize(bracket=(1e4, 1e5))
