@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import airy
 
 from . import fem1d
 from .errors import (
@@ -53,7 +54,6 @@ __all__ = [
     "compute",
     "predict",
     "toroidal_sweep",
-    "airy_ai",
     "airy_first_zero",
     "elliptic_k_minimization",
     "energy_ratio",
@@ -66,72 +66,14 @@ GAMMA_MAX_STEPS = 60   # bisection alone closes a grid cell to GAMMA_XTOL in 40
 DEFAULT_ELEMENTS = 128
 
 
-# ---------------------------------------------------------------------------
-# Airy function (series / asymptotics switch at |x| = 5) and its first zero
-# ---------------------------------------------------------------------------
-
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-
-def _airy_series(x: float) -> float:
-    # Ai(x) = Ai(0) f(x) + Ai'(0) g(x) with the two standard Maclaurin series
-    f_term, g_term = 1.0, x
-    f_sum, g_sum = f_term, g_term
-    x3 = x * x * x
-    for m in range(1, 60):
-        f_term *= x3 / ((3 * m) * (3 * m - 1))
-        g_term *= x3 / ((3 * m) * (3 * m + 1))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) < 1e-18 * abs(f_sum) and abs(g_term) < 1e-18 * max(abs(g_sum), 1e-30):
-            break
-    return _AI0 * f_sum + _AIP0 * g_sum
-
-
-def _airy_u_coeffs(n_max: int) -> list[float]:
-    # u_0 = 1, u_n = u_{n-1} (6n-5)(6n-1) / (72 n)
-    u = [1.0]
-    for n in range(1, n_max + 1):
-        u.append(u[-1] * (6 * n - 5) * (6 * n - 1) / (72.0 * n))
-    return u
-
-
-def _airy_asymptotic(x: float) -> float:
-    # classical large-|x| expansions; used only beyond the series switch,
-    # accurate to the usual optimal-truncation level exp(-4/3 |x|^(3/2))
-    u = _airy_u_coeffs(16)
-    if x > 0:
-        zeta = 2.0 / 3.0 * x ** 1.5
-        pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-        s, term_prev = 1.0, 1.0
-        for n in range(1, len(u)):
-            term = u[n] / zeta**n
-            if term > term_prev:
-                break
-            s += -term if n % 2 else term
-            term_prev = term
-        return pre * s
-    y = -x
-    zeta = 2.0 / 3.0 * y ** 1.5
-    pre = 1.0 / (math.sqrt(math.pi) * y ** 0.25)
-    even = sum((-1.0) ** m * u[2 * m] / zeta ** (2 * m) for m in range(6))
-    odd = sum((-1.0) ** m * u[2 * m + 1] / zeta ** (2 * m + 1) for m in range(6))
-    return pre * (math.cos(zeta - math.pi / 4.0) * even
-                  + math.sin(zeta - math.pi / 4.0) * odd)
-
-
-def airy_ai(x: float) -> float:
-    """Airy function Ai; series for |x| <= 5, asymptotic expansion beyond."""
-    if abs(x) <= 5.0:
-        return _airy_series(x)
-    return _airy_asymptotic(x)
-
-
 @lru_cache(maxsize=1)
 def airy_first_zero() -> float:
-    """First zero of the reversed Airy function, i.e. smallest x > 0 with Ai(-x) = 0."""
-    return brentq(lambda x: airy_ai(-x), 2.0, 3.0, xtol=1e-14, rtol=1e-15)
+    """First zero of the reversed Airy function, i.e. smallest x > 0 with Ai(-x) = 0.
+
+    Brent's method on scipy's Ai gives the correctly rounded zero;
+    ``scipy.special.ai_zeros`` returns it 1 ulp high.
+    """
+    return brentq(lambda x: airy(-x)[0], 2.0, 3.0, xtol=1e-14, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +348,14 @@ def cylinder_closed_form(
     )
 
 
+def _bending(profile: ShellProfile, mesh: fem1d.Mesh1D, space: str):
+    """The B0-weighted mass on ``space`` ("H10" or "H20"), and the minimum of
+    B0 over 1025 points, the bending part of every scan's shift."""
+    b0_fun = lambda z: b0_at(profile.f(z), profile.E, profile.nu)  # noqa: E731
+    K_b = fem1d.assemble_weighted_mass(profile, b0_fun, mesh, space)
+    return K_b, float(np.min(b0_fun(np.linspace(*profile.interval, 1025))))
+
+
 def _parabolic_scan(profile: ShellProfile, n_elements: int, seed: int = 0) -> _GammaScan:
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     E = profile.E
@@ -416,9 +366,7 @@ def _parabolic_scan(profile: ShellProfile, n_elements: int, seed: int = 0) -> _G
         return E * f**2 / s2**3
 
     asm_op = fem1d.assemble_h20(profile, a4, 0.0, mesh)
-    b0_fun = lambda z: b0_at(profile.f(z), E, profile.nu)  # noqa: E731
-    K_b = fem1d.assemble_weighted_mass(profile, b0_fun, mesh, "H20")
-    b_min = float(np.min(b0_fun(np.linspace(*profile.interval, 1025))))
+    K_b, b_min = _bending(profile, mesh, "H20")
     return _GammaScan(asm_op.stiffness, K_b, asm_op.mass, -4, 4, b_min=b_min, seed=seed)
 
 
@@ -519,22 +467,19 @@ def airy_constants(profile: ShellProfile, cls: ShellClass | None = None) -> Asym
     )
 
 
-def _h2_and_bending(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
-    """The H2 pencil (lam0 substituted) and the B0-weighted mass, on H^1_0."""
+def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
+    """The H2 pencil (lam0 substituted) on H^1_0."""
 
     def h2(z):
         return h2_coefficients(frame_at(profile, z), lam0)
 
-    asm_h2 = fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
-    b0_fun = lambda z: b0_at(profile.f(z), profile.E, profile.nu)  # noqa: E731
-    return asm_h2, fem1d.assemble_weighted_mass(profile, b0_fun, mesh, "H10")
+    return fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
 
 
 def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int, seed: int = 0):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-    asm_h2, K_b = _h2_and_bending(profile, lam0, mesh)
-    b_min = float(np.min(b0_at(profile.f(np.linspace(*profile.interval, 1025)),
-                                profile.E, profile.nu)))
+    asm_h2 = _h2_pencil(profile, lam0, mesh)
+    K_b, b_min = _bending(profile, mesh, "H10")
     return _GammaScan(asm_h2.stiffness, K_b, asm_h2.mass, -2, 4, b_min=b_min, seed=seed)
 
 
@@ -639,12 +584,14 @@ def toroidal_sweep(
 
 
 def _elliptic_assembled(profile: ShellProfile, n_elements: int, lam0: float):
+    """K_h2, K_h0, K_b0 and M of the reduced operator on H^1_0, and min B0."""
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-    asm_h2, K_b0 = _h2_and_bending(profile, lam0, mesh)
+    asm_h2 = _h2_pencil(profile, lam0, mesh)
+    K_b0, b0_min = _bending(profile, mesh, "H10")
     K_h0 = fem1d.assemble_weighted_mass(
         profile, lambda z: h0_taylor(profile, z, 0).value, mesh, "H10"
     )
-    return asm_h2.stiffness, K_h0, K_b0, asm_h2.mass
+    return asm_h2.stiffness, K_h0, K_b0, asm_h2.mass, b0_min
 
 
 def elliptic_k_minimization(
@@ -661,11 +608,10 @@ def elliptic_k_minimization(
     res = compute(profile, cls)
     if lam0 is None:
         lam0 = res.a0
-    K_h2, K_h0, K_b0, M = _elliptic_assembled(profile, n_elements, lam0)
+    K_h2, K_h0, K_b0, M, b0_min = _elliptic_assembled(profile, n_elements, lam0)
     k_center = res.gamma * eps ** float(-res.beta)
-    zgrid = np.linspace(*profile.interval, 1025)
-    h0_min = float(np.min(h0_taylor(profile, zgrid[::8], 0).value))
-    b0_min = float(np.min(b0_at(profile.f(zgrid), profile.E, profile.nu)))
+    zgrid = np.linspace(*profile.interval, 1025)[::8]
+    h0_min = float(np.min(h0_taylor(profile, zgrid, 0).value))
     scan = _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4, b_min=eps**2 * b0_min,
                       seed=seed, K_0=K_h0, lb_0=h0_min)
     opt = scan.minimize(bracket=(k_center * k_bracket_scale[0], k_center * k_bracket_scale[1]))
@@ -688,7 +634,7 @@ def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed:
         return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
     k = res.gamma * eps ** float(-res.beta)
-    K_h2, K_h0, K_b0, M = _elliptic_assembled(profile, n_elements, res.a0)
+    K_h2, K_h0, K_b0, M, _ = _elliptic_assembled(profile, n_elements, res.a0)
     K = K_h0 + k**-2 * K_h2 + eps**2 * k**4 * K_b0
     sols = fem1d.smallest_eigenpairs(K, M, m=1, seed=seed)
     vec = sols[0].coefficients

@@ -372,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-center", type=float, default=0.0)
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_torus_sweep)
 

@@ -7,6 +7,9 @@ and the leading bending coefficient B0 = E / (3 (1 - nu^2) f^4).
 
 ``frame_at`` takes one coordinate or an array of them; an array is evaluated
 in one batch of numpy calls, and classification samples its grid that way.
+The minima of H0 and the extremes of the essential spectrum are refined the
+same way: one golden-section search runs every candidate as a lane of numpy
+arrays, each with its own stop.
 """
 
 from __future__ import annotations
@@ -121,6 +124,13 @@ def h0_taylor(profile: ShellProfile, z, order: int = 2) -> Jet:
     return profile.E * fpp * fpp / (s2 * s2 * s2)
 
 
+def _h0_value(profile: ShellProfile, z):
+    """H0 alone: the value of ``h0_taylor(profile, z, 0)``, bit for bit, without jet algebra."""
+    _, fp, fpp = profile.taylor(z, 2).derivatives()
+    s2 = 1.0 + fp * fp
+    return profile.E * fpp * fpp / (s2 * s2 * s2)
+
+
 def g_at(f, fp, fpp, E):
     """Second-order reduction coefficient g = -2E (f f''/s^6 + f^2 f''^2/s^8)."""
     s2 = 1.0 + fp * fp
@@ -160,21 +170,30 @@ def frame_at(profile: ShellProfile, z) -> GeometryFrame:
     return GeometryFrame(E=profile.E, nu=profile.nu, **fields)
 
 
-def _golden_min(fun, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal function on [a, b]."""
+def _golden_min(fun, a, b, tol: float) -> np.ndarray:
+    """Golden-section minima of unimodal functions, one per lane of [a, b].
+
+    ``fun`` maps an array of points to their values, element by element.
+    A lane steps until its own bracket is at most ``tol`` wide and is frozen
+    from then on, so it makes the same floating-point operations as a search
+    of that bracket alone.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
+    f1, f2 = fun(np.stack([x1, x2]))
+    while True:
+        active = b - a > tol
+        if not active.any():
+            return 0.5 * (a + b)
+        left = active & (f1 <= f2)
+        right = active & ~left
+        b, x2, f2 = np.where(left, x2, b), np.where(left, x1, x2), np.where(left, f1, f2)
+        a, x1, f1 = np.where(right, x1, a), np.where(right, x2, x1), np.where(right, f2, f1)
+        x_new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_new = fun(x_new)
+        x1, f1 = np.where(left, x_new, x1), np.where(left, f_new, f1)
+        x2, f2 = np.where(right, x_new, x2), np.where(right, f_new, f2)
 
 
 def locate_H0_minimum(
@@ -182,41 +201,40 @@ def locate_H0_minimum(
 ) -> H0Minimum:
     """Locate all global minimizers of H0 by grid scan plus golden refinement.
 
-    Derivatives at the minimizer come from the exact jet (first derivative
-    needs f''', second needs f'''').  Minima within 1e-8 of the global value
-    are reported together as branches; the returned top-level fields describe
-    the branch at the smallest z.
+    All sampled local minima are refined at once: one batched golden section
+    over the two cells around each, then a Newton polish on the analytic
+    derivative with a stop per candidate.  Derivatives at the minimizer come
+    from the exact jet (first derivative needs f''', second needs f'''').
+    Minima within 1e-8 of the global value are reported together as
+    branches; the returned top-level fields describe the branch at the
+    smallest z.
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
     vals = frame_at(profile, zs).H0
 
-    def h0(z: float) -> float:
-        return h0_taylor(profile, z, 0).value
-
-    candidates: list[tuple[float, bool]] = []
-    if vals[0] <= vals[1]:
-        candidates.append((z_minus, True))
-    if vals[-1] <= vals[-2]:
-        candidates.append((z_plus, True))
+    ends = [z_end for z_end, at_min in ((z_minus, vals[0] <= vals[1]),
+                                        (z_plus, vals[-1] <= vals[-2])) if at_min]
     interior = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    for i in interior:
-        lo, hi = zs[i - 1], zs[i + 1]
-        z_ref = _golden_min(h0, lo, hi, max(tol, 1e-12))
-        # Newton polish on the analytic derivative: golden section alone
-        # stalls at the sqrt(eps) noise plateau of H0 comparisons
-        for _ in range(8):
-            j = h0_taylor(profile, z_ref, 2)
-            d1, d2 = j.derivative(1), j.derivative(2)
-            if d2 <= 0.0:
-                break
-            step = d1 / d2
-            z_new = min(max(z_ref - step, lo), hi)
-            if abs(z_new - z_ref) <= 1e-15 * max(1.0, abs(z_ref)):
-                z_ref = z_new
-                break
-            z_ref = z_new
-        candidates.append((z_ref, False))
+    lo, hi = zs[interior - 1], zs[interior + 1]
+    z = _golden_min(lambda x: _h0_value(profile, x), lo, hi, max(tol, 1e-12)) if len(lo) else lo
+    # Newton polish on the analytic derivative: golden section alone stalls
+    # at the sqrt(eps) noise plateau of H0 comparisons.  A candidate stops
+    # where H0'' <= 0, or after a step of at most 1e-15 max(1, |z|).
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(8):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        j = h0_taylor(profile, z[idx], 2)
+        d1, d2 = j.derivative(1), j.derivative(2)
+        convex = d2 > 0.0
+        idx, d1, d2 = idx[convex], d1[convex], d2[convex]
+        z_old = z[idx]
+        z[idx] = np.minimum(np.maximum(z_old - d1 / d2, lo[idx]), hi[idx])
+        active[:] = False
+        active[idx] = np.abs(z[idx] - z_old) > 1e-15 * np.maximum(1.0, np.abs(z_old))
+    candidates = [(z0, True) for z0 in ends] + [(z0, False) for z0 in z.tolist()]
 
     j = h0_taylor(profile, np.array([z0 for z0, _ in candidates]), 2)
     branches = [
@@ -304,7 +322,9 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
 def essential_spectrum_range(profile: ShellProfile, n_samples: int = 2048):
     """Range of E b_phi^2 = E / (f^2 s^2) over the interval.
 
-    Sampled min/max with golden-section refinement around the extreme cells.
+    Sampled min/max, each refined by golden section over the cells around
+    its sample: the min and the max (as the min of -sig) are the two lanes
+    of one search.
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
@@ -314,14 +334,8 @@ def essential_spectrum_range(profile: ShellProfile, n_samples: int = 2048):
         return profile.E / (f * f * (1.0 + fp * fp))
 
     vals = sig(zs)
-
-    def refine_extremum(idx: int, sign: float) -> float:
-        """sig value at the local extremum inside the cells around sample idx."""
-        lo = zs[max(idx - 1, 0)]
-        hi = zs[min(idx + 1, len(zs) - 1)]
-        z_star = _golden_min(lambda z: sign * sig(z), lo, hi, 1e-12)
-        return float(sig(z_star))
-
-    lower = min(float(vals.min()), refine_extremum(int(np.argmin(vals)), +1.0))
-    upper = max(float(vals.max()), refine_extremum(int(np.argmax(vals)), -1.0))
-    return lower, upper
+    idx = np.array([np.argmin(vals), np.argmax(vals)])
+    sign = np.array([1.0, -1.0])
+    lo, hi = zs[np.maximum(idx - 1, 0)], zs[np.minimum(idx + 1, len(zs) - 1)]
+    s_min, s_max = sig(_golden_min(lambda z: sign * sig(z), lo, hi, 1e-12)).tolist()
+    return min(float(vals.min()), s_min), max(float(vals.max()), s_max)

@@ -55,6 +55,9 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     code, _, err = run(capsys, ["torus-sweep", "--r-min", "-0.1", "--r-max", "-0.5"])
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["torus-sweep", "--seed", "0"])
+    assert exc.value.code == 2
 
 
 def test_symbols_dump(capsys):

@@ -1,6 +1,7 @@
 """Pointwise geometry, classification, and the potential minimum."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -181,6 +182,78 @@ def test_locate_minimum_model_D_constant():
     assert abs(mn.d1) < 1e-10
 
 
+# (z0, value, d1, d2, boundary) of every branch, and both ends of the
+# essential spectrum, as float.hex.  Each candidate of the batched
+# golden/Newton search must make the floating-point operations of a search
+# of its cells alone, with its own stop, so these bits do not move.
+H0_MIN_BITS = {
+    "H": ([("0x0.0p+0", "0x1.0000000000000p-4", "0x0.0p+0", "0x1.7400000000000p-1", False)],
+          ("0x1.0000000000000p+0", "0x1.363ac622898b1p+0")),
+    "L": ([("0x1.0000000000000p-1", "0x1.6ca2ccf82c9f1p-3", "0x1.140bf6f75b333p-1",
+            "0x1.7ea9f190f9867p+0", True)],
+          ("0x1.0c712696ea427p+0", "0x1.3e2597a2dfbeap+1")),
+    "two-end": ([("-0x1.0000000000000p+0", "0x1.0624dd2f1a9fcp-5", "0x1.3a92a30553261p-3",
+                  "0x1.a8ac5c13fd0d0p-1", True),
+                 ("0x1.0000000000000p+0", "0x1.0624dd2f1a9fcp-5", "-0x1.3a92a30553261p-3",
+                  "0x1.a8ac5c13fd0d0p-1", True)],
+                ("0x1.2f684bda12f6ap-3", "0x1.0000000000000p-2")),
+    "two-well": ([("-0x1.03816f86f981cp-1", "0x1.3a81927a1b688p-5", "0x1.32fd2e9ec8465p-56",
+                   "0x1.9462b57cd0b33p-1", False),
+                  ("0x1.03816f86f981cp-1", "0x1.3a81927a1b688p-5", "-0x1.32fd2e9ec8465p-56",
+                   "0x1.9462b57cd0b33p-1", False)],
+                 ("0x1.0000000000000p-2", "0x1.0c2f560625ed7p-2")),
+    # the two-well profile moved to (0, 2): its left candidate stops on a
+    # Newton step of a few ulp, after which a further step would still move it
+    "two-well (0, 2)": ([("0x1.f8fd20f20cfcbp-2", "0x1.3a81927a1b679p-5", "-0x1.2d3ba28bce1e9p-53",
+                          "0x1.9462b57cd0b1cp-1", False),
+                         ("0x1.81c0b7c37cc12p+0", "0x1.3a81927a1b643p-5", "-0x1.fa882685fda73p-56",
+                          "0x1.9462b57cd0b26p-1", False)],
+                        ("0x1.0000000000000p-2", "0x1.0c2f560625ed7p-2")),
+}
+# model D: 504 branches (both ends and 503 interior cells of a flat H0), as
+# the sha256 of their rows, one "z0 value d1 d2 boundary" line per branch
+H0_MIN_D = (504, "962b7d6e5d047ceccfe479125ba823d0bb8d02ec9855611775b19eb5d9992a01",
+            ("0x1.0000000000000p+0", "0x1.6646e17211cc1p+0"))
+
+
+def _branch_rows(mn):
+    return [(b.z0.hex(), b.value.hex(), b.d1.hex(), b.d2.hex(), b.boundary)
+            for b in mn.branches]
+
+
+def test_h0_minimum_and_spectrum_bits():
+    profs = {
+        "H": ax.preset("H"),
+        "L": ax.preset("L"),
+        "two-end": ShellProfile("polynomial", (-1.0, 1.0), coeffs=(2.0, 0.0, -1.0)),
+        "two-well": ShellProfile(
+            "polynomial", (-1.0, 1.0),
+            coeffs=(2.0, 0.0, -0.13125, 0.0, 0.5 / 12.0, 0.0, -1.0 / 30.0),
+        ),
+        "two-well (0, 2)": ShellProfile(
+            "polynomial", (0.0, 2.0),
+            coeffs=(1.8770833333333332, 0.2958333333333334, -0.38125, 0.5,
+                    -0.4583333333333333, 0.2, -0.03333333333333333),
+        ),
+    }
+    for name, prof in profs.items():
+        rows, spectrum = H0_MIN_BITS[name]
+        assert _branch_rows(ax.locate_H0_minimum(prof)) == rows, name
+        assert tuple(v.hex() for v in ax.essential_spectrum_range(prof)) == spectrum, name
+    prof = ax.preset("D")
+    rows = _branch_rows(ax.locate_H0_minimum(prof))
+    digest = hashlib.sha256("\n".join(" ".join(map(str, r)) for r in rows).encode())
+    assert (len(rows), digest.hexdigest()) == H0_MIN_D[:2]
+    assert tuple(v.hex() for v in ax.essential_spectrum_range(prof)) == H0_MIN_D[2]
+    # brackets of different widths stop at different steps; a stopped lane
+    # must stay as it would be searched alone
+    h0 = lambda z: geometry.h0_taylor(profs["H"], z, 0).value  # noqa: E731
+    lo, hi = np.array([-0.1, -1e-3, -0.3]), np.array([0.2, 3e-3, 0.25])
+    batched = geometry._golden_min(h0, lo, hi, 1e-10)
+    alone = [geometry._golden_min(h0, lo[i:i + 1], hi[i:i + 1], 1e-10)[0] for i in range(3)]
+    assert batched.tolist() == alone
+
+
 def test_multi_minimum_report():
     # symmetric profile: equal boundary minima at both ends
     prof = ShellProfile("polynomial", (-1.0, 1.0), coeffs=(2.0, 0.0, -1.0))
@@ -213,9 +286,7 @@ def test_admissibility_and_spectral_gap():
     for mid in "DHL":
         prof = ax.preset(mid)
         zs = np.linspace(*prof.interval, 2001)
-        adm = 1 + prof.df(zs) ** 2 + prof.f(zs) * np.array(
-            [prof.jet(z, 2)[2] for z in zs]
-        )
+        adm = 1 + prof.df(zs) ** 2 + prof.f(zs) * prof.jet(zs, 2)[2]
         assert adm.min() >= 0.0
         mn = ax.locate_H0_minimum(prof)
         fr = ax.frame_at(prof, mn.z0)
