@@ -34,10 +34,10 @@ from .errors import (
 from .geometry import (
     ShellClass,
     ShellClassTag,
+    _h0_value,
     b0_at,
     classify,
     frame_at,
-    h0_taylor,
     locate_H0_minimum,
 )
 from .profiles import ShellProfile
@@ -588,9 +588,7 @@ def _elliptic_assembled(profile: ShellProfile, n_elements: int, lam0: float):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     asm_h2 = _h2_pencil(profile, lam0, mesh)
     K_b0, b0_min = _bending(profile, mesh, "H10")
-    K_h0 = fem1d.assemble_weighted_mass(
-        profile, lambda z: h0_taylor(profile, z, 0).value, mesh, "H10"
-    )
+    K_h0 = fem1d.assemble_weighted_mass(profile, lambda z: _h0_value(profile, z), mesh, "H10")
     return asm_h2.stiffness, K_h0, K_b0, asm_h2.mass, b0_min
 
 
@@ -611,7 +609,7 @@ def elliptic_k_minimization(
     K_h2, K_h0, K_b0, M, b0_min = _elliptic_assembled(profile, n_elements, lam0)
     k_center = res.gamma * eps ** float(-res.beta)
     zgrid = np.linspace(*profile.interval, 1025)[::8]
-    h0_min = float(np.min(h0_taylor(profile, zgrid, 0).value))
+    h0_min = float(np.min(_h0_value(profile, zgrid)))
     scan = _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4, b_min=eps**2 * b0_min,
                       seed=seed, K_0=K_h0, lb_0=h0_min)
     opt = scan.minimize(bracket=(k_center * k_bracket_scale[0], k_center * k_bracket_scale[1]))

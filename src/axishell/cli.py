@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, eps=False):
         p.add_argument("--model", choices=list("ABDHL"), help="built-in model")
         p.add_argument("--profile", help="profile JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output directory (default: stdout)")
         if eps:
             p.add_argument("--eps", dest="eps_list", type=_parse_eps_list,
@@ -386,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
+    for name in ("asymptotics", "sweep1d", "sweep2d", "trace", "verify"):
+        sub.choices[name].add_argument("--seed", type=int, default=0)
     return parser
 
 

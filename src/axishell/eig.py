@@ -4,7 +4,8 @@ Shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``; Lehoucq,
 Sorensen and Yang 1998) on one factor of K - shift M.  Banded (1D) pencils are
 factored with a banded Cholesky; sparse (2D) pencils, and banded ones that the
 shift makes indefinite, with a sparse LU under a minimum-degree ordering of
-A^T + A.
+A^T + A.  At shift 0 the LU takes K itself, and an exactly symmetric CSR
+matrix goes in as its own CSC transpose, without a conversion.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _factorize(pencil: SymmetricPencil, shift: float):
     definite, else a sparse LU; a singular shift is retried once, perturbed."""
     shifts = [shift, shift * (1.0 - 1e-3) if shift != 0.0 else -1e-8]
     for s in shifts:
-        a = pencil.K - s * pencil.M
+        a = pencil.K - s * pencil.M if s != 0.0 else pencil.K
         if not sp.issparse(a):
             bw = max(*sla.bandwidth(a), 1)
             ab = np.array([np.pad(np.diagonal(a, -d), (0, d)) for d in range(bw + 1)])
@@ -57,7 +58,8 @@ def _factorize(pencil: SymmetricPencil, shift: float):
             except np.linalg.LinAlgError:
                 pass  # an interior shift makes K - s M indefinite
         try:
-            return spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
+            # a is exactly symmetric, so its CSR arrays read as CSC are a itself
+            return spla.splu(sp.csc_matrix(a.T), permc_spec="MMD_AT_PLUS_A",
                              options=dict(SymmetricMode=True)).solve, s
         except RuntimeError as err:  # K - s M exactly singular
             last_err = err

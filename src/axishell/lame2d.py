@@ -4,15 +4,16 @@ The shell's 3D vibration problem separates over azimuthal modes e^{ik phi};
 each mode is a 3-component problem for (u^r, u^phi, u^tau) on the meridian
 domain.  With the azimuthal component rotated by i the bilinear form is real
 symmetric and splits as A0 + k A1 + k^2 A2, so one assembly per (mesh, eps)
-serves the whole wavenumber sweep.
+serves the whole wavenumber sweep.  A0, A1 and A2 share one CSR pattern, so
+the stiffness at each k is one axpy on their data arrays.
 
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
 elements are tensor-product Lagrange of degree p (default 6) on curvilinear
 quadrilaterals, clamped on the two lateral ends z = z+-.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
-computed for all cells at once, and each matrix is summed into one CSR
-pattern shared by the family.
+computed for all cells at once, and each matrix is summed into the family's
+one CSR pattern.  The mass matrix then drops its zero blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "MidlineTrace",
     "build_meridian_mesh",
     "assemble_fourier_lame",
-    "first_eigenvalue_2d",
     "k_sweep",
     "midline_mode_trace",
     "default_mesh_size",
@@ -86,7 +86,10 @@ class MeridianMesh:
 
 @dataclass
 class LameFamily:
-    """k-independent pieces: stiffness = A0 + k A1 + k^2 A2, plus the mass."""
+    """k-independent pieces: stiffness = A0 + k A1 + k^2 A2, plus the mass.
+
+    A0, A1 and A2 share one pair of index arrays; nothing may modify them in place.
+    """
 
     degree: int
     A0: sp.csr_matrix
@@ -106,7 +109,6 @@ class LameFamily:
 @dataclass
 class FourierLameSystem:
     k: int
-    eps: float
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     family: LameFamily
@@ -339,14 +341,14 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
         if name != "M":
             local *= c_fac
         data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
-        # drop this matrix's zero blocks from the shared pattern; it compacts
-        # the index arrays in place, so each matrix gets its own copies
-        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                            shape=(len(free), len(free)))
-        mat.eliminate_zeros()
-        mats[name] = mat
+        mats[name] = sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free)))
+    # A0, A1 and A2 keep the shared pattern, zero blocks included, so that K(k)
+    # is one axpy on their data.  M, in every Lanczos matvec, drops its zeros;
+    # that compacts the index arrays in place, so M gets its own copies
+    M = mats["M"].copy()
+    M.eliminate_zeros()
     return LameFamily(
-        degree=p, A0=mats["A0"], A1=mats["A1"], A2=mats["A2"], M=mats["M"],
+        degree=p, A0=mats["A0"], A1=mats["A1"], A2=mats["A2"], M=M,
         free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes,
     )
 
@@ -364,34 +366,25 @@ def assemble_fourier_lame(
     if k != int(k):
         raise SolverError("wavenumber must be an integer")
     fam = get_family(mesh, degree)
-    K = (fam.A0 + k * fam.A1 + k * k * fam.A2).tocsr()
-    return FourierLameSystem(k=int(k), eps=mesh.eps, stiffness=K, mass=fam.M,
-                             family=fam, mesh=mesh)
+    # scipy's A0 + k A1 + k^2 A2 in the same operations and order; without the
+    # exact zeros it stores the same entries
+    K = sp.csr_matrix((fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
+                       fam.A0.indices.copy(), fam.A0.indptr.copy()), shape=fam.A0.shape)
+    K.eliminate_zeros()
+    return FourierLameSystem(k=int(k), stiffness=K, mass=fam.M, family=fam, mesh=mesh)
 
 
 def first_eigenpair_2d(
-    system: FourierLameSystem, shift: float = 0.0, seed: int = 0,
-    tol: float = 1e-8, x0: np.ndarray | None = None,
+    system: FourierLameSystem, seed: int = 0, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(
-        eig.SymmetricPencil(system.stiffness, system.mass), 1,
-        shift=shift, tol=tol, seed=seed, x0=x0,
-    )
+    pairs = eig.solve_smallest(eig.SymmetricPencil(system.stiffness, system.mass), 1,
+                               tol=1e-8, seed=seed, x0=x0)
     rec = SweepRecord(
-        eps=system.eps, k=system.k, lambda1=float(pairs.values[0]),
+        eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),
     )
     return rec, pairs.vectors[:, 0]
-
-
-def first_eigenvalue_2d(
-    system: FourierLameSystem, shift: float = 0.0, seed: int = 0,
-    tol: float = 1e-8,
-) -> SweepRecord:
-    """Smallest eigenvalue of the assembled mode."""
-    rec, _ = first_eigenpair_2d(system, shift=shift, seed=seed, tol=tol)
-    return rec
 
 
 def default_mesh_size(eps: float) -> tuple[int, int]:

@@ -42,9 +42,9 @@ class ShellProfile:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
+            raise GeometryError(f"interval {self.interval} is not (z-, z+) with z- < z+")
         z_minus, z_plus = self.interval
-        if not z_minus < z_plus:
-            raise GeometryError(f"empty interval {self.interval}")
         if self.E <= 0:
             raise GeometryError("Young modulus must be positive")
         if not (-1.0 < self.nu < 0.5):
@@ -53,7 +53,7 @@ class ShellProfile:
             raise GeometryError("r_min_guard must be positive")
         if self.kind in ("polynomial", "affine"):
             if not self.coeffs:
-                raise GeometryError("polynomial profile needs coefficients")
+                raise GeometryError(f"{self.kind} profile needs coefficients 'coeffs'")
             if len(self.coeffs) - 1 > MAX_POLY_DEGREE:
                 raise GeometryError(
                     f"polynomial degree {len(self.coeffs) - 1} exceeds {MAX_POLY_DEGREE}"
@@ -62,7 +62,7 @@ class ShellProfile:
                 raise GeometryError("affine profile takes at most two coefficients")
         elif self.kind == "circular_arc":
             if len(self.params) != 3:
-                raise GeometryError("circular arc needs (r_center, radius, z_center)")
+                raise GeometryError("circular arc needs 'params' (r_center, radius, z_center)")
             r_c, radius, z_c = self.params
             if radius <= 0:
                 raise GeometryError("arc radius must be positive")
@@ -149,23 +149,28 @@ class ShellProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShellProfile":
-        kind = doc["kind"]
-        kwargs = dict(
-            kind=kind,
-            interval=tuple(float(v) for v in doc["interval"]),
-            E=float(doc.get("E", 1.0)),
-            nu=float(doc.get("nu", 0.3)),
-            name=doc.get("name", ""),
-        )
-        if kind in ("polynomial", "affine"):
-            kwargs["coeffs"] = tuple(float(v) for v in doc["coeffs"])
-        else:
-            kwargs["params"] = tuple(float(v) for v in doc["params"])
+        """Inverse of ``to_dict``; a missing or malformed field raises GeometryError."""
+        for key in ("kind", "interval"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise GeometryError(f"profile has no {key!r} field")
+        kwargs = {}
+        for key, convert in (("kind", str), ("interval", _floats), ("coeffs", _floats),
+                             ("params", _floats), ("E", float), ("nu", float), ("name", str)):
+            if key in doc:
+                try:
+                    kwargs[key] = convert(doc[key])
+                except (TypeError, ValueError):
+                    raise GeometryError(
+                        f"profile field {key!r} is malformed: {doc[key]!r}") from None
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ShellProfile":
         return cls.from_dict(json.loads(text))
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def preset(model_id: str) -> ShellProfile:

@@ -44,6 +44,14 @@ def test_hyperbolic_refusal(tmp_path, capsys):
     code, out, err = run(capsys, ["asymptotics", "--profile", str(path)])
     assert code == 3
     assert "not applicable" in err
+    # malformed profile documents are refused the same way, naming the field
+    for doc, field in [({"kind": "polynomial", "interval": [0, 1]}, "coeffs"),
+                       ({"interval": [0, 1], "coeffs": [1]}, "kind"),
+                       ({"kind": "polynomial", "interval": [0, 1], "coeffs": 5}, "coeffs")]:
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["classify", "--profile", str(path)])
+        assert code == 3
+        assert err.startswith("error:") and f"'{field}'" in err
 
 
 def test_usage_errors(capsys):
@@ -57,6 +65,9 @@ def test_usage_errors(capsys):
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["torus-sweep", "--seed", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model", "A", "--seed", "0"])
     assert exc.value.code == 2
 
 

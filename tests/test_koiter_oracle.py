@@ -115,5 +115,5 @@ def test_oracle_cross_checks_2d_solver():
         p = ax.preset(mid)
         lam_oracle = koiter_lambda1(p, k, eps, Mesh1D.boundary_graded(p.interval, 64, 1.1))
         mesh2 = lame2d.build_meridian_mesh(p, eps, *lame2d.default_mesh_size(eps))
-        rec = lame2d.first_eigenvalue_2d(lame2d.assemble_fourier_lame(mesh2, k))
+        rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh2, k))
         assert abs(rec.lambda1 / lam_oracle - 1) <= 0.02

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.interpolate import BarycentricInterpolator
 
 import axishell as ax
-from axishell import lame2d
+from axishell import eig, lame2d
 from axishell.errors import ThicknessError
 
 
@@ -53,9 +55,8 @@ def test_k0_decoupling_and_sign_identity():
     phi = np.where(comp == 1)[0]
     oth = np.where(comp != 1)[0]
     assert np.abs(A0[np.ix_(phi, oth)]).max() == 0.0
-    k = 4
-    Kp = (fam.A0 + k * fam.A1 + k * k * fam.A2).toarray()
-    Km = (fam.A0 - k * fam.A1 + k * k * fam.A2).toarray()
+    Kp = lame2d.assemble_fourier_lame(mesh, 4, degree=3).stiffness.toarray()
+    Km = lame2d.assemble_fourier_lame(mesh, -4, degree=3).stiffness.toarray()
     sgn = np.where(comp == 1, -1.0, 1.0)
     assert np.array_equal(sgn[:, None] * Km * sgn[None, :], Kp)
 
@@ -94,31 +95,51 @@ def test_assembly_regression(model, degree):
     # M holds one 3 x 3 diagonal block per pair of nodes sharing a cell; A0
     # couples 5 of the 9 component pairs, A1 4, A2 3
     node_pairs = fam.M.nnz // 3
+    assert (fam.M.data == 0).sum() == 0
     for name, n, n_sig, blocks in zip(("A0", "A1", "A2", "M"), nnz, significant,
                                       (5, 4, 3, 3)):
         A = getattr(fam, name)
-        assert (A.data == 0).sum() == 0, name
+        # A0, A1 and A2 store the shared pattern, zero blocks included
+        count = A.nnz if name == "M" else A.count_nonzero()
         dense = A.toarray()
         assert np.array_equal(dense, dense.T), name
         big = np.abs(A.data) > 1e-13 * np.abs(A.data).max()
         assert np.count_nonzero(big) == n_sig, name
         if n == n_sig:
-            assert A.nnz == n, name
+            assert count == n, name
         else:
             # the even profiles D and H leave rounding residue of order
             # 1e-18 max|A| on entries that vanish by symmetry; which of them
             # round to an exact zero depends on the summation order
-            assert n_sig <= A.nnz <= blocks * node_pairs, name
+            assert n_sig <= count <= blocks * node_pairs, name
     system = lame2d.assemble_fourier_lame(mesh, 3, degree=degree)
-    assert abs(lame2d.first_eigenvalue_2d(system).lambda1 / lam - 1.0) <= 1e-11
+    assert abs(lame2d.first_eigenpair_2d(system)[0].lambda1 / lam - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("model", ["B", "D", "H", "L"])
+@pytest.mark.parametrize("degree", [3, 6])
+def test_stiffness_axpy_matches_scipy_sum(model, degree):
+    # K(k) is one axpy on the family's shared pattern; it must store exactly
+    # what scipy's sparse sum stores, so that the factor sees the same input
+    mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.1, 4, 2)
+    fam = lame2d.get_family(mesh, degree=degree)
+    assert all(np.shares_memory(fam.A0.indices, A.indices) for A in (fam.A1, fam.A2))
+    for k in (0, 1, 3, 19):
+        K = lame2d.assemble_fourier_lame(mesh, k, degree=degree).stiffness
+        want = (fam.A0 + k * fam.A1 + k * k * fam.A2).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, attr), getattr(want, attr)), (k, attr)
+    b = np.random.default_rng(0).standard_normal(K.shape[0])
+    solve, shift = eig._factorize(eig.SymmetricPencil(K, fam.M), 0.0)
+    ref = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                    options=dict(SymmetricMode=True)).solve(b)
+    assert shift == 0.0 and np.array_equal(solve(b), ref)
 
 
 def test_positive_eigenvalues_all_k():
     mesh = lame2d.build_meridian_mesh(ax.preset("B"), 0.1, 4, 2)
     for k in (0, 1, 5):
-        rec = lame2d.first_eigenvalue_2d(
-            lame2d.assemble_fourier_lame(mesh, k, degree=3)
-        )
+        rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, k, degree=3))
         assert rec.lambda1 > 0.0
         assert rec.residual <= 1e-8
 
@@ -130,7 +151,7 @@ def test_cold_start_eigenvalue_matches_dense_reference(model, k):
     # small backward error alone does not bound the eigenvalue error
     mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.01, 8, 2)
     system = lame2d.assemble_fourier_lame(mesh, k)
-    rec = lame2d.first_eigenvalue_2d(system)
+    rec, _ = lame2d.first_eigenpair_2d(system)
     K, M = system.stiffness.toarray(), system.mass.toarray()
     n = K.shape[0]
     mu_max = sla.eigh(M, K, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
@@ -141,7 +162,7 @@ def test_p_refinement_monotone():
     mesh = lame2d.build_meridian_mesh(ax.preset("A"), 0.1, 8, 2)
     lams = []
     for degree in (4, 5, 6):
-        rec = lame2d.first_eigenvalue_2d(lame2d.assemble_fourier_lame(mesh, 4, degree=degree))
+        rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, 4, degree=degree))
         lams.append(rec.lambda1)
     assert lams[1] <= lams[0] * (1 + 1e-10)
     assert lams[2] <= lams[1] * (1 + 1e-10)
