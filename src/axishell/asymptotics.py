@@ -555,10 +555,9 @@ def compute(
 
 
 def toroidal_sweep(
-    radius: float, z_center: float, interval, r_grid,
-    n_elements: int = DEFAULT_ELEMENTS, E: float = 1.0, nu: float = 0.3,
+    radius: float, z_center: float, interval, r_grid, n_elements: int = DEFAULT_ELEMENTS,
 ) -> list[dict]:
-    """One toroidal_constants run per arc-center offset; failures recorded."""
+    """One toroidal_constants run per arc-center offset (E = 1, nu = 0.3); failures recorded."""
     rows = []
     for r_c in r_grid:
         row = {"r_circ": float(r_c), "Lambda2": None, "gamma_min": None,
@@ -567,8 +566,7 @@ def toroidal_sweep(
             if r_c >= 0.0:
                 raise AdmissibilityError("arc center radius must be negative")
             prof = ShellProfile(
-                "circular_arc", tuple(interval), params=(float(r_c), radius, z_center),
-                E=E, nu=nu,
+                "circular_arc", tuple(interval), params=(float(r_c), radius, z_center)
             )
             res = toroidal_constants(prof, n_elements=n_elements)
             row.update(Lambda2=res.lambda2, gamma_min=res.gamma, a1=res.a1)
@@ -583,40 +581,32 @@ def toroidal_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _elliptic_assembled(profile: ShellProfile, n_elements: int, lam0: float):
-    """K_h2, K_h0, K_b0 and M of the reduced operator on H^1_0, and min B0."""
+def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: int, seed: int):
+    """The k scan of H0 + k^-2 H2 + eps^2 k^4 B0 on H^1_0 (lam0 substituted in H2)."""
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     asm_h2 = _h2_pencil(profile, lam0, mesh)
     K_b0, b0_min = _bending(profile, mesh, "H10")
     K_h0 = fem1d.assemble_weighted_mass(profile, lambda z: _h0_value(profile, z), mesh, "H10")
-    return asm_h2.stiffness, K_h0, K_b0, asm_h2.mass, b0_min
+    h0_min = float(np.min(_h0_value(profile, np.linspace(*profile.interval, 1025)[::8])))
+    return _GammaScan(asm_h2.stiffness, eps**2 * K_b0, asm_h2.mass, -2, 4,
+                      b_min=eps**2 * b0_min, seed=seed, K_0=K_h0, lb_0=h0_min)
 
 
 def elliptic_k_minimization(
-    profile: ShellProfile, eps: float, n_elements: int = 256,
-    lam0: float | None = None, k_bracket_scale=(0.4, 2.5), seed: int = 0,
+    profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0,
 ):
     """Directly minimize over k the first eigenvalue of H0 + k^-2 H2 + eps^2 k^4 B0.
 
-    Returns (k_opt, lambda_min, details).  The independent route for the
-    Gauss/Airy closed forms: the gamma scan with K_0 = H0 and p = (-2, 4),
-    started on a log grid over ``k_bracket_scale`` times the predicted k.
+    Returns (k_opt, lambda_min, details), details holding the k ``scan``, the
+    ``result`` of ``compute`` and the iteration counts.  The independent route
+    for the Gauss/Airy closed forms: the gamma scan with K_0 = H0 and
+    p = (-2, 4), started on a log grid over 0.4 to 2.5 times the predicted k.
     """
-    cls = classify(profile)
-    res = compute(profile, cls)
-    if lam0 is None:
-        lam0 = res.a0
-    K_h2, K_h0, K_b0, M, b0_min = _elliptic_assembled(profile, n_elements, lam0)
+    res = compute(profile)
+    scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
     k_center = res.gamma * eps ** float(-res.beta)
-    zgrid = np.linspace(*profile.interval, 1025)[::8]
-    h0_min = float(np.min(_h0_value(profile, zgrid)))
-    scan = _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4, b_min=eps**2 * b0_min,
-                      seed=seed, K_0=K_h0, lb_0=h0_min)
-    opt = scan.minimize(bracket=(k_center * k_bracket_scale[0], k_center * k_bracket_scale[1]))
-    return opt.gamma, opt.mu, {
-        "K_h2": K_h2, "K_h0": K_h0, "K_b0": K_b0, "M": M,
-        "result": res, "lam0": lam0, **opt.counts("k"),
-    }
+    opt = scan.minimize(bracket=(k_center * 0.4, k_center * 2.5))
+    return opt.gamma, opt.mu, {"scan": scan, "result": res, **opt.counts("k")}
 
 
 def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0):
@@ -631,11 +621,8 @@ def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed:
         res = optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
         return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
+    scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
     k = res.gamma * eps ** float(-res.beta)
-    K_h2, K_h0, K_b0, M, _ = _elliptic_assembled(profile, n_elements, res.a0)
-    K = K_h0 + k**-2 * K_h2 + eps**2 * k**4 * K_b0
-    sols = fem1d.smallest_eigenpairs(K, M, m=1, seed=seed)
-    vec = sols[0].coefficients
-    bend = eps**2 * k**4 * float(vec @ (K_b0 @ vec))
-    total = float(vec @ (K @ vec))
-    return bend / total
+    _, vec = scan.mu1(k, with_vector=True)
+    h0, h2, bend = (float(vec @ (K @ vec)) for K in (scan.K_0, scan.K_op, scan.K_b))
+    return k**4 * bend / (h0 + k**-2 * h2 + k**4 * bend)

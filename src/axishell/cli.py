@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, fem1d, lame2d, symbols, verify
+from . import __version__, asymptotics, lame2d, symbols, verify
 from .errors import AxishellError
-from .geometry import classify, essential_spectrum_range, frame_at
+from .geometry import ShellClassTag, classify, essential_spectrum_range, frame_at
 from .profiles import ShellProfile, preset
 
 
@@ -59,6 +59,16 @@ def _parse_mesh(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"mesh spec {text!r} is not of the form NxM"
         ) from None
+
+
+def _parse_interval(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+        if lo < hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"interval {text!r} is not of the form z-,z+ with z- < z+")
 
 
 def _csv_lines(meta: dict, columns: list[str], rows: list[list]) -> str:
@@ -125,81 +135,64 @@ def cmd_asymptotics(args) -> int:
 def cmd_sweep1d(args) -> int:
     profile = _load_profile(args)
     cls = classify(profile)
-    tag = cls.tag.value
-    if tag in ("Cylinder", "Cone", "TorusElliptic"):
-        if tag == "TorusElliptic":
+    meta = {"model": args.model or "custom"}
+    if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE, ShellClassTag.TORUS_ELLIPTIC):
+        if cls.tag is ShellClassTag.TORUS_ELLIPTIC:
             res = asymptotics.toroidal_constants(profile, cls, seed=args.seed)
             scan = asymptotics._toroidal_scan(profile, res.a0, 128, seed=args.seed)
         else:
             res = asymptotics.optimize_gamma_parabolic(profile, cls, seed=args.seed)
             scan = asymptotics._parabolic_scan(profile, 128, seed=args.seed)
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.n_points)
-        rows = [[float(g), float(scan.mu1(g))] for g in grid]
-        meta = {"model": args.model or "custom", "kind": "gamma-scan",
-                "gamma_opt": f"{res.gamma:.8g}", "a1": f"{res.a1:.8g}"}
-        _emit(_csv_lines(meta, ["gamma", "mu1"], rows), args.out, "sweep1d.csv")
-        return 0
-    res = asymptotics.compute(profile, cls, seed=args.seed)
-    eps = args.eps_list[0] if args.eps_list else 1e-4
-    k_center = res.gamma * eps ** float(-res.beta)
-    k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed)
-    ks = np.geomspace(0.4 * k_center, 2.5 * k_center, args.n_points)
-    K_h2, K_h0, K_b0, M = data["K_h2"], data["K_h0"], data["K_b0"], data["M"]
-    rows = []
-    for k in ks:
-        K = K_h0 + k**-2 * K_h2 + eps**2 * k**4 * K_b0
-        lam = fem1d.smallest_eigenpairs(K, M, m=1, seed=args.seed)[0].eigenvalue
-        rows.append([float(k), float(lam)])
-    meta = {"model": args.model or "custom", "kind": "k-scan", "eps": f"{eps:g}",
-            "k_opt": f"{k_opt:.8g}", "lambda_min": f"{lam_min:.8g}"}
-    _emit(_csv_lines(meta, ["k", "lambda1"], rows), args.out, "sweep1d.csv")
+        meta.update(kind="gamma-scan", gamma_opt=f"{res.gamma:.8g}", a1=f"{res.a1:.8g}")
+        columns = ["gamma", "mu1"]
+    else:
+        eps = args.eps_list[0] if args.eps_list else 1e-4
+        k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed)
+        scan, res = data["scan"], data["result"]
+        k_center = res.gamma * eps ** float(-res.beta)
+        grid = np.geomspace(0.4 * k_center, 2.5 * k_center, args.n_points)
+        meta.update(kind="k-scan", eps=f"{eps:g}", k_opt=f"{k_opt:.8g}",
+                    lambda_min=f"{lam_min:.8g}")
+        columns = ["k", "lambda1"]
+    rows = [[float(x), float(scan.mu1(x))] for x in grid]
+    _emit(_csv_lines(meta, columns, rows), args.out, "sweep1d.csv")
     return 0
 
 
-def _sweep2d_one(profile: ShellProfile, eps: float, mesh_spec, degree: int, seed: int):
-    if mesh_spec is None:
-        nm, nt = lame2d.default_mesh_size(eps)
-    else:
-        nm, nt = mesh_spec
-    mesh = lame2d.build_meridian_mesh(profile, eps, nm, nt)
-    sweep = lame2d.k_sweep(profile, eps, mesh=mesh, degree=degree, seed=seed)
-    return eps, (nm, nt), sweep
+def _map(worker, payloads: list, jobs: int) -> list:
+    """``worker`` over ``payloads`` in order, in a pool of ``jobs`` processes if jobs > 1."""
+    if jobs <= 1:
+        return [worker(p) for p in payloads]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, payloads))
 
 
 def _sweep2d_worker(payload):
-    doc, eps, mesh_spec, degree, seed = payload
-    profile = ShellProfile.from_dict(doc)
-    eps, mesh_used, sweep = _sweep2d_one(profile, eps, mesh_spec, degree, seed)
-    records = [[r.eps, r.k, r.lambda1, r.dof_count, r.residual] for r in sweep.records]
-    return eps, mesh_used, sweep.k_opt, sweep.lambda1, sweep.flagged, records
+    profile, res, eps, mesh_spec, degree, seed = payload
+    mesh = lame2d.build_meridian_mesh(profile, eps, *(mesh_spec or ()))
+    sweep = lame2d.k_sweep(profile, eps, mesh=mesh, degree=degree, asym=res, seed=seed)
+    return f"{mesh.n_meridian}x{mesh.n_thickness}", sweep
 
 
 def cmd_sweep2d(args) -> int:
     profile = _load_profile(args)
     res = asymptotics.compute(profile, seed=args.seed)
     eps_list = args.eps_list or [0.1, 0.05, 0.02, 0.01]
-    mesh_spec = args.mesh
-    payloads = [
-        (profile.to_dict(), eps, mesh_spec, args.degree, args.seed) for eps in eps_list
-    ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep2d_worker, payloads))
-    else:
-        results = [_sweep2d_worker(p) for p in payloads]
-
+    payloads = [(profile, res, eps, args.mesh, args.degree, args.seed) for eps in eps_list]
     summary_rows = []
     failures = 0
-    for eps, mesh_used, k_opt, lam1, flagged, records in results:
+    for eps, (mesh_used, sweep) in zip(eps_list, _map(_sweep2d_worker, payloads, args.jobs)):
         meta = {"model": args.model or "custom", "eps": f"{eps:g}",
-                "mesh": f"{mesh_used[0]}x{mesh_used[1]}", "degree": args.degree}
+                "mesh": mesh_used, "degree": args.degree}
+        records = [[r.eps, r.k, r.lambda1, r.dof_count, r.residual] for r in sweep.records]
         name = f"sweep2d_{args.model or 'profile'}_eps{eps:g}.csv"
         _emit(_csv_lines(meta, ["eps", "k", "lambda1", "dofs", "residual"], records),
               args.out, name)
         pred = asymptotics.predict(res, eps)
-        summary_rows.append([eps, k_opt, pred.k_int, lam1, pred.m1,
-                             "flagged" if flagged else "ok"])
-        failures += int(flagged)
+        summary_rows.append([eps, sweep.k_opt, pred.k_int, sweep.lambda1, pred.m1,
+                             "flagged" if sweep.flagged else "ok"])
+        failures += int(sweep.flagged)
     meta = {"model": args.model or "custom", "gamma": f"{res.gamma:.6g}",
             "beta": str(res.beta)}
     text = _csv_lines(meta, ["eps", "k_observed", "k_predicted", "lambda1", "m1", "status"],
@@ -212,21 +205,15 @@ def cmd_trace(args) -> int:
     """Midline radial-mode trace at one (eps, k) as CSV (z, u_r)."""
     profile = _load_profile(args)
     eps = args.eps_list[0] if args.eps_list else 0.01
-    if args.mesh:
-        nm, nt = args.mesh
-    else:
-        nm, nt = lame2d.default_mesh_size(eps)
-    mesh = lame2d.build_meridian_mesh(profile, eps, nm, nt)
-    if args.k is None:
-        res = asymptotics.compute(profile, seed=args.seed)
-        k = asymptotics.predict(res, eps).k_int
-    else:
-        k = args.k
+    mesh = lame2d.build_meridian_mesh(profile, eps, *(args.mesh or ()))
+    k = args.k
+    if k is None:
+        k = asymptotics.predict(asymptotics.compute(profile, seed=args.seed), eps).k_int
     system = lame2d.assemble_fourier_lame(mesh, k, args.degree)
     rec, vec = lame2d.first_eigenpair_2d(system, seed=args.seed)
     trace = lame2d.midline_mode_trace(system, vec)
     meta = {"model": args.model or "custom", "eps": f"{eps:g}", "k": k,
-            "mesh": f"{nm}x{nt}", "degree": args.degree,
+            "mesh": f"{mesh.n_meridian}x{mesh.n_thickness}", "degree": args.degree,
             "lambda1": f"{rec.lambda1:.10g}", "argmax_z": f"{trace.argmax_z:.6g}",
             "half_width": f"{trace.half_width:.6g}"}
     rows = [[float(z), float(u)] for z, u in zip(trace.z, trace.u_r)]
@@ -245,30 +232,13 @@ def cmd_torus_sweep(args) -> int:
         print("usage error: need r-min < r-max and a positive step", file=sys.stderr)
         return 2
     grid = np.arange(args.r_min, args.r_max + 0.5 * args.step, args.step)
-    if len(grid) == 0:
-        print("usage error: empty r-grid", file=sys.stderr)
-        return 2
-    interval = tuple(float(v) for v in args.interval.split(","))
-    if args.jobs > 1:
-        payloads = [(args.radius, args.z_center, interval, float(r)) for r in grid]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows_raw = list(pool.map(_torus_worker, payloads))
-    else:
-        rows_raw = asymptotics.toroidal_sweep(
-            args.radius, args.z_center, interval, grid, E=1.0, nu=0.3
-        )
+    payloads = [(args.radius, args.z_center, args.interval, float(r)) for r in grid]
     rows = []
-    n_err = 0
-    for r in rows_raw:
-        ok = not r["error"]
-        n_err += int(not ok)
-        rows.append([r["r_circ"],
-                     r["Lambda2"] if ok else "nan",
-                     r["gamma_min"] if ok else "nan",
-                     r["a1"] if ok else "nan",
-                     r["error"] or "ok"])
+    for r in _map(_torus_worker, payloads, args.jobs):
+        values = ["nan"] * 3 if r["error"] else [r["Lambda2"], r["gamma_min"], r["a1"]]
+        rows.append([r["r_circ"], *values, r["error"] or "ok"])
     meta = {"radius": args.radius, "z_center": args.z_center,
-            "interval": args.interval}
+            "interval": ",".join(f"{v:.12g}" for v in args.interval)}
     _emit(_csv_lines(meta, ["r_circ", "Lambda2", "gamma_min", "a1", "status"], rows),
           args.out, "torus_sweep.csv")
     return 0
@@ -369,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--z-center", type=float, default=0.0)
-    p.add_argument("--interval", default="-1,1")
+    p.add_argument("--interval", type=_parse_interval, default="-1,1",
+                   help="meridian interval z-,z+ of every arc")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_torus_sweep)

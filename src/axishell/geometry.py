@@ -196,6 +196,11 @@ def _golden_min(fun, a, b, tol: float) -> np.ndarray:
         x2, f2 = np.where(right, x_new, x2), np.where(right, f_new, f2)
 
 
+def _h0_constant(h0: np.ndarray) -> bool:
+    """Whether sampled H0 varies by at most H0_CONST_RTOL of its largest value."""
+    return float(h0.max() - h0.min()) <= H0_CONST_RTOL * max(float(h0.max()), 1e-300)
+
+
 def locate_H0_minimum(
     profile: ShellProfile, n_samples: int = 1024, tol: float = 1e-10
 ) -> H0Minimum:
@@ -207,33 +212,36 @@ def locate_H0_minimum(
     from the exact jet (first derivative needs f''', second needs f'''').
     Minima within 1e-8 of the global value are reported together as
     branches; the returned top-level fields describe the branch at the
-    smallest z.
+    smallest z.  A potential that ``classify`` counts as constant has no
+    minimizer to locate and gives one interior branch at the midpoint.
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, n_samples + 1)
     vals = frame_at(profile, zs).H0
-
-    ends = [z_end for z_end, at_min in ((z_minus, vals[0] <= vals[1]),
-                                        (z_plus, vals[-1] <= vals[-2])) if at_min]
-    interior = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    lo, hi = zs[interior - 1], zs[interior + 1]
-    z = _golden_min(lambda x: _h0_value(profile, x), lo, hi, max(tol, 1e-12)) if len(lo) else lo
-    # Newton polish on the analytic derivative: golden section alone stalls
-    # at the sqrt(eps) noise plateau of H0 comparisons.  A candidate stops
-    # where H0'' <= 0, or after a step of at most 1e-15 max(1, |z|).
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(8):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        j = h0_taylor(profile, z[idx], 2)
-        d1, d2 = j.derivative(1), j.derivative(2)
-        convex = d2 > 0.0
-        idx, d1, d2 = idx[convex], d1[convex], d2[convex]
-        z_old = z[idx]
-        z[idx] = np.minimum(np.maximum(z_old - d1 / d2, lo[idx]), hi[idx])
-        active[:] = False
-        active[idx] = np.abs(z[idx] - z_old) > 1e-15 * np.maximum(1.0, np.abs(z_old))
+    if _h0_constant(vals):
+        ends, z = [], np.array([0.5 * (z_minus + z_plus)])
+    else:
+        ends = [z_end for z_end, at_min in ((z_minus, vals[0] <= vals[1]),
+                                            (z_plus, vals[-1] <= vals[-2])) if at_min]
+        interior = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+        lo, hi = zs[interior - 1], zs[interior + 1]
+        z = _golden_min(lambda x: _h0_value(profile, x), lo, hi, max(tol, 1e-12))
+        # Newton polish on the analytic derivative: golden section alone stalls
+        # at the sqrt(eps) noise plateau of H0 comparisons.  A candidate stops
+        # where H0'' <= 0, or after a step of at most 1e-15 max(1, |z|).
+        active = np.ones(z.shape, dtype=bool)
+        for _ in range(8):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            j = h0_taylor(profile, z[idx], 2)
+            d1, d2 = j.derivative(1), j.derivative(2)
+            convex = d2 > 0.0
+            idx, d1, d2 = idx[convex], d1[convex], d2[convex]
+            z_old = z[idx]
+            z[idx] = np.minimum(np.maximum(z_old - d1 / d2, lo[idx]), hi[idx])
+            active[:] = False
+            active[idx] = np.abs(z[idx] - z_old) > 1e-15 * np.maximum(1.0, np.abs(z_old))
     candidates = [(z0, True) for z0 in ends] + [(z0, False) for z0 in z.tolist()]
 
     j = h0_taylor(profile, np.array([z0 for z0, _ in candidates]), 2)
@@ -283,8 +291,7 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
         )
 
     # elliptic: f'' < 0 (up to roundoff) everywhere
-    h0_span = float(fr.H0.max() - fr.H0.min())
-    if h0_span <= H0_CONST_RTOL * max(float(fr.H0.max()), 1e-300):
+    if _h0_constant(fr.H0):
         if not np.all(fr.admissible):
             return ShellClass(
                 ShellClassTag.INADMISSIBLE,

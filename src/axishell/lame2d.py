@@ -159,15 +159,19 @@ def _map_data(profile: ShellProfile, zq: np.ndarray, tq: np.ndarray):
 def build_meridian_mesh(
     profile: ShellProfile,
     eps: float,
-    n_meridian: int = 12,
-    n_thickness: int = 2,
+    n_meridian: int | None = None,
+    n_thickness: int | None = None,
 ) -> MeridianMesh:
     """Subdivide the parametric rectangle and validate the geometric map.
 
+    A cell count left out is taken from ``default_mesh_size(eps)``.
     Assembly uses the exact map, so geometry carries no discretization error.
     A nonpositive Jacobian anywhere means the half-thickness exceeds the
     injectivity range of the normal-coordinate map.
     """
+    nm_default, nt_default = default_mesh_size(eps)
+    n_meridian = nm_default if n_meridian is None else n_meridian
+    n_thickness = nt_default if n_thickness is None else n_thickness
     if n_thickness < 2:
         raise ThicknessError("need at least two cells through the thickness")
     if n_meridian < 1:
@@ -411,8 +415,7 @@ def k_sweep(
     k exceeds 2.5 gamma eps^(-beta) from the 1D prediction.
     """
     if mesh is None:
-        nm, nt = default_mesh_size(eps)
-        mesh = build_meridian_mesh(profile, eps, nm, nt)
+        mesh = build_meridian_mesh(profile, eps)
     if asym is None:
         asym = asymptotics.compute(profile)
     k_cap = int(math.ceil(2.5 * asym.gamma * eps ** float(-asym.beta))) + 1

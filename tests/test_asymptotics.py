@@ -257,8 +257,8 @@ def test_stationarity_certificate_at_returned_optima(asym_results):
         assert res.diagnostics["bracket_expansions"] == 0
     eps = 1e-4
     k_opt, _, data = asy.elliptic_k_minimization(ax.preset("H"), eps, n_elements=256)
-    assert _relative_log_slope(data["K_h2"], eps**2 * data["K_b0"], data["M"], -2, k_opt,
-                               K_0=data["K_h0"]) <= 1e-9
+    scan = data["scan"]
+    assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -2, k_opt, K_0=scan.K_0) <= 1e-9
     assert 0 < data["k_iterations"] <= 10 and data["bracket_expansions"] == 0
 
 

@@ -69,6 +69,11 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--model", "A", "--seed", "0"])
     assert exc.value.code == 2
+    # an interval that is not two numbers z- < z+ is refused before any arc is built
+    for interval in ("1,-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus-sweep", f"--interval={interval}"])
+        assert exc.value.code == 2
 
 
 def test_symbols_dump(capsys):
@@ -115,6 +120,15 @@ def test_torus_sweep_csv(tmp_path, capsys):
     assert abs(float(mid[2]) - 0.857004) < 5e-4
     assert abs(float(mid[3]) - 0.707981) < 5e-4
     assert all(float(r[1]) > 0 for r in rows)
+    # the pool runs the same worker as the serial loop
+    code, _, _ = run(capsys, [
+        "torus-sweep", "--r-min", "-1.05", "--r-max", "-0.95", "--step", "0.05",
+        "--jobs", "2", "--out", str(tmp_path / "jobs2"),
+    ])
+    assert code == 0
+    strip = lambda t: re.sub(r"generated=\S+", "", t)  # noqa: E731
+    assert (strip((tmp_path / "jobs2" / "torus_sweep.csv").read_text())
+            == strip((tmp_path / "torus_sweep.csv").read_text()))
 
 
 def test_sweep1d_gamma_scan(tmp_path, capsys):
@@ -160,11 +174,18 @@ def test_trace_csv(tmp_path, capsys):
 
 
 def test_sweep2d_parallel_jobs(tmp_path, capsys):
-    args = ["sweep2d", "--model", "A", "--eps", "0.1", "--mesh", "6x2",
-            "--degree", "4", "--jobs", "2", "--out", str(tmp_path)]
-    code, _, _ = run(capsys, args)
-    assert code == 0
-    assert (tmp_path / "sweep2d_A_eps0.1.csv").exists()
+    # the pool runs the same worker as the serial loop: the same CSV bytes
+    strip = lambda t: re.sub(r"generated=\S+", "", t)  # noqa: E731
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code, _, _ = run(capsys, ["sweep2d", "--model", "A", "--eps", "0.1,0.05",
+                                  "--mesh", "6x2", "--degree", "4", "--jobs", jobs,
+                                  "--out", str(out)])
+        assert code == 0
+        outputs.append({p.name: strip(p.read_text()) for p in sorted(out.glob("*.csv"))})
+    assert "sweep2d_A_eps0.1.csv" in outputs[0]
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 def test_verify_model_A(capsys):

@@ -114,6 +114,6 @@ def test_oracle_cross_checks_2d_solver():
     for mid, eps, k in [("B", 0.01, 6), ("D", 0.01, 4)]:
         p = ax.preset(mid)
         lam_oracle = koiter_lambda1(p, k, eps, Mesh1D.boundary_graded(p.interval, 64, 1.1))
-        mesh2 = lame2d.build_meridian_mesh(p, eps, *lame2d.default_mesh_size(eps))
+        mesh2 = lame2d.build_meridian_mesh(p, eps)
         rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh2, k))
         assert abs(rec.lambda1 / lam_oracle - 1) <= 0.02

@@ -25,6 +25,12 @@ def test_map_cylinder_trivial():
 def test_mesh_jacobians_model_D():
     mesh = lame2d.build_meridian_mesh(ax.preset("D"), 0.2, 16, 2)
     assert mesh.min_jacobian > 0.0
+    # cell counts left out come from default_mesh_size(eps)
+    for eps in (0.1, 0.02, 0.01):
+        got = lame2d.build_meridian_mesh(ax.preset("D"), eps)
+        want = lame2d.build_meridian_mesh(ax.preset("D"), eps, *lame2d.default_mesh_size(eps))
+        assert np.array_equal(got.z_breaks, want.z_breaks)
+        assert np.array_equal(got.t_breaks, want.t_breaks)
 
 
 def test_mesh_jacobian_curvature_bound_model_H():
