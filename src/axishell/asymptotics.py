@@ -217,7 +217,7 @@ class _GammaScan:
         self.b_min, self.lb_0 = b_min, lb_0
         self.seed = seed
         self._warm = None
-        self.lam_op_min = fem1d.smallest_eigenpairs(K_op, M, m=1, seed=seed)[0].eigenvalue
+        self.lam_op_min = float(fem1d.smallest_eigenpairs(K_op, M, seed=seed).values[0])
 
     def mu1(self, gamma: float, with_vector: bool = False):
         K = gamma ** self.p_low * self.K_op + gamma ** self.p_high * self.K_b
@@ -226,13 +226,12 @@ class _GammaScan:
         lb = (self.lb_0 + gamma ** self.p_low * self.lam_op_min
               + gamma ** self.p_high * self.b_min)
         shift = lb - 0.005 * abs(lb)
-        sols = fem1d.smallest_eigenpairs(
-            K, self.M, m=1, seed=self.seed, x0=self._warm, shift=shift
+        pairs = fem1d.smallest_eigenpairs(
+            K, self.M, seed=self.seed, x0=self._warm, shift=shift
         )
-        self._warm = sols[0].coefficients[:, np.newaxis]
-        if with_vector:
-            return sols[0].eigenvalue, sols[0].coefficients
-        return sols[0].eigenvalue
+        self._warm = pairs.vectors
+        mu = float(pairs.values[0])
+        return (mu, pairs.vectors[:, 0]) if with_vector else mu
 
     def _point(self, t: float) -> _ScanPoint:
         gamma = math.exp(t)
@@ -310,8 +309,7 @@ def _clamped_unit_bilaplacian(n_elements: int = DEFAULT_ELEMENTS) -> float:
     """First eigenvalue of u'''' on (0, 1) with clamped ends (unit weight)."""
     beam = ShellProfile("affine", (0.0, 1.0), coeffs=(1.0,), name="unit-beam")
     mesh = fem1d.Mesh1D.uniform((0.0, 1.0), n_elements)
-    asm = fem1d.assemble_h20(beam, 1.0, 0.0, mesh)
-    return fem1d.smallest_eigenpairs(asm, m=1)[0].eigenvalue
+    return float(fem1d.smallest_eigenpairs(*fem1d.assemble_h20(beam, 1.0, 0.0, mesh)).values[0])
 
 
 def _require_class(profile: ShellProfile, expected: tuple, cls: ShellClass | None):
@@ -365,16 +363,17 @@ def _parabolic_scan(profile: ShellProfile, n_elements: int, seed: int = 0) -> _G
         s2 = 1.0 + profile.df(z) ** 2
         return E * f**2 / s2**3
 
-    asm_op = fem1d.assemble_h20(profile, a4, 0.0, mesh)
+    K_op, M = fem1d.assemble_h20(profile, a4, 0.0, mesh)
     K_b, b_min = _bending(profile, mesh, "H20")
-    return _GammaScan(asm_op.stiffness, K_b, asm_op.mass, -4, 4, b_min=b_min, seed=seed)
+    return _GammaScan(K_op, K_b, M, -4, 4, b_min=b_min, seed=seed)
 
 
 def optimize_gamma_parabolic(
     profile: ShellProfile, cls: ShellClass | None = None,
     n_elements: int = DEFAULT_ELEMENTS, seed: int = 0,
 ) -> AsymptoticsResult:
-    """Cone (or cylinder, as a cross-check) constants by gamma optimization."""
+    """Cone (or cylinder, as a cross-check) constants by gamma optimization;
+    ``diagnostics["scan"]`` holds the minimized scan."""
     cls = _require_class(profile, (ShellClassTag.CONE, ShellClassTag.CYLINDER), cls)
     scan = _parabolic_scan(profile, n_elements, seed=seed)
     opt = scan.minimize()
@@ -387,7 +386,7 @@ def optimize_gamma_parabolic(
         shell_class=cls, eta1=Fraction(4), beta=beta, alpha1=alpha1,
         a0=0.0, a1=opt.mu, gamma=gamma, ratio_exact=0.5,
         diagnostics={"ratio_at_optimum": ratio, "mu1_bracket_ends": opt.ends,
-                     **opt.counts("gamma")},
+                     "scan": scan, **opt.counts("gamma")},
     )
 
 
@@ -468,7 +467,7 @@ def airy_constants(profile: ShellProfile, cls: ShellClass | None = None) -> Asym
 
 
 def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
-    """The H2 pencil (lam0 substituted) on H^1_0."""
+    """The (K, M) pencil of H2 (lam0 substituted) on H^1_0."""
 
     def h2(z):
         return h2_coefficients(frame_at(profile, z), lam0)
@@ -478,9 +477,9 @@ def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
 
 def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int, seed: int = 0):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-    asm_h2 = _h2_pencil(profile, lam0, mesh)
+    K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b, b_min = _bending(profile, mesh, "H10")
-    return _GammaScan(asm_h2.stiffness, K_b, asm_h2.mass, -2, 4, b_min=b_min, seed=seed)
+    return _GammaScan(K_h2, K_b, M, -2, 4, b_min=b_min, seed=seed)
 
 
 def _arc_parameters(profile: ShellProfile):
@@ -499,7 +498,8 @@ def toroidal_constants(
     profile: ShellProfile, cls: ShellClass | None = None,
     n_elements: int = DEFAULT_ELEMENTS, seed: int = 0,
 ) -> AsymptoticsResult:
-    """Constant-potential constants by optimizing gamma^-2 H2 + gamma^4 B0."""
+    """Constant-potential constants by optimizing gamma^-2 H2 + gamma^4 B0;
+    ``diagnostics["scan"]`` holds the minimized scan."""
     cls = _require_class(profile, (ShellClassTag.TORUS_ELLIPTIC,), cls)
     r_center, radius, _ = _arc_parameters(profile)
     if r_center >= 0.0:
@@ -527,7 +527,7 @@ def toroidal_constants(
         a0=a0, a1=opt.mu, gamma=gamma, b=None, c=None,
         ratio_coeff=ratio_coeff, lambda2=lambda2,
         diagnostics={"mu1_bracket_ends": opt.ends, "arc_radius": radius,
-                     "arc_center_r": r_center, **opt.counts("gamma")},
+                     "arc_center_r": r_center, "scan": scan, **opt.counts("gamma")},
     )
 
 
@@ -584,11 +584,11 @@ def toroidal_sweep(
 def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: int, seed: int):
     """The k scan of H0 + k^-2 H2 + eps^2 k^4 B0 on H^1_0 (lam0 substituted in H2)."""
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
-    asm_h2 = _h2_pencil(profile, lam0, mesh)
+    K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b0, b0_min = _bending(profile, mesh, "H10")
     K_h0 = fem1d.assemble_weighted_mass(profile, lambda z: _h0_value(profile, z), mesh, "H10")
     h0_min = float(np.min(_h0_value(profile, np.linspace(*profile.interval, 1025)[::8])))
-    return _GammaScan(asm_h2.stiffness, eps**2 * K_b0, asm_h2.mass, -2, 4,
+    return _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4,
                       b_min=eps**2 * b0_min, seed=seed, K_0=K_h0, lb_0=h0_min)
 
 

@@ -139,10 +139,9 @@ def cmd_sweep1d(args) -> int:
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE, ShellClassTag.TORUS_ELLIPTIC):
         if cls.tag is ShellClassTag.TORUS_ELLIPTIC:
             res = asymptotics.toroidal_constants(profile, cls, seed=args.seed)
-            scan = asymptotics._toroidal_scan(profile, res.a0, 128, seed=args.seed)
         else:
             res = asymptotics.optimize_gamma_parabolic(profile, cls, seed=args.seed)
-            scan = asymptotics._parabolic_scan(profile, 128, seed=args.seed)
+        scan = res.diagnostics["scan"]
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.n_points)
         meta.update(kind="gamma-scan", gamma_opt=f"{res.gamma:.8g}", a1=f"{res.a1:.8g}")
         columns = ["gamma", "mu1"]
@@ -340,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--z-center", type=float, default=0.0)
     p.add_argument("--interval", type=_parse_interval, default="-1,1",
-                   help="meridian interval z-,z+ of every arc")
+                   help="meridian interval z-,z+ of every arc; write --interval=-1,1, "
+                   "since a space-separated value that starts with '-' reads as an option")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_torus_sweep)

@@ -1,11 +1,10 @@
 """Generalized symmetric-definite eigensolver shared by the 1D and 2D stacks.
 
 Shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``; Lehoucq,
-Sorensen and Yang 1998) on one factor of K - shift M.  Banded (1D) pencils are
-factored with a banded Cholesky; sparse (2D) pencils, and banded ones that the
-shift makes indefinite, with a sparse LU under a minimum-degree ordering of
-A^T + A.  At shift 0 the LU takes K itself, and an exactly symmetric CSR
-matrix goes in as its own CSC transpose, without a conversion.
+Sorensen and Yang 1998) on one sparse LU factor of K - shift M under a
+minimum-degree ordering of A^T + A.  Both stacks pass CSR pencils; at shift 0
+the LU takes K itself, and an exactly symmetric CSR matrix goes in as its own
+CSC transpose, without a conversion.  Dense inputs are converted.
 """
 
 from __future__ import annotations
@@ -44,19 +43,11 @@ class EigenPairs:
 
 
 def _factorize(pencil: SymmetricPencil, shift: float):
-    """Solver for K - s M and the s used: a banded Cholesky while a dense pencil stays
-    definite, else a sparse LU; a singular shift is retried once, perturbed."""
+    """Solver for K - s M and the s used, from a sparse LU; a singular shift is
+    retried once, perturbed."""
     shifts = [shift, shift * (1.0 - 1e-3) if shift != 0.0 else -1e-8]
     for s in shifts:
         a = pencil.K - s * pencil.M if s != 0.0 else pencil.K
-        if not sp.issparse(a):
-            bw = max(*sla.bandwidth(a), 1)
-            ab = np.array([np.pad(np.diagonal(a, -d), (0, d)) for d in range(bw + 1)])
-            try:
-                cb = sla.cholesky_banded(ab, lower=True)
-                return (lambda b: sla.cho_solve_banded((cb, True), b)), s
-            except np.linalg.LinAlgError:
-                pass  # an interior shift makes K - s M indefinite
         try:
             # a is exactly symmetric, so its CSR arrays read as CSC are a itself
             return spla.splu(sp.csc_matrix(a.T), permc_spec="MMD_AT_PLUS_A",

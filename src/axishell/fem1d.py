@@ -10,7 +10,9 @@ f(z) s(z) dz and with clamped traces eliminated:
 Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
 product X^T diag(c) X over (element, quadrature point, i, j), made exactly
-symmetric, so the assembled matrices satisfy K == K.T bit for bit.
+symmetric, so the assembled CSR matrices satisfy K == K.T bit for bit.  The
+pencils are the same kind of object as the 2D ones and go through the same
+``eig.solve_smallest``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import eig
 from .errors import AdmissibilityError, AssemblyError, GeometryError
@@ -25,8 +28,6 @@ from .profiles import ShellProfile
 
 __all__ = [
     "Mesh1D",
-    "Assembled1D",
-    "EigenSolution1D",
     "assemble_h20",
     "assemble_h10",
     "assemble_weighted_mass",
@@ -80,30 +81,6 @@ class Mesh1D:
         return float(self.nodes[0]), float(self.nodes[-1])
 
 
-@dataclass
-class Assembled1D:
-    """Assembled pencil plus the bookkeeping to map back to mesh functions."""
-
-    stiffness: np.ndarray
-    mass: np.ndarray
-    mesh: Mesh1D
-    space: str              # "H20" | "H10"
-    free_dofs: np.ndarray   # indices into the unconstrained DOF vector
-    n_dofs: int
-
-    def full_vector(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_dofs)
-        out[self.free_dofs] = coeffs
-        return out
-
-
-@dataclass
-class EigenSolution1D:
-    eigenvalue: float
-    coefficients: np.ndarray  # free-DOF coefficients
-    mesh: Mesh1D
-
-
 class _Elements:
     """Quadrature and shape tables of every element of a mesh at once.
 
@@ -138,7 +115,7 @@ class _Elements:
             coeff = coeff(self.z)
         return np.broadcast_to(np.asarray(coeff, dtype=float), self.z.shape)
 
-    def gram(self, *terms) -> np.ndarray:
+    def gram(self, *terms) -> sp.csr_matrix:
         """sum over (c, X) of int c X_i X_j f s dz, assembled on the free DOFs.
 
         Each element block is made exactly symmetric, and every global entry
@@ -152,7 +129,7 @@ class _Elements:
         n = self.n_dofs
         slots = self.dofs[:, :, None] * n + self.dofs[:, None, :]
         A = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=n * n)
-        return A.reshape(n, n)[np.ix_(self.free, self.free)]
+        return sp.csr_matrix(A.reshape(n, n)[np.ix_(self.free, self.free)])
 
 
 def _hermite_shapes(h, xi):
@@ -193,27 +170,24 @@ def _require(bad: np.ndarray, values: np.ndarray, z: np.ndarray, error, what: st
         raise error(f"{what} (min {values[e, q]:.3g} near z = {z[e, q]:.6g})")
 
 
-def assemble_h20(profile: ShellProfile, a4_coeff, shift, mesh: Mesh1D) -> Assembled1D:
-    """Fourth-order form on H^2_0 with cubic Hermite elements.
+def assemble_h20(profile: ShellProfile, a4_coeff, shift, mesh: Mesh1D):
+    """(K, M) of the fourth-order form on H^2_0 with cubic Hermite elements.
 
-    stiffness = int a4 u'' v'' f s dz + int shift u v f s dz,
-    mass      = int u v f s dz.
+    K = int a4 u'' v'' f s dz + int shift u v f s dz,
+    M = int u v f s dz.
     Clamped value and slope unknowns at both ends are eliminated.
     """
     el = _Elements(profile, mesh, "H20")
     a4 = el.values(a4_coeff)
     _require(a4 <= 0.0, a4, el.z, AssemblyError, "fourth-order coefficient must be positive")
     sh = el.values(shift if shift is not None else 0.0)
-    return Assembled1D(
-        stiffness=el.gram((a4, el.D), (sh, el.N)), mass=el.gram((1.0, el.N)),
-        mesh=mesh, space="H20", free_dofs=el.free, n_dofs=el.n_dofs,
-    )
+    return el.gram((a4, el.D), (sh, el.N)), el.gram((1.0, el.N))
 
 
-def assemble_h10(profile: ShellProfile, g_coeff, potential, mesh: Mesh1D) -> Assembled1D:
-    """Second-order form on H^1_0 with quadratic Lagrange elements.
+def assemble_h10(profile: ShellProfile, g_coeff, potential, mesh: Mesh1D):
+    """(K, M) of the second-order form on H^1_0 with quadratic Lagrange elements.
 
-    stiffness = int (g u' v' + V u v) f s dz, mass = int u v f s dz.
+    K = int (g u' v' + V u v) f s dz, M = int u v f s dz.
     Endpoint values are eliminated; a negative g at any quadrature point is
     an admissibility violation.
     """
@@ -222,40 +196,22 @@ def assemble_h10(profile: ShellProfile, g_coeff, potential, mesh: Mesh1D) -> Ass
     g_tol = 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
     _require(g < -g_tol, g, el.z, AdmissibilityError, "second-order coefficient g is negative")
     V = el.values(potential if potential is not None else 0.0)
-    return Assembled1D(
-        stiffness=el.gram((g, el.D), (V, el.N)), mass=el.gram((1.0, el.N)),
-        mesh=mesh, space="H10", free_dofs=el.free, n_dofs=el.n_dofs,
-    )
+    return el.gram((g, el.D), (V, el.N)), el.gram((1.0, el.N))
 
 
 def assemble_weighted_mass(
     profile: ShellProfile, density, mesh: Mesh1D, space: str
-) -> np.ndarray:
+) -> sp.csr_matrix:
     """int density u v f s dz on the free DOFs of the given space."""
     el = _Elements(profile, mesh, space)
     return el.gram((el.values(density), el.N))
 
 
 def smallest_eigenpairs(
-    stiffness, mass=None, m: int = 1, mesh: Mesh1D | None = None,
-    tol: float = 1e-10, seed: int = 0, x0: np.ndarray | None = None,
-    shift: float = 0.0,
-) -> list[EigenSolution1D]:
-    """m smallest eigenpairs of the assembled pencil (banded shift-invert).
-
-    Accepts either (stiffness, mass) matrices or an Assembled1D, which
-    carries its own mass matrix.
-    """
-    if isinstance(stiffness, Assembled1D):
-        if mass is not None:
-            raise TypeError("an Assembled1D carries its own mass matrix")
-        mesh = stiffness.mesh
-        stiffness, mass = stiffness.stiffness, stiffness.mass
-    pairs = eig.solve_smallest(
-        eig.SymmetricPencil(stiffness, mass), m, shift=shift, tol=tol, seed=seed, x0=x0
+    K, M, m: int = 1, tol: float = 1e-10, seed: int = 0,
+    x0: np.ndarray | None = None, shift: float = 0.0,
+) -> eig.EigenPairs:
+    """The m smallest eigenpairs of K x = lambda M x (sparse shift-invert)."""
+    return eig.solve_smallest(
+        eig.SymmetricPencil(K, M), m, shift=shift, tol=tol, seed=seed, x0=x0
     )
-    return [
-        EigenSolution1D(eigenvalue=float(pairs.values[j]),
-                        coefficients=pairs.vectors[:, j], mesh=mesh)
-        for j in range(m)
-    ]

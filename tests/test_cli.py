@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from axishell import asymptotics
 from axishell.cli import main
 from axishell.profiles import ShellProfile
 
@@ -139,6 +140,22 @@ def test_sweep1d_gamma_scan(tmp_path, capsys):
     assert lines[1] == "gamma,mu1"
     assert len(lines) == 14
     assert "gamma_opt" in lines[0]
+
+
+@pytest.mark.parametrize("model", ["B", "D"])
+def test_sweep1d_builds_one_scan(model, monkeypatch, capsys):
+    # the gamma curve is tabulated on the scan the constants were minimized on
+    built = []
+    init = asymptotics._GammaScan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics._GammaScan, "__init__", counting_init)
+    code, _, _ = run(capsys, ["sweep1d", "--model", model, "--n-points", "4"])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_sweep1d_k_scan_elliptic(tmp_path, capsys):

@@ -42,7 +42,8 @@ def test_random_pencil_matches_dense_reference():
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
 
-def test_sparse_path_matches_banded_path():
+def test_dense_and_sparse_inputs_agree():
+    # a dense pencil is converted and factored like its CSR copy
     rng = np.random.default_rng(7)
     n = 80
     main = 2.0 + rng.random(n)

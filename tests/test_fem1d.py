@@ -24,8 +24,7 @@ def test_clamped_beam_oracle():
     lam_ref = beam_reference()
     assert abs(lam_ref - 500.564) < 1e-3
     mesh = fem1d.Mesh1D.uniform((0.0, 1.0), 64)
-    asm = fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)
-    lam = fem1d.smallest_eigenpairs(asm, m=1)[0].eigenvalue
+    lam = fem1d.smallest_eigenpairs(*fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)).values[0]
     assert abs(lam - lam_ref) <= 1e-5 * lam_ref
     assert abs(lam - 500.564) <= 1e-3 + 1e-5 * lam_ref
 
@@ -35,33 +34,27 @@ def test_beam_interval_scaling():
     for L in (0.5, 2.0):
         prof = ShellProfile("affine", (0.0, L), coeffs=(1.0,))
         mesh = fem1d.Mesh1D.uniform((0.0, L), 64)
-        lam = fem1d.smallest_eigenpairs(
-            fem1d.assemble_h20(prof, 1.0, 0.0, mesh), m=1
-        )[0].eigenvalue
+        lam = fem1d.smallest_eigenpairs(*fem1d.assemble_h20(prof, 1.0, 0.0, mesh)).values[0]
         assert abs(lam - lam_ref / L**4) <= 1e-5 * lam_ref / L**4
 
 
 def test_shift_adds_constant():
     mesh = fem1d.Mesh1D.uniform((0.0, 1.0), 32)
-    base = fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)
-    shifted = fem1d.assemble_h20(UNIT, 1.0, 2.5, mesh)
-    scale = np.abs(base.stiffness).max()
+    (K, M), (K_shifted, _) = (fem1d.assemble_h20(UNIT, 1.0, s, mesh) for s in (0.0, 2.5))
+    scale = abs(K).max()
     np.testing.assert_allclose(
-        shifted.stiffness, base.stiffness + 2.5 * base.mass, rtol=0, atol=1e-14 * scale
+        K_shifted.toarray(), (K + 2.5 * M).toarray(), rtol=0, atol=1e-14 * scale
     )
-    lam0 = fem1d.smallest_eigenpairs(base, m=1)[0].eigenvalue
-    lam1 = fem1d.smallest_eigenpairs(shifted, m=1)[0].eigenvalue
+    lam0 = fem1d.smallest_eigenpairs(K, M).values[0]
+    lam1 = fem1d.smallest_eigenpairs(K_shifted, M).values[0]
     assert abs(lam1 - lam0 - 2.5) < 1e-8
 
 
 def test_dirichlet_laplacian():
     prof = ShellProfile("affine", (0.0, math.pi), coeffs=(1.0,))
     mesh = fem1d.Mesh1D.uniform((0.0, math.pi), 64)
-    asm = fem1d.assemble_h10(prof, 1.0, 0.0, mesh)
-    sols = fem1d.smallest_eigenpairs(asm, m=3)
-    np.testing.assert_allclose(
-        [s.eigenvalue for s in sols], [1.0, 4.0, 9.0], rtol=1e-5
-    )
+    pairs = fem1d.smallest_eigenpairs(*fem1d.assemble_h10(prof, 1.0, 0.0, mesh), m=3)
+    np.testing.assert_allclose(pairs.values, [1.0, 4.0, 9.0], rtol=1e-5)
 
 
 def test_harmonic_oscillator_oracle():
@@ -70,10 +63,10 @@ def test_harmonic_oscillator_oracle():
     c = math.sqrt((93.0 / 128.0) / 2.0)
     prof = ShellProfile("affine", (-12.0, 12.0), coeffs=(1.0,))
     mesh = fem1d.Mesh1D.uniform((-12.0, 12.0), 256)
-    asm = fem1d.assemble_h10(prof, 1.0, lambda z: (93.0 / 256.0) * z**2, mesh)
-    sols = fem1d.smallest_eigenpairs(asm, m=2)
-    assert abs(sols[0].eigenvalue - c) <= 1e-6 * c
-    assert abs(sols[1].eigenvalue - 3 * c) <= 1e-5 * c
+    K, M = fem1d.assemble_h10(prof, 1.0, lambda z: (93.0 / 256.0) * z**2, mesh)
+    lam = fem1d.smallest_eigenpairs(K, M, m=2).values
+    assert abs(lam[0] - c) <= 1e-6 * c
+    assert abs(lam[1] - 3 * c) <= 1e-5 * c
 
 
 def test_model_D_second_order_positive():
@@ -84,12 +77,11 @@ def test_model_D_second_order_positive():
 def test_exact_symmetry_and_nonnegativity():
     prof = ax.preset("H")
     mesh = fem1d.Mesh1D.uniform(prof.interval, 24)
-    asm = fem1d.assemble_h20(prof, 1.0, 0.5, mesh)
-    assert np.array_equal(asm.stiffness, asm.stiffness.T)
-    assert np.array_equal(asm.mass, asm.mass.T)
-    asm2 = fem1d.assemble_h10(prof, 1.0, 0.0, mesh)
-    assert np.array_equal(asm2.stiffness, asm2.stiffness.T)
-    vals = np.linalg.eigvalsh(asm.stiffness)
+    K, M = fem1d.assemble_h20(prof, 1.0, 0.5, mesh)
+    K2, _ = fem1d.assemble_h10(prof, 1.0, 0.0, mesh)
+    for A in (K, M, K2):
+        assert (A != A.T).nnz == 0
+    vals = np.linalg.eigvalsh(K.toarray())
     assert vals.min() > 0.0
 
 
@@ -98,9 +90,7 @@ def test_h4_convergence_order():
     errs = []
     for n in (16, 32, 64):
         mesh = fem1d.Mesh1D.uniform((0.0, 1.0), n)
-        lam = fem1d.smallest_eigenpairs(
-            fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh), m=1
-        )[0].eigenvalue
+        lam = fem1d.smallest_eigenpairs(*fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)).values[0]
         errs.append(abs(lam - lam_ref))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -111,9 +101,7 @@ def test_refinement_monotone():
     lams = []
     for n in (16, 32, 64):
         mesh = fem1d.Mesh1D.uniform((0.0, 1.0), n)
-        lams.append(
-            fem1d.smallest_eigenpairs(fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh), m=1)[0].eigenvalue
-        )
+        lams.append(fem1d.smallest_eigenpairs(*fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)).values[0])
     assert lams[1] <= lams[0] * (1 + 1e-12)
     assert lams[2] <= lams[1] * (1 + 1e-12)
 
@@ -139,14 +127,11 @@ def test_mesh_validation_and_grading():
 
 def test_eigen_solution_rayleigh_quotient():
     mesh = fem1d.Mesh1D.uniform((0.0, 1.0), 32)
-    asm = fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)
-    sol = fem1d.smallest_eigenpairs(asm, m=1)[0]
-    x = sol.coefficients
-    rq = (x @ asm.stiffness @ x) / (x @ asm.mass @ x)
-    assert abs(rq - sol.eigenvalue) <= 1e-10 * sol.eigenvalue
-    full = asm.full_vector(x)
-    assert full.shape == (asm.n_dofs,)
-    assert np.all(full[:2] == 0.0) and np.all(full[-2:] == 0.0)
+    K, M = fem1d.assemble_h20(UNIT, 1.0, 0.0, mesh)
+    pairs = fem1d.smallest_eigenpairs(K, M)
+    x, lam = pairs.vectors[:, 0], pairs.values[0]
+    rq = (x @ (K @ x)) / (x @ (M @ x))
+    assert abs(rq - lam) <= 1e-10 * lam
 
 
 def test_batched_assembly_regression():
@@ -158,14 +143,14 @@ def test_batched_assembly_regression():
     a10 = fem1d.assemble_h10(prof, lambda z: 2.0 - z, lambda z: z * z, mesh)
     w20 = fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H20")
     w10 = fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H10")
-    for A in (a20.stiffness, a20.mass, a10.stiffness, a10.mass, w20, w10):
-        assert np.array_equal(A, A.T)
+    for A in (*a20, *a10, w20, w10):
+        assert (A != A.T).nnz == 0
     pinned = [
-        (a20.stiffness, a20.mass, 36.18832496042644),
-        (a10.stiffness, a10.mass, 4.4398066987458416),
-        (a20.stiffness, w20, 35.54440758007932),
-        (a10.stiffness, w10, 4.234406648806372),
+        (*a20, 36.18832496042644),
+        (*a10, 4.4398066987458416),
+        (a20[0], w20, 35.54440758007932),
+        (a10[0], w10, 4.234406648806372),
     ]
     for K, M, lam_ref in pinned:
-        lam = fem1d.smallest_eigenpairs(K, M, m=1)[0].eigenvalue
+        lam = fem1d.smallest_eigenpairs(K, M).values[0]
         assert abs(lam / lam_ref - 1.0) <= 1e-12
