@@ -17,7 +17,6 @@ locates it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,10 +33,10 @@ from .errors import (
 from .geometry import (
     ShellClass,
     ShellClassTag,
-    _h0_value,
     b0_at,
     classify,
     frame_at,
+    h0_taylor,
     locate_H0_minimum,
 )
 from .profiles import ShellProfile
@@ -116,9 +115,6 @@ class AsymptoticsResult:
             "alpha1": str(self.alpha1),
             "ratio": 0.5 if self.ratio_exact is not None else self.ratio_coeff,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ class _GammaScan:
         t_fixed = t + math.log(balance) / (self.p_high - self.p_low) if balance > 0 else math.nan
         return _ScanPoint(t, mu, x, low + high, t_fixed)
 
-    def minimize(self, bracket=GAMMA_BRACKET, n_coarse: int = GAMMA_COARSE) -> _ScanMinimum:
+    def minimize(self, bracket=GAMMA_BRACKET) -> _ScanMinimum:
         """The interior minimizer of mu1 over the scan variable (gamma, or k).
 
         Raises SolverError when three decades of bracket expansion find no
@@ -253,10 +249,10 @@ class _GammaScan:
         lo, hi = bracket
         expansions = 0
         while True:
-            grid = np.geomspace(lo, hi, n_coarse)
+            grid = np.geomspace(lo, hi, GAMMA_COARSE)
             pts = [self._point(math.log(g)) for g in grid]
-            i = min(range(n_coarse), key=lambda j: pts[j].mu)
-            if 0 < i < n_coarse - 1:
+            i = min(range(GAMMA_COARSE), key=lambda j: pts[j].mu)
+            if 0 < i < GAMMA_COARSE - 1:
                 break
             if expansions >= 3:
                 raise SolverError(
@@ -390,17 +386,16 @@ def optimize_gamma_parabolic(
     )
 
 
-def _elliptic_point_data(profile: ShellProfile, cls: ShellClass):
+def _elliptic_branches(profile: ShellProfile, cls: ShellClass):
     minimum = cls.h0_minimum or locate_H0_minimum(profile)
-    branches = minimum.branches or (minimum,)
-    return minimum, branches
+    return minimum.branches or (minimum,)
 
 
 def gauss_constants(profile: ShellProfile, cls: ShellClass | None = None) -> AsymptoticsResult:
     """Interior-minimum constants: b = B0(z0), c = sqrt(g(z0) H0''(z0) / 2),
     gamma = (c/4b)^(1/5), a1 = (5/4) (4 b c^4)^(1/5)."""
     cls = _require_class(profile, (ShellClassTag.GAUSS_ELLIPTIC,), cls)
-    minimum, branches = _elliptic_point_data(profile, cls)
+    branches = _elliptic_branches(profile, cls)
     best = None
     for br in branches:
         fr = frame_at(profile, br.z0)
@@ -431,7 +426,7 @@ def airy_constants(profile: ShellProfile, cls: ShellClass | None = None) -> Asym
     """Boundary-minimum constants: c = zA (g(z0))^(1/3) |H0'(z0)|^(2/3) with zA
     the first reversed-Airy zero; gamma = (c/6b)^(3/14), a1 = (7/6)(6 b c^6)^(1/7)."""
     cls = _require_class(profile, (ShellClassTag.AIRY_ELLIPTIC,), cls)
-    minimum, branches = _elliptic_point_data(profile, cls)
+    branches = _elliptic_branches(profile, cls)
     z_minus, z_plus = profile.interval
     best = None
     for br in branches:
@@ -524,8 +519,7 @@ def toroidal_constants(
     beta, alpha1 = exponents_from_eta1(2)
     return AsymptoticsResult(
         shell_class=cls, eta1=Fraction(2), beta=beta, alpha1=alpha1,
-        a0=a0, a1=opt.mu, gamma=gamma, b=None, c=None,
-        ratio_coeff=ratio_coeff, lambda2=lambda2,
+        a0=a0, a1=opt.mu, gamma=gamma, ratio_coeff=ratio_coeff, lambda2=lambda2,
         diagnostics={"mu1_bracket_ends": opt.ends, "arc_radius": radius,
                      "arc_center_r": r_center, "scan": scan, **opt.counts("gamma")},
     )
@@ -540,7 +534,7 @@ def compute(
         cls = classify(profile)
     tag = cls.tag
     if tag is ShellClassTag.CYLINDER:
-        return cylinder_closed_form(profile, cls)
+        return cylinder_closed_form(profile, cls, n_elements=n_elements)
     if tag is ShellClassTag.CONE:
         return optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
     if tag is ShellClassTag.GAUSS_ELLIPTIC:
@@ -586,8 +580,9 @@ def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: i
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b0, b0_min = _bending(profile, mesh, "H10")
-    K_h0 = fem1d.assemble_weighted_mass(profile, lambda z: _h0_value(profile, z), mesh, "H10")
-    h0_min = float(np.min(_h0_value(profile, np.linspace(*profile.interval, 1025)[::8])))
+    h0 = lambda z: h0_taylor(profile, z, 0).value  # noqa: E731
+    K_h0 = fem1d.assemble_weighted_mass(profile, h0, mesh, "H10")
+    h0_min = float(np.min(h0(np.linspace(*profile.interval, 1025)[::8])))
     return _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4,
                       b_min=eps**2 * b0_min, seed=seed, K_0=K_h0, lb_0=h0_min)
 

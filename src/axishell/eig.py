@@ -18,19 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
-__all__ = ["SymmetricPencil", "EigenPairs", "solve_smallest"]
-
-
-@dataclass
-class SymmetricPencil:
-    """Stiffness/mass pair K x = lambda M x with symmetric K and SPD M."""
-
-    K: object
-    M: object
-
-    def __post_init__(self):
-        if self.K.shape != self.M.shape or self.K.shape[0] != self.K.shape[1]:
-            raise SolverError("pencil matrices must be square and of equal size")
+__all__ = ["EigenPairs", "solve_smallest"]
 
 
 @dataclass
@@ -42,12 +30,12 @@ class EigenPairs:
     shift: float            # shift of the factor actually used
 
 
-def _factorize(pencil: SymmetricPencil, shift: float):
+def _factorize(K, M, shift: float):
     """Solver for K - s M and the s used, from a sparse LU; a singular shift is
     retried once, perturbed."""
     shifts = [shift, shift * (1.0 - 1e-3) if shift != 0.0 else -1e-8]
     for s in shifts:
-        a = pencil.K - s * pencil.M if s != 0.0 else pencil.K
+        a = K - s * M if s != 0.0 else K
         try:
             # a is exactly symmetric, so its CSR arrays read as CSC are a itself
             return spla.splu(sp.csc_matrix(a.T), permc_spec="MMD_AT_PLUS_A",
@@ -57,22 +45,25 @@ def _factorize(pencil: SymmetricPencil, shift: float):
     raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
 
 
-def solve_smallest(pencil: SymmetricPencil, m: int, shift: float = 0.0, tol: float = 1e-10,
-                   seed: int = 0, max_iter: int = 200, x0: np.ndarray | None = None) -> EigenPairs:
+def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: int = 0,
+                   max_iter: int = 200, x0: np.ndarray | None = None) -> EigenPairs:
     """The m eigenpairs of K x = lambda M x nearest ``shift``: the smallest for shift <= lambda_1.
 
+    K (symmetric) and M (SPD) are square, of equal size, dense or sparse.
     ``max_iter`` caps ARPACK's restarts; ``tol`` bounds each pair's backward
     error and is checked on the result.  Deterministic for a fixed seed; an
     optional x0 (a vector or an (n, 1) column) replaces the seeded start vector.
     """
-    K, M, n = pencil.K, pencil.M, pencil.K.shape[0]
+    if K.shape != M.shape or K.shape[0] != K.shape[1]:
+        raise SolverError("pencil matrices must be square and of equal size")
+    n = K.shape[0]
     if not 1 <= m <= n:
         raise SolverError(f"cannot extract {m} pairs from an n = {n} pencil")
     applied, used = 0, shift
     if m == n:  # ARPACK needs m < n; a pencil this small is solved densely
         values, vectors = sla.eigh(*(a.toarray() if sp.issparse(a) else a for a in (K, M)))
     else:
-        solve, used = _factorize(pencil, shift)
+        solve, used = _factorize(K, M, shift)
 
         def apply(b):
             nonlocal applied

@@ -11,8 +11,8 @@ Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
 product X^T diag(c) X over (element, quadrature point, i, j), made exactly
 symmetric, so the assembled CSR matrices satisfy K == K.T bit for bit.  The
-pencils are the same kind of object as the 2D ones and go through the same
-``eig.solve_smallest``.
+(K, M) pairs are CSR matrices like the 2D ones and go through the same
+``eig.solve_smallest(K, M, ...)``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Mesh1D:
     """Sorted node coordinates spanning an interval."""
 
     nodes: np.ndarray
-    grading: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -55,7 +54,7 @@ class Mesh1D:
     @classmethod
     def uniform(cls, interval, n_elements: int) -> "Mesh1D":
         a, b = interval
-        return cls(np.linspace(a, b, n_elements + 1), "uniform")
+        return cls(np.linspace(a, b, n_elements + 1))
 
     @classmethod
     def boundary_graded(cls, interval, n_elements: int, ratio: float = 1.15) -> "Mesh1D":
@@ -70,15 +69,11 @@ class Mesh1D:
         sizes *= (b - a) / sizes.sum()
         nodes = np.concatenate([[a], a + np.cumsum(sizes)])
         nodes[-1] = b
-        return cls(nodes, f"boundary-graded({ratio})")
+        return cls(nodes)
 
     @property
     def n_elements(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def interval(self):
-        return float(self.nodes[0]), float(self.nodes[-1])
 
 
 class _Elements:
@@ -208,10 +203,7 @@ def assemble_weighted_mass(
 
 
 def smallest_eigenpairs(
-    K, M, m: int = 1, tol: float = 1e-10, seed: int = 0,
-    x0: np.ndarray | None = None, shift: float = 0.0,
+    K, M, m: int = 1, seed: int = 0, x0: np.ndarray | None = None, shift: float = 0.0,
 ) -> eig.EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x (sparse shift-invert)."""
-    return eig.solve_smallest(
-        eig.SymmetricPencil(K, M), m, shift=shift, tol=tol, seed=seed, x0=x0
-    )
+    return eig.solve_smallest(K, M, m, shift=shift, seed=seed, x0=x0)

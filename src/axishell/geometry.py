@@ -41,6 +41,8 @@ __all__ = [
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 H0_CONST_RTOL = 1e-10  # relative variation below which H0 counts as constant
 MULTI_MIN_ATOL = 1e-8  # minima within this of the global value are branches
+H0_GOLDEN_XTOL = 1e-10  # bracket width that ends the golden search for an H0 minimum
+ESSENTIAL_CELLS = 2048  # sampling cells of the essential-spectrum range
 
 
 class ShellClassTag(enum.Enum):
@@ -107,27 +109,12 @@ class ShellClass:
     h0_minimum: H0Minimum | None = None
     detail: str = ""
 
-    @property
-    def elliptic(self) -> bool:
-        return self.tag in (
-            ShellClassTag.TORUS_ELLIPTIC,
-            ShellClassTag.GAUSS_ELLIPTIC,
-            ShellClassTag.AIRY_ELLIPTIC,
-        )
-
 
 def h0_taylor(profile: ShellProfile, z, order: int = 2) -> Jet:
     """H0 = E f''^2 / s^6 as a jet (order 2 needs the f jet to order 4)."""
     fj = profile.taylor(z, order + 2)
     fpp = fj.diff().diff()
     s2 = 1.0 + fj.diff() * fj.diff()
-    return profile.E * fpp * fpp / (s2 * s2 * s2)
-
-
-def _h0_value(profile: ShellProfile, z):
-    """H0 alone: the value of ``h0_taylor(profile, z, 0)``, bit for bit, without jet algebra."""
-    _, fp, fpp = profile.taylor(z, 2).derivatives()
-    s2 = 1.0 + fp * fp
     return profile.E * fpp * fpp / (s2 * s2 * s2)
 
 
@@ -201,9 +188,7 @@ def _h0_constant(h0: np.ndarray) -> bool:
     return float(h0.max() - h0.min()) <= H0_CONST_RTOL * max(float(h0.max()), 1e-300)
 
 
-def locate_H0_minimum(
-    profile: ShellProfile, n_samples: int = 1024, tol: float = 1e-10
-) -> H0Minimum:
+def locate_H0_minimum(profile: ShellProfile, n_samples: int = 1024) -> H0Minimum:
     """Locate all global minimizers of H0 by grid scan plus golden refinement.
 
     All sampled local minima are refined at once: one batched golden section
@@ -225,7 +210,7 @@ def locate_H0_minimum(
                                             (z_plus, vals[-1] <= vals[-2])) if at_min]
         interior = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
         lo, hi = zs[interior - 1], zs[interior + 1]
-        z = _golden_min(lambda x: _h0_value(profile, x), lo, hi, max(tol, 1e-12))
+        z = _golden_min(lambda x: h0_taylor(profile, x, 0).value, lo, hi, H0_GOLDEN_XTOL)
         # Newton polish on the analytic derivative: golden section alone stalls
         # at the sqrt(eps) noise plateau of H0 comparisons.  A candidate stops
         # where H0'' <= 0, or after a step of at most 1e-15 max(1, |z|).
@@ -326,7 +311,7 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
     return ShellClass(ShellClassTag.GAUSS_ELLIPTIC, z0=z0, h0_minimum=minimum)
 
 
-def essential_spectrum_range(profile: ShellProfile, n_samples: int = 2048):
+def essential_spectrum_range(profile: ShellProfile):
     """Range of E b_phi^2 = E / (f^2 s^2) over the interval.
 
     Sampled min/max, each refined by golden section over the cells around
@@ -334,7 +319,7 @@ def essential_spectrum_range(profile: ShellProfile, n_samples: int = 2048):
     of one search.
     """
     z_minus, z_plus = profile.interval
-    zs = np.linspace(z_minus, z_plus, n_samples + 1)
+    zs = np.linspace(z_minus, z_plus, ESSENTIAL_CELLS + 1)
 
     def sig(z):
         f, fp = profile.f(z), profile.df(z)

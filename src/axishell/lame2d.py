@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE = 6
+TRACE_SAMPLES = 241  # points of a midline trace
 
 
 def _lobatto_nodes(p: int) -> np.ndarray:
@@ -382,8 +383,7 @@ def first_eigenpair_2d(
     system: FourierLameSystem, seed: int = 0, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(eig.SymmetricPencil(system.stiffness, system.mass), 1,
-                               tol=1e-8, seed=seed, x0=x0)
+    pairs = eig.solve_smallest(system.stiffness, system.mass, 1, tol=1e-8, seed=seed, x0=x0)
     rec = SweepRecord(
         eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),
@@ -406,13 +406,13 @@ def k_sweep(
     mesh: MeridianMesh | None = None,
     degree: int = DEFAULT_DEGREE,
     asym=None,
-    k_start: int = 0,
     seed: int = 0,
 ) -> KSweepResult:
-    """Sweep integer wavenumbers until the first eigenvalue has clearly turned up.
+    """Sweep integer wavenumbers from k = 0 until the first eigenvalue has clearly turned up.
 
     Stops after three consecutive increases past the running minimum, or when
-    k exceeds 2.5 gamma eps^(-beta) from the 1D prediction.
+    k exceeds 2.5 gamma eps^(-beta) from the 1D prediction; only the latter
+    flags a minimum at k = 0 or at the cap.
     """
     if mesh is None:
         mesh = build_meridian_mesh(profile, eps)
@@ -423,7 +423,7 @@ def k_sweep(
     best = (math.inf, -1)
     increases = 0
     warm = None
-    k = k_start
+    k = 0
     while k <= k_cap:
         system = assemble_fourier_lame(mesh, k, degree)
         rec, vec = first_eigenpair_2d(system, seed=seed, x0=warm)
@@ -437,16 +437,14 @@ def k_sweep(
             if increases >= 3:
                 return KSweepResult(k_opt=best[1], lambda1=best[0], records=records)
         k += 1
-    flagged = best[1] in (k_cap, k_start) or increases == 0
+    flagged = best[1] in (k_cap, 0) or increases == 0
     return KSweepResult(
         k_opt=best[1], lambda1=best[0], records=records, flagged=flagged,
         note="no interior minimum before the wavenumber budget" if flagged else "",
     )
 
 
-def midline_mode_trace(
-    system: FourierLameSystem, eigvec: np.ndarray, n_samples: int = 241
-) -> MidlineTrace:
+def midline_mode_trace(system: FourierLameSystem, eigvec: np.ndarray) -> MidlineTrace:
     """Radial component along the midline x3 = 0, normalized to max 1.
 
     The half-width is the distance from the peak at which |u_r| falls below
@@ -468,7 +466,7 @@ def midline_mode_trace(
     xt = (0.0 - t0) / (t1 - t0)
     Vt, _ = _lagrange_tables(ref, np.array([xt]))
     z_lo, z_hi = profile.interval
-    zs = np.linspace(z_lo, z_hi, n_samples)
+    zs = np.linspace(z_lo, z_hi, TRACE_SAMPLES)
     cz = np.minimum(np.searchsorted(mesh.z_breaks, zs, side="right") - 1,
                     mesh.n_meridian - 1)
     z0, z1 = mesh.z_breaks[cz], mesh.z_breaks[cz + 1]

@@ -19,6 +19,7 @@ from .jets import Jet
 __all__ = ["ShellProfile", "preset", "PRESET_IDS"]
 
 MAX_POLY_DEGREE = 8
+R_MIN_GUARD = 1e-6  # smallest radius a profile may reach on its interval
 PRESET_IDS = ("A", "B", "D", "H", "L")
 
 
@@ -38,7 +39,6 @@ class ShellProfile:
     params: tuple[float, ...] = ()
     E: float = 1.0
     nu: float = 0.3
-    r_min_guard: float = 1e-6
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -49,8 +49,6 @@ class ShellProfile:
             raise GeometryError("Young modulus must be positive")
         if not (-1.0 < self.nu < 0.5):
             raise GeometryError(f"Poisson ratio {self.nu} outside (-1, 1/2)")
-        if self.r_min_guard <= 0:
-            raise GeometryError("r_min_guard must be positive")
         if self.kind in ("polynomial", "affine"):
             if not self.coeffs:
                 raise GeometryError(f"{self.kind} profile needs coefficients 'coeffs'")
@@ -73,9 +71,9 @@ class ShellProfile:
             raise GeometryError(f"unknown profile kind {self.kind!r}")
         samples = self.f(np.linspace(z_minus, z_plus, 513))
         fmin = float(samples.min())
-        if fmin < self.r_min_guard:
+        if fmin < R_MIN_GUARD:
             raise GeometryError(
-                f"profile reaches f = {fmin:.6g} below the guard {self.r_min_guard:g}"
+                f"profile reaches f = {fmin:.6g} below the guard {R_MIN_GUARD:g}"
             )
 
     # evaluation ------------------------------------------------------

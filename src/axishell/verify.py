@@ -21,6 +21,8 @@ from .profiles import PRESET_IDS, ShellProfile, preset
 __all__ = ["identity_suite"]
 
 V2_TEST_POLYNOMIALS = ([0.0, 1.0, 0.5, -0.25], [0.0, 1.0, -0.5, 0.25])
+H2_TEST_POLYNOMIALS = ([0.0, 0.0, 1.0], [1.0, 0.5, -2.0, 1.0])
+H2_TEST_LAM0 = (0.0, 0.25)
 M1_ZERO = ((0, 0), (1, 1), (0, 2), (2, 0), (2, 2))
 M2_ZERO = ((0, 1), (1, 0), (1, 2), (2, 1))
 POINTWISE_TOLS = {
@@ -29,6 +31,7 @@ POINTWISE_TOLS = {
     "fourth-order principal coefficient identity": 1e-12,
     "H0 elimination recurrence": 1e-12,
     "V2 elimination equation": 1e-10,
+    "H2 elimination recurrence": 1e-9,
     "symbol sparsity pattern": 0.0,
 }
 
@@ -64,6 +67,9 @@ def identity_suite(profile2d: ShellProfile | None = None, seed: int = 0):
             "H0 elimination recurrence": symbols.verify_H0_recurrence(fr),
             "V2 elimination equation":
                 max(np.max(symbols.verify_V2_equation(fr, q)) for q in V2_TEST_POLYNOMIALS),
+            "H2 elimination recurrence":
+                max(np.max(symbols.verify_H2_recurrence(fr, q, lam0=lam0))
+                    for q in H2_TEST_POLYNOMIALS for lam0 in H2_TEST_LAM0),
             "symbol sparsity pattern": 0.0 if sparse else 1.0,
         }
         for name, r in residuals.items():

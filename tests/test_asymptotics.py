@@ -61,6 +61,13 @@ def test_cylinder_closed_form(asym_results):
     assert abs(res.a1 - math.sqrt(mu1 / (3 * 0.91))) < 1e-9
 
 
+def test_compute_forwards_n_elements_to_the_cylinder():
+    # compute(n_elements=n) must reach the beam solve of the cylinder's closed form
+    direct = asy.cylinder_closed_form(ax.preset("A"), n_elements=64)
+    assert asy.compute(ax.preset("A"), n_elements=64).a1 == direct.a1
+    assert asy.compute(ax.preset("A"), n_elements=64).gamma == direct.gamma
+
+
 def test_cylinder_optimization_cross_check(asym_results):
     closed = asym_results("A")
     optim = ax.optimize_gamma_parabolic(ax.preset("A"))

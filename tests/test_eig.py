@@ -12,10 +12,10 @@ from axishell.errors import SolverError
 def test_diagonal_pencils():
     K = np.diag([1.0, 2.0])
     M = np.eye(2)
-    out = eig.solve_smallest(eig.SymmetricPencil(K, M), 2)
+    out = eig.solve_smallest(K, M, 2)
     np.testing.assert_allclose(out.values, [1.0, 2.0], rtol=1e-12)
     K = np.diag([2.0, 5.0])
-    out = eig.solve_smallest(eig.SymmetricPencil(K, M), 2)
+    out = eig.solve_smallest(K, M, 2)
     np.testing.assert_allclose(out.values, [2.0, 5.0], rtol=1e-12)
 
 
@@ -23,7 +23,7 @@ def test_identity_pencil():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 12))
     M = A @ A.T + 12 * np.eye(12)
-    out = eig.solve_smallest(eig.SymmetricPencil(M.copy(), M.copy()), 3)
+    out = eig.solve_smallest(M.copy(), M.copy(), 3)
     np.testing.assert_allclose(out.values, np.ones(3), rtol=1e-10)
 
 
@@ -34,7 +34,7 @@ def test_random_pencil_matches_dense_reference():
     K = A @ A.T + 50 * np.eye(50)
     M = B @ B.T + 50 * np.eye(50)
     want = sla.eigh(K, M, eigvals_only=True)[:4]
-    out = eig.solve_smallest(eig.SymmetricPencil(K, M), 4)
+    out = eig.solve_smallest(K, M, 4)
     np.testing.assert_allclose(out.values, want, rtol=1e-9)
     # sorted ascending, M-orthonormal
     assert np.all(np.diff(out.values) >= -1e-12)
@@ -50,8 +50,8 @@ def test_dense_and_sparse_inputs_agree():
     off = -0.5 * rng.random(n - 1)
     K = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     M = np.diag(1.0 + rng.random(n))
-    dense = eig.solve_smallest(eig.SymmetricPencil(K, M), 3)
-    sparse = eig.solve_smallest(eig.SymmetricPencil(sp.csr_matrix(K), sp.csr_matrix(M)), 3)
+    dense = eig.solve_smallest(K, M, 3)
+    sparse = eig.solve_smallest(sp.csr_matrix(K), sp.csr_matrix(M), 3)
     np.testing.assert_allclose(dense.values, sparse.values, rtol=1e-10)
 
 
@@ -60,8 +60,8 @@ def test_deterministic_given_seed():
     A = rng.standard_normal((30, 30))
     K = A @ A.T + 30 * np.eye(30)
     M = np.eye(30)
-    a = eig.solve_smallest(eig.SymmetricPencil(K, M), 2, seed=7)
-    b = eig.solve_smallest(eig.SymmetricPencil(K, M), 2, seed=7)
+    a = eig.solve_smallest(K, M, 2, seed=7)
+    b = eig.solve_smallest(K, M, 2, seed=7)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -73,24 +73,23 @@ def _sparse_pencil(n=400, seed=3):
     far = -0.3 * np.ones(n - 20)
     K = sp.diags([far, off, 4.0 + rng.random(n), off, far], [-20, -1, 0, 1, 20])
     M = sp.diags(1.0 + rng.random(n))
-    return eig.SymmetricPencil(K.tocsr(), M.tocsr())
+    return K.tocsr(), M.tocsr()
 
 
 def test_sparse_pencil_deterministic_given_seed():
-    pencil = _sparse_pencil()
-    a = eig.solve_smallest(pencil, 3, seed=11)
-    b = eig.solve_smallest(pencil, 3, seed=11)
+    K, M = _sparse_pencil()
+    a = eig.solve_smallest(K, M, 3, seed=11)
+    b = eig.solve_smallest(K, M, 3, seed=11)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_warm_start_matches_cold_start():
-    pencil = _sparse_pencil()
-    cold = eig.solve_smallest(pencil, 1)
+    K, M = _sparse_pencil()
+    cold = eig.solve_smallest(K, M, 1)
     # warm start from the mode of a nearby pencil, as a parameter scan does
-    nearby = eig.SymmetricPencil(pencil.K + 1e-2 * sp.eye(pencil.K.shape[0]), pencil.M)
-    x0 = eig.solve_smallest(nearby, 1).vectors
-    warm = eig.solve_smallest(pencil, 1, x0=x0)
+    x0 = eig.solve_smallest(K + 1e-2 * sp.eye(K.shape[0]), M, 1).vectors
+    warm = eig.solve_smallest(K, M, 1, x0=x0)
     np.testing.assert_allclose(warm.values, cold.values, rtol=1e-12)
 
 
@@ -98,7 +97,7 @@ def test_singular_shift_retry():
     # shift exactly at an eigenvalue: K - shift M singular; the retry kicks in
     K = np.diag([1.0, 2.0, 3.0])
     M = np.eye(3)
-    out = eig.solve_smallest(eig.SymmetricPencil(K, M), 1, shift=1.0)
+    out = eig.solve_smallest(K, M, 1, shift=1.0)
     np.testing.assert_allclose(out.values, [1.0], rtol=1e-9)
     assert out.shift == pytest.approx(0.999, rel=1e-12)
     assert out.iterations > 0
@@ -108,22 +107,24 @@ def test_unmet_tolerance_and_no_convergence_raise():
     rng = np.random.default_rng(42)
     A = rng.standard_normal((50, 50))
     B = rng.standard_normal((50, 50))
-    pencil = eig.SymmetricPencil(A @ A.T + 50 * np.eye(50), B @ B.T + 50 * np.eye(50))
+    K, M = A @ A.T + 50 * np.eye(50), B @ B.T + 50 * np.eye(50)
     with pytest.raises(SolverError, match="exceed tol"):
-        eig.solve_smallest(pencil, 4, tol=1e-30)
+        eig.solve_smallest(K, M, 4, tol=1e-30)
     with pytest.raises(SolverError, match="No convergence"):
-        eig.solve_smallest(pencil, 4, max_iter=1)
+        eig.solve_smallest(K, M, 4, max_iter=1)
 
 
 def test_residuals_reported():
     K = np.diag([1.0, 4.0, 9.0])
     M = np.eye(3)
-    out = eig.solve_smallest(eig.SymmetricPencil(K, M), 2, tol=1e-12)
+    out = eig.solve_smallest(K, M, 2, tol=1e-12)
     assert np.all(out.residuals <= 1e-12)
 
 
 def test_bad_sizes():
+    with pytest.raises(SolverError, match="square and of equal size"):
+        eig.solve_smallest(np.eye(3), np.eye(4), 1)
+    with pytest.raises(SolverError, match="square and of equal size"):
+        eig.solve_smallest(np.ones((3, 4)), np.ones((3, 4)), 1)
     with pytest.raises(SolverError):
-        eig.SymmetricPencil(np.eye(3), np.eye(4))
-    with pytest.raises(SolverError):
-        eig.solve_smallest(eig.SymmetricPencil(np.eye(3), np.eye(3)), 5)
+        eig.solve_smallest(np.eye(3), np.eye(3), 5)

@@ -1,5 +1,8 @@
 """Meridian 2D elasticity: geometry map, assembly identities, solves."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -136,7 +139,7 @@ def test_stiffness_axpy_matches_scipy_sum(model, degree):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(K, attr), getattr(want, attr)), (k, attr)
     b = np.random.default_rng(0).standard_normal(K.shape[0])
-    solve, shift = eig._factorize(eig.SymmetricPencil(K, fam.M), 0.0)
+    solve, shift = eig._factorize(K, fam.M, 0.0)
     ref = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
                     options=dict(SymmetricMode=True)).solve(b)
     assert shift == 0.0 and np.array_equal(solve(b), ref)
@@ -219,3 +222,45 @@ def test_midline_trace_on_cell_boundaries_matches_nodal_values():
     assert len(got) == len(want) == mesh.n_meridian + 1
     i = int(np.argmax(np.abs(want)))
     np.testing.assert_allclose(got / got[i], want / want[i], rtol=0, atol=1e-13)
+
+
+def _scripted_sweep(monkeypatch, lambdas, gamma):
+    """k_sweep over a prescribed lambda(k), with k_cap = ceil(2.5 gamma) + 1."""
+
+    def fake_solve(system, seed=0, x0=None):
+        rec = lame2d.SweepRecord(eps=0.1, k=system.k, lambda1=lambdas[system.k],
+                                 dof_count=1, residual=0.0)
+        return rec, np.ones(1)
+
+    monkeypatch.setattr(lame2d, "assemble_fourier_lame",
+                        lambda mesh, k, degree: SimpleNamespace(k=k))
+    monkeypatch.setattr(lame2d, "first_eigenpair_2d", fake_solve)
+    asym = SimpleNamespace(gamma=gamma, beta=Fraction(0))  # eps^-beta = 1
+    return lame2d.k_sweep(None, 0.1, mesh=object(), asym=asym)
+
+
+def test_k_sweep_stops_after_three_increases(monkeypatch):
+    sweep = _scripted_sweep(monkeypatch, [9.0, 4.0, 1.0, 0.5, 1.0, 4.0, 9.0, 0.0], 4.0)
+    assert [r.k for r in sweep.records] == [0, 1, 2, 3, 4, 5, 6]
+    assert (sweep.k_opt, sweep.lambda1) == (3, 0.5)
+    assert not sweep.flagged and sweep.note == ""
+
+
+def test_k_sweep_flags_a_minimum_at_the_budget_cap(monkeypatch):
+    # k_cap = ceil(2.5 * 2) + 1 = 6, and lambda still falls there
+    sweep = _scripted_sweep(monkeypatch, [10.0 - k for k in range(8)], 2.0)
+    assert [r.k for r in sweep.records] == list(range(7))
+    assert sweep.k_opt == 6 and sweep.flagged
+    assert sweep.note == "no interior minimum before the wavenumber budget"
+
+
+def test_k_sweep_flags_k0_minimum_only_at_the_end_of_the_budget(monkeypatch):
+    # k_cap = ceil(2.5 * 0.4) + 1 = 2: the budget ends after two increases
+    sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0], 0.4)
+    assert [r.k for r in sweep.records] == [0, 1, 2]
+    assert sweep.k_opt == 0 and sweep.flagged
+    # with a larger budget the third increase returns early, and the same
+    # minimum at k = 0 is not flagged
+    sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0, 5.0], 4.0)
+    assert [r.k for r in sweep.records] == [0, 1, 2, 3]
+    assert sweep.k_opt == 0 and not sweep.flagged
