@@ -11,11 +11,9 @@ on the meridian cross-section.
 from .asymptotics import (
     AsymptoticsResult,
     airy_first_zero,
-    airy_constants,
     compute,
     cylinder_closed_form,
     exponents_from_eta1,
-    gauss_constants,
     optimize_gamma_parabolic,
     predict,
     toroidal_constants,
@@ -60,7 +58,6 @@ __all__ = [
     "ShellProfile",
     "SolverError",
     "ThicknessError",
-    "airy_constants",
     "airy_first_zero",
     "classify",
     "compute",
@@ -68,7 +65,6 @@ __all__ = [
     "essential_spectrum_range",
     "exponents_from_eta1",
     "frame_at",
-    "gauss_constants",
     "locate_H0_minimum",
     "optimize_gamma_parabolic",
     "predict",

@@ -6,10 +6,12 @@ thin-shell operator obeys
     lambda_1(eps) = a0 + a1 eps^alpha1,     k(eps) = gamma eps^(-beta),
 
 with exponents fixed by the class through eta1 (beta = 2/(4+eta1),
-alpha1 = eta1*beta) and constants computed either in closed form
-(cylinder, Gauss, Airy) or by optimizing a one-parameter family of 1D
-eigenvalue problems (cone, toroidal).  One optimizer serves every such
-family, and also the direct minimization over k behind the elliptic
+alpha1 = eta1*beta).  The cylinder, Gauss and Airy constants follow from
+one law, the minimum over k of a0 + c k^-eta1 + b eps^2 k^4, each class
+giving its own (eta1, b, c).  The cone and toroidal constants come from
+minimizing a one-parameter family of 1D eigenvalue problems, and one scan
+result turns either minimum into constants.  One optimizer serves every
+such family, and also the direct minimization over k behind the elliptic
 cross-check: a short log grid brackets the minimum, and the zero of the
 Hellmann-Feynman slope, which every eigen-solve gives at no extra cost,
 locates it.
@@ -47,8 +49,6 @@ __all__ = [
     "exponents_from_eta1",
     "cylinder_closed_form",
     "optimize_gamma_parabolic",
-    "gauss_constants",
-    "airy_constants",
     "toroidal_constants",
     "compute",
     "predict",
@@ -95,7 +95,7 @@ class AsymptoticsResult:
     b: float | None = None
     c: float | None = None
     ratio_coeff: float | None = None  # delta in R(eps) ~ delta eps^alpha1
-    ratio_exact: float | None = None  # 1/2 in the parabolic cases
+    ratio_exact: float | None = None  # alpha1/2 when a0 = 0
     lambda2: float | None = None      # toroidal: first eigenvalue of H2
     diagnostics: dict = field(default_factory=dict, compare=False)
 
@@ -113,7 +113,7 @@ class AsymptoticsResult:
             "eta1": str(self.eta1),
             "beta": str(self.beta),
             "alpha1": str(self.alpha1),
-            "ratio": 0.5 if self.ratio_exact is not None else self.ratio_coeff,
+            "ratio": self.ratio_exact if self.ratio_exact is not None else self.ratio_coeff,
         }
 
 
@@ -318,27 +318,61 @@ def _require_class(profile: ShellProfile, expected: tuple, cls: ShellClass | Non
     return cls
 
 
+def _law(cls: ShellClass, eta1, a0: float, b: float, c: float, **fields) -> AsymptoticsResult:
+    """Constants of the minimum over k of a0 + c k^-eta1 + b eps^2 k^4.
+
+    With w = 4/eta1 the minimizer is k = gamma eps^-beta, gamma = (c/(w b))^(beta/2),
+    and the minimum is a0 + a1 eps^alpha1 with a1 = (w b c^w)^(alpha1/2) (1 + eta1/4).
+    Bending carries the share eta1/(4 + eta1) = alpha1/2 of c k^-eta1 + b eps^2 k^4
+    there: the whole ratio when a0 = 0, else (b/a0) (c/(w b))^(2 beta) eps^alpha1.
+    """
+    eta1 = Fraction(eta1)
+    beta, alpha1 = exponents_from_eta1(eta1)
+    w = float(4 / eta1)
+    scale = c / (w * b)
+    ratio = ({"ratio_exact": float(alpha1 / 2)} if a0 == 0.0
+             else {"ratio_coeff": (b / a0) * scale ** float(2 * beta)})
+    return AsymptoticsResult(
+        shell_class=cls, eta1=eta1, beta=beta, alpha1=alpha1, a0=a0,
+        a1=(w * b * c**w) ** float(alpha1 / 2) * float(1 + eta1 / 4),
+        gamma=scale ** float(beta / 2), b=b, c=c, **ratio, **fields,
+    )
+
+
 def cylinder_closed_form(
     profile: ShellProfile, cls: ShellClass | None = None, n_elements: int = DEFAULT_ELEMENTS
 ) -> AsymptoticsResult:
-    """Cylinder constants from the clamped-beam eigenvalue.
-
-    gamma^4 = R^3 sqrt(3 (1-nu^2) mu1), a1 = (2E/R) sqrt(mu1 / (3 (1-nu^2)))
-    with mu1 the first clamped bilaplacian eigenvalue on the interval.
-    """
+    """Cylinder constants: the law with eta1 = 4, b = B0(R) and c = E R^2 mu1,
+    mu1 the first clamped bilaplacian eigenvalue on the interval."""
     cls = _require_class(profile, (ShellClassTag.CYLINDER,), cls)
     R = float(profile.f(profile.interval[0]))
     L = profile.length
-    E, nu = profile.E, profile.nu
     mu1 = _clamped_unit_bilaplacian(n_elements) / L**4
-    fac = 3.0 * (1.0 - nu * nu)
-    gamma = (R**3 * math.sqrt(fac * mu1)) ** 0.25
-    a1 = (2.0 * E / R) * math.sqrt(mu1 / fac)
-    beta, alpha1 = exponents_from_eta1(4)
+    return _law(cls, 4, 0.0, b0_at(R, profile.E, profile.nu), profile.E * R**2 * mu1,
+                diagnostics={"mu1_bilaplacian": mu1, "radius": R, "length": L})
+
+
+def _scan_result(cls: ShellClass, eta1, a0: float, scan: _GammaScan,
+                 bracket=GAMMA_BRACKET, lambda2: float | None = None,
+                 **diagnostics) -> AsymptoticsResult:
+    """Constants from the minimum of a gamma scan: a1 = min mu1, and the bending
+    share of the optimal vector's energy (a0 included) is the ratio, exact
+    alpha1/2 when a0 = 0; ``diagnostics["scan"]`` holds the minimized scan."""
+    opt = scan.minimize(bracket)
+    gamma, vec = opt.gamma, opt.vector
+    op_energy = float(vec @ (scan.K_op @ vec)) * gamma**scan.p_low
+    bend_energy = float(vec @ (scan.K_b @ vec)) * gamma**scan.p_high
+    ratio = bend_energy / (op_energy + bend_energy + a0 * float(vec @ (scan.M @ vec)))
+    beta, alpha1 = exponents_from_eta1(eta1)
+    if a0 == 0.0:
+        diagnostics["ratio_at_optimum"] = ratio
     return AsymptoticsResult(
-        shell_class=cls, eta1=Fraction(4), beta=beta, alpha1=alpha1,
-        a0=0.0, a1=a1, gamma=gamma, ratio_exact=0.5,
-        diagnostics={"mu1_bilaplacian": mu1, "radius": R, "length": L},
+        shell_class=cls, eta1=Fraction(eta1), beta=beta, alpha1=alpha1,
+        a0=a0, a1=opt.mu, gamma=gamma, lambda2=lambda2,
+        ratio_exact=float(alpha1 / 2) if a0 == 0.0 else None,
+        ratio_coeff=None if a0 == 0.0 else ratio,
+        diagnostics={**diagnostics, "mu1_bracket_ends": opt.ends, "scan": scan,
+                     **opt.counts("gamma")},
     )
 
 
@@ -371,94 +405,50 @@ def optimize_gamma_parabolic(
     """Cone (or cylinder, as a cross-check) constants by gamma optimization;
     ``diagnostics["scan"]`` holds the minimized scan."""
     cls = _require_class(profile, (ShellClassTag.CONE, ShellClassTag.CYLINDER), cls)
-    scan = _parabolic_scan(profile, n_elements, seed=seed)
-    opt = scan.minimize()
-    gamma, vec = opt.gamma, opt.vector
-    op_energy = float(vec @ (scan.K_op @ vec)) * gamma**-4
-    bend_energy = float(vec @ (scan.K_b @ vec)) * gamma**4
-    ratio = bend_energy / (op_energy + bend_energy)
-    beta, alpha1 = exponents_from_eta1(4)
-    return AsymptoticsResult(
-        shell_class=cls, eta1=Fraction(4), beta=beta, alpha1=alpha1,
-        a0=0.0, a1=opt.mu, gamma=gamma, ratio_exact=0.5,
-        diagnostics={"ratio_at_optimum": ratio, "mu1_bracket_ends": opt.ends,
-                     "scan": scan, **opt.counts("gamma")},
-    )
+    return _scan_result(cls, 4, 0.0, _parabolic_scan(profile, n_elements, seed=seed))
 
 
-def _elliptic_branches(profile: ShellProfile, cls: ShellClass):
+def _elliptic_constants(profile: ShellProfile, cls: ShellClass) -> AsymptoticsResult:
+    """Gauss or Airy constants: the law at the H0 branch of least a1, b = B0(z0).
+
+    Gauss (interior minimum): eta1 = 1, c = sqrt(g(z0) H0''(z0) / 2).
+    Airy (boundary minimum): eta1 = 2/3, c = zA g(z0)^(1/3) |H0'(z0)|^(2/3) with
+    zA the first reversed-Airy zero; interior branches are skipped.
+    """
+    airy_case = cls.tag is ShellClassTag.AIRY_ELLIPTIC
     minimum = cls.h0_minimum or locate_H0_minimum(profile)
-    return minimum.branches or (minimum,)
-
-
-def gauss_constants(profile: ShellProfile, cls: ShellClass | None = None) -> AsymptoticsResult:
-    """Interior-minimum constants: b = B0(z0), c = sqrt(g(z0) H0''(z0) / 2),
-    gamma = (c/4b)^(1/5), a1 = (5/4) (4 b c^4)^(1/5)."""
-    cls = _require_class(profile, (ShellClassTag.GAUSS_ELLIPTIC,), cls)
-    branches = _elliptic_branches(profile, cls)
-    best = None
+    branches = minimum.branches or (minimum,)
+    laws = []
     for br in branches:
-        fr = frame_at(profile, br.z0)
-        if fr.g <= 0.0 or br.d2 <= 0.0:
-            raise AdmissibilityError(
-                f"degenerate interior minimum at z0 = {br.z0:.6g} "
-                f"(g = {fr.g:.3g}, H0'' = {br.d2:.3g})"
-            )
-        b = fr.B0
-        c = math.sqrt(fr.g * br.d2 / 2.0)
-        gamma = (c / (4.0 * b)) ** 0.2
-        a1 = (4.0 * b * c**4) ** 0.2 * 1.25
-        if best is None or a1 < best[0]:
-            best = (a1, gamma, b, c, br)
-    a1, gamma, b, c, br = best
-    a0 = br.value
-    beta, alpha1 = exponents_from_eta1(1)
-    return AsymptoticsResult(
-        shell_class=cls, eta1=Fraction(1), beta=beta, alpha1=alpha1,
-        a0=a0, a1=a1, gamma=gamma, z0=br.z0, b=b, c=c,
-        ratio_coeff=(b / a0) * (c / (4.0 * b)) ** 0.8,
-        diagnostics={"g_z0": frame_at(profile, br.z0).g, "h0_dd": br.d2,
-                     "n_branches": len(branches)},
-    )
-
-
-def airy_constants(profile: ShellProfile, cls: ShellClass | None = None) -> AsymptoticsResult:
-    """Boundary-minimum constants: c = zA (g(z0))^(1/3) |H0'(z0)|^(2/3) with zA
-    the first reversed-Airy zero; gamma = (c/6b)^(3/14), a1 = (7/6)(6 b c^6)^(1/7)."""
-    cls = _require_class(profile, (ShellClassTag.AIRY_ELLIPTIC,), cls)
-    branches = _elliptic_branches(profile, cls)
-    z_minus, z_plus = profile.interval
-    best = None
-    for br in branches:
-        if not br.boundary:
-            continue
-        inward = br.d1 > 0 if br.z0 == z_minus else br.d1 < 0
-        if not inward or abs(br.d1) <= 1e-12:
-            raise AdmissibilityError(
-                f"potential slope at boundary minimizer z0 = {br.z0:.6g} does not "
-                "increase toward the interior"
-            )
-        fr = frame_at(profile, br.z0)
-        if fr.g <= 0.0:
-            raise AdmissibilityError(f"g(z0) = {fr.g:.3g} not positive at z0 = {br.z0:.6g}")
-        b = fr.B0
-        c = airy_first_zero() * fr.g ** (1.0 / 3.0) * abs(br.d1) ** (2.0 / 3.0)
-        gamma = (c / (6.0 * b)) ** (3.0 / 14.0)
-        a1 = (6.0 * b * c**6) ** (1.0 / 7.0) * (7.0 / 6.0)
-        if best is None or a1 < best[0]:
-            best = (a1, gamma, b, c, br)
-    if best is None:
+        if airy_case:
+            if not br.boundary:
+                continue
+            inward = br.d1 > 0 if br.z0 == profile.interval[0] else br.d1 < 0
+            if not inward or abs(br.d1) <= 1e-12:
+                raise AdmissibilityError(
+                    f"potential slope at boundary minimizer z0 = {br.z0:.6g} does not "
+                    "increase toward the interior"
+                )
+            fr = frame_at(profile, br.z0)
+            if fr.g <= 0.0:
+                raise AdmissibilityError(f"g(z0) = {fr.g:.3g} not positive at z0 = {br.z0:.6g}")
+            c = airy_first_zero() * fr.g ** (1.0 / 3.0) * abs(br.d1) ** (2.0 / 3.0)
+            laws.append(_law(cls, Fraction(2, 3), br.value, fr.B0, c, z0=br.z0,
+                             diagnostics={"airy_zero": airy_first_zero(), "h0_d1": br.d1,
+                                          "n_branches": len(branches)}))
+        else:
+            fr = frame_at(profile, br.z0)
+            if fr.g <= 0.0 or br.d2 <= 0.0:
+                raise AdmissibilityError(
+                    f"degenerate interior minimum at z0 = {br.z0:.6g} "
+                    f"(g = {fr.g:.3g}, H0'' = {br.d2:.3g})"
+                )
+            laws.append(_law(cls, 1, br.value, fr.B0, math.sqrt(fr.g * br.d2 / 2.0), z0=br.z0,
+                             diagnostics={"g_z0": fr.g, "h0_dd": br.d2,
+                                          "n_branches": len(branches)}))
+    if not laws:
         raise ReductionNotApplicableError("no boundary minimizer found for the Airy case")
-    a1, gamma, b, c, br = best
-    a0 = br.value
-    beta, alpha1 = exponents_from_eta1(Fraction(2, 3))
-    return AsymptoticsResult(
-        shell_class=cls, eta1=Fraction(2, 3), beta=beta, alpha1=alpha1,
-        a0=a0, a1=a1, gamma=gamma, z0=br.z0, b=b, c=c,
-        ratio_coeff=(b / a0) * (c / (6.0 * b)) ** (6.0 / 7.0),
-        diagnostics={"airy_zero": airy_first_zero(), "h0_d1": br.d1,
-                     "n_branches": len(branches)},
-    )
+    return min(laws, key=lambda res: res.a1)
 
 
 def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
@@ -504,25 +494,13 @@ def toroidal_constants(
         )
     a0 = profile.E / radius**2
     scan = _toroidal_scan(profile, a0, n_elements, seed=seed)
-    lambda2 = scan.lam_op_min
-    if lambda2 <= 0.0:
+    if scan.lam_op_min <= 0.0:
         raise AdmissibilityError(
-            f"first eigenvalue of the second-order reduction is {lambda2:.6g} <= 0"
+            f"first eigenvalue of the second-order reduction is {scan.lam_op_min:.6g} <= 0"
         )
     # wider bracket than the fourth-order scan: the gamma^-2 side climbs slower
-    opt = scan.minimize(bracket=(0.1, 30.0))
-    gamma, vec = opt.gamma, opt.vector
-    h2_energy = float(vec @ (scan.K_op @ vec)) * gamma**-2
-    bend_energy = float(vec @ (scan.K_b @ vec)) * gamma**4
-    mass = float(vec @ (scan.M @ vec))
-    ratio_coeff = bend_energy / (h2_energy + bend_energy + a0 * mass)
-    beta, alpha1 = exponents_from_eta1(2)
-    return AsymptoticsResult(
-        shell_class=cls, eta1=Fraction(2), beta=beta, alpha1=alpha1,
-        a0=a0, a1=opt.mu, gamma=gamma, ratio_coeff=ratio_coeff, lambda2=lambda2,
-        diagnostics={"mu1_bracket_ends": opt.ends, "arc_radius": radius,
-                     "arc_center_r": r_center, "scan": scan, **opt.counts("gamma")},
-    )
+    return _scan_result(cls, 2, a0, scan, (0.1, 30.0), lambda2=scan.lam_op_min,
+                        arc_radius=radius, arc_center_r=r_center)
 
 
 def compute(
@@ -537,10 +515,8 @@ def compute(
         return cylinder_closed_form(profile, cls, n_elements=n_elements)
     if tag is ShellClassTag.CONE:
         return optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
-    if tag is ShellClassTag.GAUSS_ELLIPTIC:
-        return gauss_constants(profile, cls)
-    if tag is ShellClassTag.AIRY_ELLIPTIC:
-        return airy_constants(profile, cls)
+    if tag in (ShellClassTag.GAUSS_ELLIPTIC, ShellClassTag.AIRY_ELLIPTIC):
+        return _elliptic_constants(profile, cls)
     if tag is ShellClassTag.TORUS_ELLIPTIC:
         return toroidal_constants(profile, cls, n_elements=n_elements, seed=seed)
     raise ReductionNotApplicableError(
@@ -599,7 +575,7 @@ def elliptic_k_minimization(
     """
     res = compute(profile)
     scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
-    k_center = res.gamma * eps ** float(-res.beta)
+    k_center = predict(res, eps).k_real
     opt = scan.minimize(bracket=(k_center * 0.4, k_center * 2.5))
     return opt.gamma, opt.mu, {"scan": scan, "result": res, **opt.counts("k")}
 
@@ -617,7 +593,7 @@ def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed:
         return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
     scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
-    k = res.gamma * eps ** float(-res.beta)
+    k = predict(res, eps).k_real
     _, vec = scan.mu1(k, with_vector=True)
     h0, h2, bend = (float(vec @ (K @ vec)) for K in (scan.K_0, scan.K_op, scan.K_b))
     return k**4 * bend / (h0 + k**-2 * h2 + k**4 * bend)

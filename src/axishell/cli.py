@@ -137,10 +137,9 @@ def cmd_sweep1d(args) -> int:
     cls = classify(profile)
     meta = {"model": args.model or "custom"}
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE, ShellClassTag.TORUS_ELLIPTIC):
-        if cls.tag is ShellClassTag.TORUS_ELLIPTIC:
-            res = asymptotics.toroidal_constants(profile, cls, seed=args.seed)
-        else:
-            res = asymptotics.optimize_gamma_parabolic(profile, cls, seed=args.seed)
+        scan_constants = (asymptotics.toroidal_constants if cls.tag is ShellClassTag.TORUS_ELLIPTIC
+                          else asymptotics.optimize_gamma_parabolic)
+        res = scan_constants(profile, cls, seed=args.seed)
         scan = res.diagnostics["scan"]
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.n_points)
         meta.update(kind="gamma-scan", gamma_opt=f"{res.gamma:.8g}", a1=f"{res.a1:.8g}")
@@ -149,7 +148,7 @@ def cmd_sweep1d(args) -> int:
         eps = args.eps_list[0] if args.eps_list else 1e-4
         k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed)
         scan, res = data["scan"], data["result"]
-        k_center = res.gamma * eps ** float(-res.beta)
+        k_center = asymptotics.predict(res, eps).k_real
         grid = np.geomspace(0.4 * k_center, 2.5 * k_center, args.n_points)
         meta.update(kind="k-scan", eps=f"{eps:g}", k_opt=f"{k_opt:.8g}",
                     lambda_min=f"{lam_min:.8g}")

@@ -411,8 +411,8 @@ def k_sweep(
     """Sweep integer wavenumbers from k = 0 until the first eigenvalue has clearly turned up.
 
     Stops after three consecutive increases past the running minimum, or when
-    k exceeds 2.5 gamma eps^(-beta) from the 1D prediction; only the latter
-    flags a minimum at k = 0 or at the cap.
+    k exceeds 2.5 gamma eps^(-beta) from the 1D prediction; on either exit a
+    minimum at k = 0 or at the cap is flagged.
     """
     if mesh is None:
         mesh = build_meridian_mesh(profile, eps)
@@ -423,8 +423,7 @@ def k_sweep(
     best = (math.inf, -1)
     increases = 0
     warm = None
-    k = 0
-    while k <= k_cap:
+    for k in range(k_cap + 1):
         system = assemble_fourier_lame(mesh, k, degree)
         rec, vec = first_eigenpair_2d(system, seed=seed, x0=warm)
         warm = vec[:, np.newaxis]
@@ -435,9 +434,8 @@ def k_sweep(
         else:
             increases += 1
             if increases >= 3:
-                return KSweepResult(k_opt=best[1], lambda1=best[0], records=records)
-        k += 1
-    flagged = best[1] in (k_cap, 0) or increases == 0
+                break
+    flagged = best[1] in (0, k_cap)
     return KSweepResult(
         k_opt=best[1], lambda1=best[0], records=records, flagged=flagged,
         note="no interior minimum before the wavenumber budget" if flagged else "",

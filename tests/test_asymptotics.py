@@ -7,13 +7,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import airy
 
 import axishell as ax
 from axishell import asymptotics as asy
 from axishell import fem1d
 from axishell.errors import AdmissibilityError, ReductionNotApplicableError, SolverError
-from axishell.geometry import ShellClass
+from axishell.geometry import H0Minimum, ShellClass, ShellClassTag
 from axishell.profiles import ShellProfile
 
 
@@ -47,6 +48,39 @@ def test_airy_function_and_zero():
     assert abs(za - float(-mpmath.airyaizero(1))) < 1e-9
     for x in (-4.5, -2.0, -0.5, 0.0, 1.0, 4.0, 7.5):
         assert abs(airy(x)[0] - float(mpmath.airyai(x))) < 1e-10
+
+
+@pytest.mark.parametrize("eta1", [4, 2, 1, Fraction(2, 3)])
+@pytest.mark.parametrize("a0, b, c", [(0.0, 0.3, 2.0), (0.0, 4.0, 0.05),
+                                      (0.25, 1.7, 0.4), (1.5, 0.05, 11.0)])
+def test_law_matches_a_direct_minimization(eta1, a0, b, c):
+    # at eps = 1 the law's minimizer over k is gamma and its minimum a0 + a1.
+    # Brent's search runs in t = log k on the energy less its value at a first
+    # float-precision minimizer, evaluated to 40 digits, so that rounding in
+    # the flat bottom does not stop it near sqrt(machine eps)
+    res = asy._law(None, eta1, a0, b, c)
+    eta1 = Fraction(eta1)
+
+    def energy(t):
+        e = mpmath.mpf(eta1.numerator) / eta1.denominator
+        return a0 + c * mpmath.exp(-e * t) + b * mpmath.exp(4 * t)
+
+    with mpmath.workdps(40):
+        rough = minimize_scalar(lambda t: float(energy(t)), bracket=(-1.0, 1.0)).x
+        ref = energy(rough)
+        t_min = minimize_scalar(lambda t: float(energy(t) - ref),
+                                bracket=(rough - 0.01, rough + 0.01), tol=1e-13).x
+        minimum = float(energy(t_min))
+        bend = b * mpmath.exp(4 * t_min)
+        share = float(bend / (energy(t_min) - a0))
+    assert abs(math.exp(t_min) / res.gamma - 1) <= 1e-9
+    assert abs((res.a0 + res.a1) / minimum - 1) <= 1e-12
+    if a0 == 0.0:
+        assert res.ratio_exact == float(res.alpha1 / 2)
+        assert abs(share - float(eta1 / (4 + eta1))) <= 1e-9
+        assert abs(share - res.ratio_exact) <= 1e-9
+    else:
+        assert res.ratio_exact is None and res.ratio_coeff > 0.0
 
 
 def test_cylinder_closed_form(asym_results):
@@ -196,9 +230,40 @@ def test_multi_branch_gauss_picks_smallest_a1():
     cls = ax.classify(f)
     assert cls.tag.value == "GaussElliptic"
     assert len(cls.h0_minimum.branches) == 2
-    res = ax.gauss_constants(f, cls)
+    res = ax.compute(f, cls)
     assert res.a1 > 0 and res.z0 in {b.z0 for b in cls.h0_minimum.branches}
     assert res.diagnostics["n_branches"] == 2
+
+
+def _elliptic_class(tag, *branches):
+    """A hand-built elliptic class whose H0 minimum reports ``branches``."""
+    first = branches[0]
+    minimum = H0Minimum(first.z0, first.value, first.d1, first.d2, first.boundary,
+                        branches=branches)
+    return ShellClass(tag, z0=first.z0, boundary_minimum=first.boundary, h0_minimum=minimum)
+
+
+def test_gauss_refuses_an_interior_branch_without_curvature():
+    # H0'' <= 0 at an interior minimizer leaves c = sqrt(g H0'' / 2) undefined
+    flat = H0Minimum(0.0, 0.0625, 0.0, -1.0, False)
+    cls = _elliptic_class(ShellClassTag.GAUSS_ELLIPTIC, flat)
+    with pytest.raises(AdmissibilityError, match="degenerate interior minimum"):
+        ax.compute(ax.preset("H"), cls)
+
+
+def test_airy_refuses_a_boundary_slope_that_points_outward():
+    # on L = [0.5, 1.5] the potential must rise into the interior from z0 = 0.5
+    outward = H0Minimum(0.5, 0.17, -0.3, 0.0, True)
+    cls = _elliptic_class(ShellClassTag.AIRY_ELLIPTIC, outward)
+    with pytest.raises(AdmissibilityError, match="does not increase toward the interior"):
+        ax.compute(ax.preset("L"), cls)
+
+
+def test_airy_refuses_a_class_with_only_interior_branches():
+    interior = (H0Minimum(0.8, 0.2, 0.0, 1.0, False), H0Minimum(1.2, 0.2, 0.0, 1.0, False))
+    cls = _elliptic_class(ShellClassTag.AIRY_ELLIPTIC, *interior)
+    with pytest.raises(ReductionNotApplicableError, match="no boundary minimizer"):
+        ax.compute(ax.preset("L"), cls)
 
 
 def test_toroidal_sweep_rows():

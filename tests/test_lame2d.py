@@ -254,13 +254,14 @@ def test_k_sweep_flags_a_minimum_at_the_budget_cap(monkeypatch):
     assert sweep.note == "no interior minimum before the wavenumber budget"
 
 
-def test_k_sweep_flags_k0_minimum_only_at_the_end_of_the_budget(monkeypatch):
+def test_k_sweep_flags_a_k0_minimum_on_either_exit(monkeypatch):
     # k_cap = ceil(2.5 * 0.4) + 1 = 2: the budget ends after two increases
     sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0], 0.4)
     assert [r.k for r in sweep.records] == [0, 1, 2]
     assert sweep.k_opt == 0 and sweep.flagged
-    # with a larger budget the third increase returns early, and the same
-    # minimum at k = 0 is not flagged
+    # with a larger budget the third increase stops the sweep early, and the
+    # same minimum at k = 0 is still a boundary minimum
     sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0, 5.0], 4.0)
     assert [r.k for r in sweep.records] == [0, 1, 2, 3]
-    assert sweep.k_opt == 0 and not sweep.flagged
+    assert sweep.k_opt == 0 and sweep.flagged
+    assert sweep.note == "no interior minimum before the wavenumber budget"
