@@ -564,20 +564,22 @@ def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: i
 
 
 def elliptic_k_minimization(
-    profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0,
+    profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0, asym=None,
 ):
     """Directly minimize over k the first eigenvalue of H0 + k^-2 H2 + eps^2 k^4 B0.
 
-    Returns (k_opt, lambda_min, details), details holding the k ``scan``, the
-    ``result`` of ``compute`` and the iteration counts.  The independent route
-    for the Gauss/Airy closed forms: the gamma scan with K_0 = H0 and
-    p = (-2, 4), started on a log grid over 0.4 to 2.5 times the predicted k.
+    Returns (k_opt, lambda_min, details), details holding the k ``scan`` and
+    the iteration counts.  ``asym``, the profile's ``compute`` result, is
+    computed if not given.  The independent route for the Gauss/Airy closed
+    forms: the gamma scan with K_0 = H0 and p = (-2, 4), started on a log grid
+    over 0.4 to 2.5 times the predicted k.
     """
-    res = compute(profile)
-    scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
-    k_center = predict(res, eps).k_real
+    if asym is None:
+        asym = compute(profile)
+    scan = _elliptic_scan(profile, asym.a0, eps, n_elements, seed)
+    k_center = predict(asym, eps).k_real
     opt = scan.minimize(bracket=(k_center * 0.4, k_center * 2.5))
-    return opt.gamma, opt.mu, {"scan": scan, "result": res, **opt.counts("k")}
+    return opt.gamma, opt.mu, {"scan": scan, **opt.counts("k")}
 
 
 def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0):

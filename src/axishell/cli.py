@@ -146,8 +146,10 @@ def cmd_sweep1d(args) -> int:
         columns = ["gamma", "mu1"]
     else:
         eps = args.eps_list[0] if args.eps_list else 1e-4
-        k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed)
-        scan, res = data["scan"], data["result"]
+        res = asymptotics.compute(profile, cls, seed=args.seed)
+        k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed,
+                                                                   asym=res)
+        scan = data["scan"]
         k_center = asymptotics.predict(res, eps).k_real
         grid = np.geomspace(0.4 * k_center, 2.5 * k_center, args.n_points)
         meta.update(kind="k-scan", eps=f"{eps:g}", k_opt=f"{k_opt:.8g}",

@@ -5,14 +5,23 @@ Sorensen and Yang 1998) on one sparse LU factor of K - shift M under a
 minimum-degree ordering of A^T + A.  Both stacks pass CSR pencils; at shift 0
 the LU takes K itself, and an exactly symmetric CSR matrix goes in as its own
 CSC transpose, without a conversion.  Dense inputs are converted.
+
+Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
+thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
+sweeps without shortening them), pool workers would multiply the threads past
+the cores, and a threaded BLAS reduction rounds differently with the thread
+count, so the 2D eigenvalues would depend on the machine's core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.cython_blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,6 +39,38 @@ class EigenPairs:
     shift: float            # shift of the factor actually used
 
 
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (sets the count, returns the
+    previous one) in the BLAS scipy links, which SuperLU and ARPACK call; None if
+    that BLAS is not OpenBLAS."""
+    try:
+        setter = ctypes.CDLL(scipy.linalg.cython_blas.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_SET_BLAS_THREADS = _blas_thread_setter()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore the caller's count.
+
+    The count is process-wide, so concurrent solves in threads of one process
+    are not pinned reliably; processes (``--jobs``) are.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    previous = _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(previous)
+
+
 def _factorize(K, M, shift: float):
     """Solver for K - s M and the s used, from a sparse LU; a singular shift is
     retried once, perturbed."""
@@ -45,6 +86,7 @@ def _factorize(K, M, shift: float):
     raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
 
 
+@_one_blas_thread()
 def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: int = 0,
                    max_iter: int = 200, x0: np.ndarray | None = None) -> EigenPairs:
     """The m eigenpairs of K x = lambda M x nearest ``shift``: the smallest for shift <= lambda_1.

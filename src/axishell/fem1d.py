@@ -123,8 +123,12 @@ class _Elements:
             blocks = blocks + 0.5 * (b + b.transpose(0, 2, 1))
         n = self.n_dofs
         slots = self.dofs[:, :, None] * n + self.dofs[:, None, :]
-        A = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=n * n)
-        return sp.csr_matrix(A.reshape(n, n)[np.ix_(self.free, self.free)])
+        # the pattern's slots, row-major; each sums its contributions in element order
+        keys, at = np.unique(slots.ravel(), return_inverse=True)
+        A = sp.csr_matrix((np.bincount(at, weights=blocks.ravel()), (keys // n, keys % n)),
+                          shape=(n, n))[self.free][:, self.free]
+        A.eliminate_zeros()
+        return A
 
 
 def _hermite_shapes(h, xi):

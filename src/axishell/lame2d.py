@@ -412,7 +412,7 @@ def k_sweep(
 
     Stops after three consecutive increases past the running minimum, or when
     k exceeds 2.5 gamma eps^(-beta) from the 1D prediction; on either exit a
-    minimum at k = 0 or at the cap is flagged.
+    minimum at k = 0 or at the cap is flagged, with a note naming the exit.
     """
     if mesh is None:
         mesh = build_meridian_mesh(profile, eps)
@@ -423,6 +423,7 @@ def k_sweep(
     best = (math.inf, -1)
     increases = 0
     warm = None
+    note = "no interior minimum before the wavenumber budget"
     for k in range(k_cap + 1):
         system = assemble_fourier_lame(mesh, k, degree)
         rec, vec = first_eigenpair_2d(system, seed=seed, x0=warm)
@@ -434,12 +435,11 @@ def k_sweep(
         else:
             increases += 1
             if increases >= 3:
+                note = "minimum at k = 0: the first eigenvalue rose at the next three wavenumbers"
                 break
     flagged = best[1] in (0, k_cap)
-    return KSweepResult(
-        k_opt=best[1], lambda1=best[0], records=records, flagged=flagged,
-        note="no interior minimum before the wavenumber budget" if flagged else "",
-    )
+    return KSweepResult(k_opt=best[1], lambda1=best[0], records=records, flagged=flagged,
+                        note=note if flagged else "")
 
 
 def midline_mode_trace(system: FourierLameSystem, eigvec: np.ndarray) -> MidlineTrace:

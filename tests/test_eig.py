@@ -1,10 +1,18 @@
 """Shared generalized eigensolver against dense references."""
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.linalg.cython_blas
 import scipy.sparse as sp
 
+import axishell
 from axishell import eig
 from axishell.errors import SolverError
 
@@ -128,3 +136,75 @@ def test_bad_sizes():
         eig.solve_smallest(np.ones((3, 4)), np.ones((3, 4)), 1)
     with pytest.raises(SolverError):
         eig.solve_smallest(np.eye(3), np.eye(3), 5)
+
+
+_OPENBLAS = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS count set to 2 (as read back), restored afterwards."""
+    before = _OPENBLAS.scipy_openblas_get_num_threads()
+    _OPENBLAS.scipy_openblas_set_num_threads(2)
+    yield _OPENBLAS.scipy_openblas_get_num_threads()
+    _OPENBLAS.scipy_openblas_set_num_threads(before)
+
+
+def _record_threads(monkeypatch, name, seen, fail=None):
+    """Patch ``spla.<name>`` to log the OpenBLAS count it runs with, then call
+    through or raise ``fail``."""
+    fn = getattr(eig.spla, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append((name, _OPENBLAS.scipy_openblas_get_num_threads()))
+        if fail is not None:
+            raise fail
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(eig.spla, name, wrapper)
+
+
+def test_solve_runs_factor_and_lanczos_on_one_blas_thread(monkeypatch, two_blas_threads):
+    # scipy here links OpenBLAS, so the limiter must not be a silent no-op
+    assert eig._SET_BLAS_THREADS is not None
+    seen = []
+    for name in ("splu", "eigsh"):
+        _record_threads(monkeypatch, name, seen)
+    K, M = _sparse_pencil()
+    eig.solve_smallest(K, M, 2)
+    assert seen == [("splu", 1), ("eigsh", 1)]
+    assert _OPENBLAS.scipy_openblas_get_num_threads() == two_blas_threads
+
+
+def test_caller_blas_threads_restored_after_solver_error(monkeypatch, two_blas_threads):
+    seen = []
+    _record_threads(monkeypatch, "eigsh", seen, fail=eig.spla.ArpackError(-9999))
+    K, M = _sparse_pencil()
+    with pytest.raises(SolverError, match="shift-invert Lanczos failed"):
+        eig.solve_smallest(K, M, 1)
+    assert seen == [("eigsh", 1)]
+    assert _OPENBLAS.scipy_openblas_get_num_threads() == two_blas_threads
+
+
+_L44 = """
+from axishell import lame2d, profiles
+mesh = lame2d.build_meridian_mesh(profiles.preset("L"), 1e-4, 48, 2)
+rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, 44))
+print(rec.dof_count, rec.lambda1.hex())
+"""
+
+
+def test_2d_eigenvalue_does_not_depend_on_blas_thread_count():
+    # modes2d's L@1e-4 k44 pencil, whose lambda differed in its last bits
+    # between one and two OpenBLAS threads while the solve used the caller's count
+    src = str(Path(axishell.__file__).parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs.append(subprocess.Popen([sys.executable, "-c", _L44], env=env, text=True,
+                                      stdout=subprocess.PIPE))
+    one, two = (p.communicate(timeout=120)[0].split() for p in procs)
+    assert all(p.returncode == 0 for p in procs)
+    assert one[0] == "11193"
+    assert one == two

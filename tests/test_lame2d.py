@@ -259,9 +259,10 @@ def test_k_sweep_flags_a_k0_minimum_on_either_exit(monkeypatch):
     sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0], 0.4)
     assert [r.k for r in sweep.records] == [0, 1, 2]
     assert sweep.k_opt == 0 and sweep.flagged
+    assert sweep.note == "no interior minimum before the wavenumber budget"
     # with a larger budget the third increase stops the sweep early, and the
     # same minimum at k = 0 is still a boundary minimum
     sweep = _scripted_sweep(monkeypatch, [1.0, 2.0, 3.0, 4.0, 5.0], 4.0)
     assert [r.k for r in sweep.records] == [0, 1, 2, 3]
     assert sweep.k_opt == 0 and sweep.flagged
-    assert sweep.note == "no interior minimum before the wavenumber budget"
+    assert sweep.note == "minimum at k = 0: the first eigenvalue rose at the next three wavenumbers"
