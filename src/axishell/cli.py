@@ -51,6 +51,26 @@ def _parse_eps_list(text: str) -> list[float]:
     return values
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is less than 1")
+    return value
+
+
 def _parse_mesh(text: str) -> tuple[int, int]:
     try:
         nm, nt = text.lower().split("x")
@@ -312,16 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep1d", help="dump the 1D optimization curve")
     common(p, eps=True)
-    p.add_argument("--gamma-min", type=float, default=0.3)
-    p.add_argument("--gamma-max", type=float, default=30.0)
-    p.add_argument("--n-points", type=int, default=64)
+    p.add_argument("--gamma-min", type=_positive_float, default=0.3)
+    p.add_argument("--gamma-max", type=_positive_float, default=30.0)
+    p.add_argument("--n-points", type=_positive_int, default=64)
     p.set_defaults(func=cmd_sweep1d)
 
     p = sub.add_parser("sweep2d", help="2D wavenumber sweeps")
     common(p, eps=True)
     p.add_argument("--mesh", type=_parse_mesh,
                    help="meridian x thickness cells, e.g. 12x2")
-    p.add_argument("--degree", type=int, default=lame2d.DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_positive_int, default=lame2d.DEFAULT_DEGREE)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep2d)
 
@@ -330,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="wavenumber (default: 1D prediction)")
     p.add_argument("--mesh", type=_parse_mesh,
                    help="meridian x thickness cells, e.g. 16x2")
-    p.add_argument("--degree", type=int, default=lame2d.DEFAULT_DEGREE)
+    p.add_argument("--degree", type=_positive_int, default=lame2d.DEFAULT_DEGREE)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("torus-sweep", help="toroidal constants vs arc offset")

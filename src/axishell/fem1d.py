@@ -9,10 +9,11 @@ f(z) s(z) dz and with clamped traces eliminated:
 
 Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
-product X^T diag(c) X over (element, quadrature point, i, j), made exactly
-symmetric, so the assembled CSR matrices satisfy K == K.T bit for bit.  The
-(K, M) pairs are CSR matrices like the 2D ones and go through the same
-``eig.solve_smallest(K, M, ...)``.
+product X^T diag(c) X, made exactly symmetric.  ``_shared_pattern``,
+``_scatter`` and ``_compact`` are the sparse assembler of both stacks (lame2d
+too): one CSR pattern per mesh, cell blocks summed into it in cell order, so
+K == K.T bit for bit, and exact zeros dropped.  The (K, M) pairs go through
+``eig.solve_smallest(K, M, ...)`` like the 2D ones.
 """
 
 from __future__ import annotations
@@ -76,6 +77,46 @@ class Mesh1D:
         return len(self.nodes) - 1
 
 
+def _shared_pattern(fn: np.ndarray, ncomp: int):
+    """CSR pattern over the free DOFs, shared by every matrix of one mesh.
+
+    ``fn[c, i]`` is the index among the free nodes of local node i of cell c,
+    or -1 on a clamped node; a clamped node has all ``ncomp`` components
+    fixed, so the free DOFs are ncomp fn + comp.  Returns ``(indptr, indices,
+    slot)``: ``slot`` holds the CSR position of every local entry (cell, comp,
+    i, comp', j) in that order, or nnz where the entry touches a clamped DOF.
+    """
+    n_free = int(fn.max()) + 1
+    both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
+    fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
+    fj = np.broadcast_to(fn[:, None, :], both.shape)[both]
+    pairs, pair = np.unique(fi * n_free + fj, return_inverse=True)
+    node = sp.csr_matrix((np.ones(len(pairs)), divmod(pairs, n_free)),
+                         shape=(n_free, n_free))
+    dof = sp.kron(node, np.ones((ncomp, ncomp)), format="csr")
+    dof.sort_indices()
+    # row ncomp fi + a lists ncomp fj + b for the neighbours fj of fi in order, b fastest
+    a, b = np.arange(ncomp)[:, None], np.arange(ncomp)
+    pos = np.full(both.shape + (ncomp, ncomp), dof.nnz)
+    pos[both] = (dof.indptr[ncomp * fi[:, None, None] + a]
+                 + ncomp * (pair - node.indptr[fi])[:, None, None] + b)
+    return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
+
+
+def _scatter(slot: np.ndarray, local: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """CSR data: each entry of ``local`` summed into its slot in cell order; slot nnz dropped."""
+    nnz = int(indptr[-1])
+    return np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+
+
+def _compact(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix on the pattern without exact zeros; the shared index arrays stay intact."""
+    # eliminate_zeros compacts the index arrays in place
+    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(len(indptr) - 1,) * 2)
+    A.eliminate_zeros()
+    return A
+
+
 class _Elements:
     """Quadrature and shape tables of every element of a mesh at once.
 
@@ -90,19 +131,15 @@ class _Elements:
         self.z = mid + half * x
         self.measure = half * w * profile.weight(self.z)  # f s dz per point
         xi = (self.z - x0) / h
-        e = np.arange(mesh.n_elements)[:, None]
-        if space == "H20":
-            self.n_dofs = 2 * (mesh.n_elements + 1)
-            self.free = np.arange(2, self.n_dofs - 2)
-            self.dofs = 2 * e + np.arange(4)
-            self.N, self.D = _hermite_shapes(h, xi)
-        elif space == "H10":
-            self.n_dofs = 2 * mesh.n_elements + 1
-            self.free = np.arange(1, self.n_dofs - 1)
-            self.dofs = 2 * e + np.arange(3)
-            self.N, self.D = _quadratic_shapes(h, xi)
-        else:
+        if space not in ("H20", "H10"):
             raise AssemblyError(f"unknown space {space!r}")
+        ncomp, shapes = (2, _hermite_shapes) if space == "H20" else (1, _quadratic_shapes)
+        self.N, self.D = shapes(h, xi)
+        # element e holds nodes step e .. step (e + 1); both end nodes are clamped
+        step = self.N.shape[-1] // ncomp - 1
+        node = step * np.arange(mesh.n_elements)[:, None] + np.arange(step + 1)
+        self.indptr, self.indices, self.slot = _shared_pattern(
+            np.where((node > 0) & (node < step * mesh.n_elements), node - 1, -1), ncomp)
 
     def values(self, coeff) -> np.ndarray:
         """A constant, or a callable of an array of z, at every quadrature point."""
@@ -111,37 +148,26 @@ class _Elements:
         return np.broadcast_to(np.asarray(coeff, dtype=float), self.z.shape)
 
     def gram(self, *terms) -> sp.csr_matrix:
-        """sum over (c, X) of int c X_i X_j f s dz, assembled on the free DOFs.
-
-        Each element block is made exactly symmetric, and every global entry
-        sums its element contributions in element order, so the result
-        equals its transpose bit for bit.
-        """
+        """sum over (c, X) of int c X_i X_j f s dz on the free DOFs, exactly symmetric."""
         blocks = 0.0
         for c, X in terms:
             b = np.einsum("eq,eqi,eqj->eij", self.measure * c, X, X)
             blocks = blocks + 0.5 * (b + b.transpose(0, 2, 1))
-        n = self.n_dofs
-        slots = self.dofs[:, :, None] * n + self.dofs[:, None, :]
-        # the pattern's slots, row-major; each sums its contributions in element order
-        keys, at = np.unique(slots.ravel(), return_inverse=True)
-        A = sp.csr_matrix((np.bincount(at, weights=blocks.ravel()), (keys // n, keys % n)),
-                          shape=(n, n))[self.free][:, self.free]
-        A.eliminate_zeros()
-        return A
+        return _compact(_scatter(self.slot, blocks, self.indptr), self.indices, self.indptr)
 
 
 def _hermite_shapes(h, xi):
+    # columns (value_0, value_1, slope_0, slope_1): component-major, as the pattern expects
     N = np.stack([
         1 - 3 * xi**2 + 2 * xi**3,
-        h * (xi - 2 * xi**2 + xi**3),
         3 * xi**2 - 2 * xi**3,
+        h * (xi - 2 * xi**2 + xi**3),
         h * (-(xi**2) + xi**3),
     ], axis=-1)
     D2 = np.stack([
         (-6 + 12 * xi) / h**2,
-        (-4 + 6 * xi) / h,
         (6 - 12 * xi) / h**2,
+        (-4 + 6 * xi) / h,
         (-2 + 6 * xi) / h,
     ], axis=-1)
     return N, D2

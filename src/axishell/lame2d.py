@@ -13,7 +13,8 @@ elements are tensor-product Lagrange of degree p (default 6) on curvilinear
 quadrilaterals, clamped on the two lateral ends z = z+-.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each matrix is summed into the family's
-one CSR pattern.  The mass matrix then drops its zero blocks.
+one CSR pattern by the sparse assembler of fem1d.  The mass matrix and each
+K(k) then drop their exact zeros.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import asymptotics, eig
-from .errors import SolverError, ThicknessError
+from .errors import AssemblyError, SolverError, ThicknessError
+from .fem1d import _compact, _scatter, _shared_pattern
 from .profiles import ShellProfile
 
 __all__ = [
@@ -202,34 +204,10 @@ def _cell_nodes(breaks: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.append(pts[:, :-1].ravel(), pts[-1, -1])
 
 
-def _shared_pattern(fn: np.ndarray):
-    """CSR pattern over the free DOFs, shared by every family matrix.
-
-    ``fn[c, i]`` is the index among the free nodes of local node i of cell c,
-    or -1 on the clamped ends; a clamped node has all three components fixed,
-    so the free DOFs are 3 fn + comp.  Returns ``(indptr, indices, slot)``:
-    ``slot`` holds the CSR position of every local entry (cell, comp, i,
-    comp', j) in that order, or nnz where the entry touches a clamped DOF.
-    """
-    n_free = int(fn.max()) + 1
-    both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
-    fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
-    fj = np.broadcast_to(fn[:, None, :], both.shape)[both]
-    pairs, pair = np.unique(fi * n_free + fj, return_inverse=True)
-    node = sp.csr_matrix((np.ones(len(pairs)), divmod(pairs, n_free)),
-                         shape=(n_free, n_free))
-    dof = sp.kron(node, np.ones((3, 3)), format="csr")
-    dof.sort_indices()
-    # row 3 fi + a lists 3 fj + b for the neighbours fj of fi in order, b fastest
-    a, b = np.arange(3)[:, None], np.arange(3)
-    pos = np.full(both.shape + (3, 3), dof.nnz)
-    pos[both] = (dof.indptr[3 * fi[:, None, None] + a]
-                 + 3 * (pair - node.indptr[fi])[:, None, None] + b)
-    return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
-
-
 def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
     """Assemble A0, A1, A2 and M with every cell's quadrature in one batch."""
+    if degree < 1:
+        raise AssemblyError(f"element degree must be at least 1, got {degree}")
     profile = mesh.profile
     E, nu = profile.E, profile.nu
     p = degree
@@ -328,9 +306,7 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
            + (p * ct[:, None] + np.arange(p + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
     indptr, indices, slot = _shared_pattern(
-        np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
-    )
-    nnz = int(indptr[-1])
+        np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1), 3)
 
     mats = {}
     for name, parts in blocks.items():
@@ -339,23 +315,16 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
             local[:, a, :, b, :] = block
             if a != b:
                 local[:, b, :, a, :] = block.transpose(0, 2, 1)
-        # exactly symmetric cell matrices; one bincount sums each global entry
-        # over its cells in cell order, so the global matrix stays exactly
-        # symmetric too.  Entries touching a clamped DOF land in slot nnz.
+        # exactly symmetric cell matrices keep the global ones exactly symmetric
         local = 0.5 * (local + local.transpose(0, 3, 4, 1, 2))
         if name != "M":
             local *= c_fac
-        data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
-        mats[name] = sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free)))
-    # A0, A1 and A2 keep the shared pattern, zero blocks included, so that K(k)
-    # is one axpy on their data.  M, in every Lanczos matvec, drops its zeros;
-    # that compacts the index arrays in place, so M gets its own copies
-    M = mats["M"].copy()
-    M.eliminate_zeros()
-    return LameFamily(
-        degree=p, A0=mats["A0"], A1=mats["A1"], A2=mats["A2"], M=M,
-        free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes,
-    )
+        data = _scatter(slot, local, indptr)
+        # A0, A1 and A2 keep the shared pattern, zero blocks included, so that
+        # K(k) is one axpy on their data; M, in every Lanczos matvec, drops its zeros
+        mats[name] = (_compact(data, indices, indptr) if name == "M" else
+                      sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free))))
+    return LameFamily(degree=p, **mats, free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes)
 
 
 def get_family(mesh: MeridianMesh, degree: int = DEFAULT_DEGREE) -> LameFamily:
@@ -373,9 +342,8 @@ def assemble_fourier_lame(
     fam = get_family(mesh, degree)
     # scipy's A0 + k A1 + k^2 A2 in the same operations and order; without the
     # exact zeros it stores the same entries
-    K = sp.csr_matrix((fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
-                       fam.A0.indices.copy(), fam.A0.indptr.copy()), shape=fam.A0.shape)
-    K.eliminate_zeros()
+    K = _compact(fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
+                 fam.A0.indices, fam.A0.indptr)
     return FourierLameSystem(k=int(k), stiffness=K, mass=fam.M, family=fam, mesh=mesh)
 
 

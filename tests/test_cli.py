@@ -77,6 +77,22 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sweep1d", "--model", "B", "--gamma-min", "-1"], "--gamma-min"),
+    (["sweep1d", "--model", "B", "--gamma-min", "0"], "--gamma-min"),
+    (["sweep1d", "--model", "B", "--gamma-max", "nan"], "--gamma-max"),
+    (["sweep1d", "--model", "B", "--n-points", "0"], "--n-points"),
+    (["sweep2d", "--model", "H", "--degree", "0"], "--degree"),
+    (["trace", "--model", "H", "--degree", "-1"], "--degree"),
+])
+def test_bad_numeric_options_are_usage_errors(argv, option, capsys):
+    # refused by the parser, before any profile is classified or solved
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
 def test_symbols_dump(capsys):
     code, out, _ = run(capsys, ["symbols", "--model", "A", "--z", "0.3"])
     assert code == 0

@@ -12,7 +12,7 @@ from scipy.interpolate import BarycentricInterpolator
 
 import axishell as ax
 from axishell import eig, lame2d
-from axishell.errors import ThicknessError
+from axishell.errors import AssemblyError, ThicknessError
 
 
 def test_map_cylinder_trivial():
@@ -189,6 +189,13 @@ def test_sweep_against_1d_prediction_model_A(sweep2d, asym_results):
     lams = [r.lambda1 for r in sweep.records]
     assert sweep.k_opt == ks[int(np.argmin(lams))]
     assert 5 <= sweep.k_opt <= 9
+
+
+def test_degree_below_one_is_an_assembly_error():
+    mesh = lame2d.build_meridian_mesh(ax.preset("H"), 0.1, 4, 2)
+    for degree in (0, -1):
+        with pytest.raises(AssemblyError, match="degree"):
+            lame2d.assemble_fourier_lame(mesh, 1, degree=degree)
 
 
 def test_wavenumber_must_be_integer():
