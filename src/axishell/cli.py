@@ -182,7 +182,7 @@ def cmd_sweep1d(args) -> int:
 
 def _map(worker, payloads: list, jobs: int) -> list:
     """``worker`` over ``payloads`` in order, in a pool of ``jobs`` processes if jobs > 1."""
-    if jobs <= 1:
+    if jobs == 1:
         return [worker(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, payloads))
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=_parse_mesh,
                    help="meridian x thickness cells, e.g. 12x2")
     p.add_argument("--degree", type=_positive_int, default=lame2d.DEFAULT_DEGREE)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep2d)
 
     p = sub.add_parser("trace", help="midline mode trace at one (eps, k)")
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=_parse_interval, default="-1,1",
                    help="meridian interval z-,z+ of every arc; write --interval=-1,1, "
                    "since a space-separated value that starts with '-' reads as an option")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_torus_sweep)
 

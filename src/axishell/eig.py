@@ -1,10 +1,15 @@
 """Generalized symmetric-definite eigensolver shared by the 1D and 2D stacks.
 
 Shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``; Lehoucq,
-Sorensen and Yang 1998) on one sparse LU factor of K - shift M under a
-minimum-degree ordering of A^T + A.  Both stacks pass CSR pencils; at shift 0
-the LU takes K itself, and an exactly symmetric CSR matrix goes in as its own
-CSC transpose, without a conversion.  Dense inputs are converted.
+Sorensen and Yang 1998) on one banded Cholesky factor of K - shift M (LAPACK
+``dpbtrf``/``dpbtrs``; Golub and Van Loan, *Matrix Computations*, sec. 4.3).
+Both stacks pass exactly symmetric CSR pencils in an ordering that is already
+banded, so no fill-reducing ordering is computed: the factor fills the band,
+stored zeros included.  The 1D pencils have half-bandwidth 2 (quadratic
+Lagrange) or 3 (cubic Hermite).  The 2D pencils are numbered meridian-major,
+so their half-bandwidth, 3 p (p n_thickness + 2) + 2, grows with the thickness
+cells: it is 254 at degree p = 6 on the 2 cells that every default uses, and
+the factor's cost grows with its square.  Dense inputs are converted to CSR.
 
 Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
 thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
@@ -41,7 +46,7 @@ class EigenPairs:
 
 def _blas_thread_setter():
     """OpenBLAS's ``openblas_set_num_threads_local`` (sets the count, returns the
-    previous one) in the BLAS scipy links, which SuperLU and ARPACK call; None if
+    previous one) in the BLAS scipy links, which LAPACK and ARPACK call; None if
     that BLAS is not OpenBLAS."""
     try:
         setter = ctypes.CDLL(scipy.linalg.cython_blas.__file__).openblas_set_num_threads_local
@@ -71,27 +76,59 @@ def _one_blas_thread():
         _SET_BLAS_THREADS(previous)
 
 
+def _upper_band(a) -> np.ndarray:
+    """LAPACK upper band storage of an exactly symmetric matrix, Fortran-ordered.
+
+    ``a`` is dense or canonical CSR: a duplicate entry would overwrite, not add.
+    Row j's entries a[j, i], i <= j, are column j of the band (a[i, j] = a[j, i]),
+    so the lower triangle fills it without a transpose.
+    """
+    a = sp.csr_matrix(a)
+    n = a.shape[0]
+    row = np.repeat(np.arange(n, dtype=np.intp), np.diff(a.indptr))
+    lower = a.indices <= row
+    row, col = row[lower], a.indices[lower]
+    u = int((row - col).max(initial=0))
+    # a[i, j], i = col <= j = row, goes to band (u + i - j, j): flat index u (j + 1) + i
+    # in Fortran order, formed in place in row's intp array (fewer temporaries)
+    flat = row
+    flat += 1
+    flat *= u
+    flat += col
+    band = np.zeros((u + 1) * n)
+    band[flat] = a.data[lower]
+    return band.reshape((u + 1, n), order="F")
+
+
 def _factorize(K, M, shift: float):
-    """Solver for K - s M and the s used, from a sparse LU; a singular shift is
-    retried once, perturbed."""
-    shifts = [shift, shift * (1.0 - 1e-3) if shift != 0.0 else -1e-8]
+    """Solver for K - s M and the s used, from a banded Cholesky factor; a shift
+    at which K - s M is not positive definite is retried once, perturbed downwards."""
+    shifts = [shift, shift - 1e-3 * abs(shift) if shift != 0.0 else -1e-8]
     for s in shifts:
-        a = K - s * M if s != 0.0 else K
         try:
-            # a is exactly symmetric, so its CSR arrays read as CSC are a itself
-            return spla.splu(sp.csc_matrix(a.T), permc_spec="MMD_AT_PLUS_A",
-                             options=dict(SymmetricMode=True)).solve, s
-        except RuntimeError as err:  # K - s M exactly singular
+            cb = sla.cholesky_banded(_upper_band(K - s * M if s != 0.0 else K),
+                                     overwrite_ab=True)
+        except np.linalg.LinAlgError as err:  # K - s M not positive definite
             last_err = err
+            continue
+        return (lambda b: sla.cho_solve_banded((cb, False), b, check_finite=False)), s
     raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
+
+
+def _norm1(a: sp.csr_matrix) -> float:
+    """||a||_1, the largest column sum of |a|, each column summed in row order."""
+    return float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[1]).max())
 
 
 @_one_blas_thread()
 def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: int = 0,
                    max_iter: int = 200, x0: np.ndarray | None = None) -> EigenPairs:
-    """The m eigenpairs of K x = lambda M x nearest ``shift``: the smallest for shift <= lambda_1.
+    """The m smallest eigenpairs of K x = lambda M x, for a ``shift`` below lambda_1.
 
-    K (symmetric) and M (SPD) are square, of equal size, dense or sparse.
+    K (symmetric) and M (SPD) are square, of equal size, dense or sparse.  The
+    shift must lie below lambda_1, so that K - shift M is positive definite for
+    its Cholesky factor; where it is not, the factor is retried once at a
+    shift perturbed downwards (``shift`` in the result).
     ``max_iter`` caps ARPACK's restarts; ``tol`` bounds each pair's backward
     error and is checked on the result.  Deterministic for a fixed seed; an
     optional x0 (a vector or an (n, 1) column) replaces the seeded start vector.
@@ -99,11 +136,12 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
     if K.shape != M.shape or K.shape[0] != K.shape[1]:
         raise SolverError("pencil matrices must be square and of equal size")
     n = K.shape[0]
+    K, M = sp.csr_matrix(K), sp.csr_matrix(M)
     if not 1 <= m <= n:
         raise SolverError(f"cannot extract {m} pairs from an n = {n} pencil")
     applied, used = 0, shift
     if m == n:  # ARPACK needs m < n; a pencil this small is solved densely
-        values, vectors = sla.eigh(*(a.toarray() if sp.issparse(a) else a for a in (K, M)))
+        values, vectors = sla.eigh(K.toarray(), M.toarray())
     else:
         solve, used = _factorize(K, M, shift)
 
@@ -124,7 +162,7 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
             raise SolverError(f"shift-invert Lanczos failed: {err}") from None
         order = np.argsort(values)
         values, vectors = values[order], vectors[:, order]
-    k_norm, m_norm = (float(abs(a).sum(axis=0).max()) for a in (K, M))
+    k_norm, m_norm = _norm1(K), _norm1(M)
     residuals = np.linalg.norm(K @ vectors - (M @ vectors) * values, axis=0) / (
         (k_norm + np.abs(values) * m_norm) * np.linalg.norm(vectors, axis=0))
     if not np.all(residuals <= tol):

@@ -12,7 +12,8 @@ one call on all quadrature points, and every local block is a Gram-type
 product X^T diag(c) X, made exactly symmetric.  ``_shared_pattern``,
 ``_scatter`` and ``_compact`` are the sparse assembler of both stacks (lame2d
 too): one CSR pattern per mesh, cell blocks summed into it in cell order, so
-K == K.T bit for bit, and exact zeros dropped.  The (K, M) pairs go through
+K == K.T bit for bit, and exact zeros dropped (except in the 2D K(k), which
+keeps the pattern).  The (K, M) pairs go through
 ``eig.solve_smallest(K, M, ...)`` like the 2D ones.
 """
 

@@ -13,8 +13,9 @@ elements are tensor-product Lagrange of degree p (default 6) on curvilinear
 quadrilaterals, clamped on the two lateral ends z = z+-.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each matrix is summed into the family's
-one CSR pattern by the sparse assembler of fem1d.  The mass matrix and each
-K(k) then drop their exact zeros.
+one CSR pattern by the sparse assembler of fem1d.  The mass matrix, in every
+Lanczos matvec, then drops its exact zeros; each K(k) keeps the shared
+pattern, whose band its Cholesky factor fills anyway.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class MeridianMesh:
 class LameFamily:
     """k-independent pieces: stiffness = A0 + k A1 + k^2 A2, plus the mass.
 
-    A0, A1 and A2 share one pair of index arrays; nothing may modify them in place.
+    A0, A1, A2 and every K(k) share one pair of index arrays; nothing may modify
+    them in place.
     """
 
     degree: int
@@ -340,10 +342,10 @@ def assemble_fourier_lame(
     if k != int(k):
         raise SolverError("wavenumber must be an integer")
     fam = get_family(mesh, degree)
-    # scipy's A0 + k A1 + k^2 A2 in the same operations and order; without the
-    # exact zeros it stores the same entries
-    K = _compact(fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
-                 fam.A0.indices, fam.A0.indptr)
+    # scipy's A0 + k A1 + k^2 A2 in the same operations and order, on the
+    # family's shared index arrays: its exact zeros stay stored
+    K = sp.csr_matrix((fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
+                       fam.A0.indices, fam.A0.indptr), shape=fam.A0.shape)
     return FourierLameSystem(k=int(k), stiffness=K, mass=fam.M, family=fam, mesh=mesh)
 
 

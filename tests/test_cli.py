@@ -84,6 +84,9 @@ def test_usage_errors(capsys):
     (["sweep1d", "--model", "B", "--n-points", "0"], "--n-points"),
     (["sweep2d", "--model", "H", "--degree", "0"], "--degree"),
     (["trace", "--model", "H", "--degree", "-1"], "--degree"),
+    (["sweep2d", "--model", "H", "--jobs", "0"], "--jobs"),
+    (["torus-sweep", "--r-min", "-1.2", "--r-max", "-1.0", "--step", "0.1", "--jobs", "-1"],
+     "--jobs"),
 ])
 def test_bad_numeric_options_are_usage_errors(argv, option, capsys):
     # refused by the parser, before any profile is classified or solved

@@ -12,8 +12,8 @@ import scipy.linalg as sla
 import scipy.linalg.cython_blas
 import scipy.sparse as sp
 
-import axishell
-from axishell import eig
+import axishell as ax
+from axishell import eig, fem1d, lame2d
 from axishell.errors import SolverError
 
 
@@ -101,6 +101,49 @@ def test_warm_start_matches_cold_start():
     np.testing.assert_allclose(warm.values, cold.values, rtol=1e-12)
 
 
+def _band_matrices():
+    """(name, matrix) pairs: 1D and 2D pencils, a dense input and a far coupling."""
+    prof = ax.preset("B")
+    mesh1d = fem1d.Mesh1D.uniform(prof.interval, 24)
+    K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh1d)
+    mesh2d = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2)
+    K2 = {k: lame2d.assemble_fourier_lame(mesh2d, k, degree=3).stiffness for k in (0, 3)}
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((9, 9))
+    return [("h20 K", K1), ("h20 M", M1), ("2d K(0)", K2[0]), ("2d K(3)", K2[3]),
+            ("2d M", lame2d.get_family(mesh2d, 3).M),
+            ("dense", A @ A.T + np.diag(np.arange(9.0))), ("far", _sparse_pencil()[0])]
+
+
+def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
+    mats = _band_matrices()
+    # K(0) stores the exact zeros of its k-terms; the band holds them anyway
+    assert np.any(dict(mats)["2d K(0)"].data == 0.0)
+    for name, A in mats:
+        dense = A.toarray() if sp.issparse(A) else A
+        stored = A.tocoo() if sp.issparse(A) else sp.coo_matrix(A)
+        u = int(np.max(stored.row - stored.col))
+        want = np.zeros((u + 1, len(dense)))
+        for d in range(u + 1):
+            want[u - d, d:] = np.diag(dense, d)
+        band = eig._upper_band(A)
+        assert band.flags.f_contiguous, name
+        assert band.shape == want.shape and np.array_equal(band, want), name
+
+
+def test_norm1_matches_scipy_column_sums_bit_for_bit():
+    for name, A in _band_matrices():
+        want = float(abs(sp.csr_matrix(A)).sum(axis=0).max())
+        assert eig._norm1(sp.csr_matrix(A)) == want, name
+
+
+def test_not_positive_definite_shift_is_retried_below():
+    # shift above lambda_1: K - shift M is indefinite there and at the retry below it
+    K, M = np.diag([1.0, 2.0, 3.0]), np.eye(3)
+    with pytest.raises(SolverError, match=r"factorization failed at shifts \[2\.5, 2\.4975\]"):
+        eig.solve_smallest(K, M, 1, shift=2.5)
+
+
 def test_singular_shift_retry():
     # shift exactly at an eigenvalue: K - shift M singular; the retry kicks in
     K = np.diag([1.0, 2.0, 3.0])
@@ -150,10 +193,10 @@ def two_blas_threads():
     _OPENBLAS.scipy_openblas_set_num_threads(before)
 
 
-def _record_threads(monkeypatch, name, seen, fail=None):
-    """Patch ``spla.<name>`` to log the OpenBLAS count it runs with, then call
+def _record_threads(monkeypatch, module, name, seen, fail=None):
+    """Patch ``module.<name>`` to log the OpenBLAS count it runs with, then call
     through or raise ``fail``."""
-    fn = getattr(eig.spla, name)
+    fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         seen.append((name, _OPENBLAS.scipy_openblas_get_num_threads()))
@@ -161,24 +204,24 @@ def _record_threads(monkeypatch, name, seen, fail=None):
             raise fail
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(eig.spla, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_solve_runs_factor_and_lanczos_on_one_blas_thread(monkeypatch, two_blas_threads):
     # scipy here links OpenBLAS, so the limiter must not be a silent no-op
     assert eig._SET_BLAS_THREADS is not None
     seen = []
-    for name in ("splu", "eigsh"):
-        _record_threads(monkeypatch, name, seen)
+    _record_threads(monkeypatch, eig.sla, "cholesky_banded", seen)
+    _record_threads(monkeypatch, eig.spla, "eigsh", seen)
     K, M = _sparse_pencil()
     eig.solve_smallest(K, M, 2)
-    assert seen == [("splu", 1), ("eigsh", 1)]
+    assert seen == [("cholesky_banded", 1), ("eigsh", 1)]
     assert _OPENBLAS.scipy_openblas_get_num_threads() == two_blas_threads
 
 
 def test_caller_blas_threads_restored_after_solver_error(monkeypatch, two_blas_threads):
     seen = []
-    _record_threads(monkeypatch, "eigsh", seen, fail=eig.spla.ArpackError(-9999))
+    _record_threads(monkeypatch, eig.spla, "eigsh", seen, fail=eig.spla.ArpackError(-9999))
     K, M = _sparse_pencil()
     with pytest.raises(SolverError, match="shift-invert Lanczos failed"):
         eig.solve_smallest(K, M, 1)
@@ -197,7 +240,7 @@ print(rec.dof_count, rec.lambda1.hex())
 def test_2d_eigenvalue_does_not_depend_on_blas_thread_count():
     # modes2d's L@1e-4 k44 pencil, whose lambda differed in its last bits
     # between one and two OpenBLAS threads while the solve used the caller's count
-    src = str(Path(axishell.__file__).parents[1])
+    src = str(Path(ax.__file__).parents[1])
     procs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

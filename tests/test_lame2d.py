@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.interpolate import BarycentricInterpolator
 
 import axishell as ax
@@ -128,20 +127,26 @@ def test_assembly_regression(model, degree):
 @pytest.mark.parametrize("model", ["B", "D", "H", "L"])
 @pytest.mark.parametrize("degree", [3, 6])
 def test_stiffness_axpy_matches_scipy_sum(model, degree):
-    # K(k) is one axpy on the family's shared pattern; it must store exactly
-    # what scipy's sparse sum stores, so that the factor sees the same input
+    # K(k) is one axpy on the family's shared pattern: it stores exactly what
+    # scipy's sparse sum stores, plus that sum's dropped exact zeros
     mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.1, 4, 2)
     fam = lame2d.get_family(mesh, degree=degree)
     assert all(np.shares_memory(fam.A0.indices, A.indices) for A in (fam.A1, fam.A2))
     for k in (0, 1, 3, 19):
         K = lame2d.assemble_fourier_lame(mesh, k, degree=degree).stiffness
+        assert np.shares_memory(K.indices, fam.A0.indices), k
+        assert np.shares_memory(K.indptr, fam.A0.indptr), k
         want = (fam.A0 + k * fam.A1 + k * k * fam.A2).tocsr()
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(K, attr), getattr(want, attr)), (k, attr)
+        assert np.array_equal(K.toarray(), want.toarray()), k
+    # the factor is LAPACK's banded Cholesky of K, on a band built diagonal by diagonal
+    dense = K.toarray()
+    u = int(np.max(np.subtract(*np.nonzero(dense))))
+    band = np.zeros((u + 1, K.shape[0]))
+    for d in range(u + 1):
+        band[u - d, d:] = np.diag(dense, d)
     b = np.random.default_rng(0).standard_normal(K.shape[0])
     solve, shift = eig._factorize(K, fam.M, 0.0)
-    ref = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
-                    options=dict(SymmetricMode=True)).solve(b)
+    ref = sla.cho_solve_banded((sla.cholesky_banded(band), False), b)
     assert shift == 0.0 and np.array_equal(solve(b), ref)
 
 
@@ -165,6 +170,20 @@ def test_cold_start_eigenvalue_matches_dense_reference(model, k):
     n = K.shape[0]
     mu_max = sla.eigh(M, K, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
     assert abs(rec.lambda1 * mu_max - 1.0) <= 1e-8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("model, eps, n_meridian, k", [("L", 1e-4, 48, 44), ("B", 1e-3, 24, 12)])
+def test_eigenvalue_matches_extended_precision_rayleigh_quotient(model, eps, n_meridian, k):
+    # modes2d's cold solves whose lambda sat furthest from the Rayleigh quotient
+    # of its own vector (6.2e-7 and 2.3e-7 with a sparse LU factor)
+    mesh = lame2d.build_meridian_mesh(ax.preset(model), eps, n_meridian, 2)
+    system = lame2d.assemble_fourier_lame(mesh, k)
+    rec, x = lame2d.first_eigenpair_2d(system)
+    K, M, x = (a.astype(np.longdouble) for a in (system.stiffness, system.mass, x))
+    theta = (x @ (K @ x)) / (x @ (M @ x))
+    assert abs(float(rec.lambda1 / theta - 1)) <= 2e-7
 
 
 def test_p_refinement_monotone():
