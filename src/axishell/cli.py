@@ -192,7 +192,9 @@ def _sweep2d_worker(payload):
     profile, res, eps, mesh_spec, degree, seed = payload
     mesh = lame2d.build_meridian_mesh(profile, eps, *(mesh_spec or ()))
     sweep = lame2d.k_sweep(profile, eps, mesh=mesh, degree=degree, asym=res, seed=seed)
-    return f"{mesh.n_meridian}x{mesh.n_thickness}", sweep
+    # the sweep left its family in the mesh's cache
+    thickness_degree = lame2d.get_family(mesh, degree).thickness_degree
+    return f"{mesh.n_meridian}x{mesh.n_thickness}", thickness_degree, sweep
 
 
 def cmd_sweep2d(args) -> int:
@@ -202,9 +204,10 @@ def cmd_sweep2d(args) -> int:
     payloads = [(profile, res, eps, args.mesh, args.degree, args.seed) for eps in eps_list]
     summary_rows = []
     failures = 0
-    for eps, (mesh_used, sweep) in zip(eps_list, _map(_sweep2d_worker, payloads, args.jobs)):
-        meta = {"model": args.model or "custom", "eps": f"{eps:g}",
-                "mesh": mesh_used, "degree": args.degree}
+    for eps, (mesh_used, thickness_degree, sweep) in zip(
+            eps_list, _map(_sweep2d_worker, payloads, args.jobs)):
+        meta = {"model": args.model or "custom", "eps": f"{eps:g}", "mesh": mesh_used,
+                "degree": args.degree, "thickness_degree": thickness_degree}
         records = [[r.eps, r.k, r.lambda1, r.dof_count, r.residual] for r in sweep.records]
         name = f"sweep2d_{args.model or 'profile'}_eps{eps:g}.csv"
         _emit(_csv_lines(meta, ["eps", "k", "lambda1", "dofs", "residual"], records),
@@ -234,6 +237,7 @@ def cmd_trace(args) -> int:
     trace = lame2d.midline_mode_trace(system, vec)
     meta = {"model": args.model or "custom", "eps": f"{eps:g}", "k": k,
             "mesh": f"{mesh.n_meridian}x{mesh.n_thickness}", "degree": args.degree,
+            "thickness_degree": system.family.thickness_degree,
             "lambda1": f"{rec.lambda1:.10g}", "argmax_z": f"{trace.argmax_z:.6g}",
             "half_width": f"{trace.half_width:.6g}"}
     rows = [[float(z), float(u)] for z, u in zip(trace.z, trace.u_r)]

@@ -7,9 +7,11 @@ Both stacks pass exactly symmetric CSR pencils in an ordering that is already
 banded, so no fill-reducing ordering is computed: the factor fills the band,
 stored zeros included.  The 1D pencils have half-bandwidth 2 (quadratic
 Lagrange) or 3 (cubic Hermite).  The 2D pencils are numbered meridian-major,
-so their half-bandwidth, 3 p (p n_thickness + 2) + 2, grows with the thickness
-cells: it is 254 at degree p = 6 on the 2 cells that every default uses, and
-the factor's cost grows with its square.  Dense inputs are converted to CSR.
+so their half-bandwidth, 3 (p (p_t n_thickness + 1) + p_t) + 2 at meridian
+degree p and thickness degree p_t, grows with the thickness nodes: on the 2
+cells that every default uses it is 254 at p = p_t = 6 and 137 at p_t = 3,
+and the factor's cost grows with its square.  Dense inputs are converted to
+CSR.
 
 Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
 thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber

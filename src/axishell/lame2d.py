@@ -9,8 +9,12 @@ the stiffness at each k is one axpy on their data arrays.
 
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
-elements are tensor-product Lagrange of degree p (default 6) on curvilinear
-quadrilaterals, clamped on the two lateral ends z = z+-.  Assembly is batched
+elements are tensor-product Lagrange of degree p (default 6) along the
+meridian and p_t <= p through the thickness on curvilinear quadrilaterals,
+clamped on the two lateral ends z = z+-.  A thin shell's displacement is
+nearly polynomial of low degree through the thickness, so p_t = min(p, 3)
+for 0.01 <= eps < 0.05 (see ``_thickness_degree``) and p_t = p otherwise; the
+band, set by the thickness nodes, then halves.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each matrix is summed into the family's
 one CSR pattern by the sparse assembler of fem1d.  The mass matrix, in every
@@ -92,11 +96,14 @@ class MeridianMesh:
 class LameFamily:
     """k-independent pieces: stiffness = A0 + k A1 + k^2 A2, plus the mass.
 
-    A0, A1, A2 and every K(k) share one pair of index arrays; nothing may modify
-    them in place.
+    Elements are Lagrange of degree ``degree`` along the meridian and
+    ``thickness_degree`` through the thickness, which ``get_family`` takes
+    from ``_thickness_degree(eps, degree)``.  A0, A1, A2 and every K(k)
+    share one pair of index arrays; nothing may modify them in place.
     """
 
-    degree: int
+    degree: int               # Lagrange degree along the meridian
+    thickness_degree: int     # Lagrange degree through the thickness
     A0: sp.csr_matrix
     A1: sp.csr_matrix
     A2: sp.csr_matrix
@@ -206,29 +213,30 @@ def _cell_nodes(breaks: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.append(pts[:, :-1].ravel(), pts[-1, -1])
 
 
-def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
+def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> LameFamily:
     """Assemble A0, A1, A2 and M with every cell's quadrature in one batch."""
-    if degree < 1:
-        raise AssemblyError(f"element degree must be at least 1, got {degree}")
+    p, pt = degree, thickness_degree
+    if min(p, pt) < 1:
+        raise AssemblyError(f"element degree must be at least 1, got {min(p, pt)}")
     profile = mesh.profile
     E, nu = profile.E, profile.nu
-    p = degree
     nq1 = p + 2  # Gauss points per direction: exact through degree 2p + 3
     gx, gw = np.polynomial.legendre.leggauss(nq1)
     gx = 0.5 * (gx + 1.0)
     gw = 0.5 * gw
-    ref = _lobatto_nodes(p)
-    V1, D1 = _lagrange_tables(ref, gx)
+    ref_z, ref_t = _lobatto_nodes(p), _lobatto_nodes(pt)
+    Vz, Dz = _lagrange_tables(ref_z, gx)
+    Vt, Dt = _lagrange_tables(ref_t, gx)
 
     nz_cells, nt_cells = mesh.n_meridian, mesh.n_thickness
     n_cells = nz_cells * nt_cells
     nz = p * nz_cells + 1
-    nt = p * nt_cells + 1
+    nt = pt * nt_cells + 1
     n_nodes = nz * nt
-    nloc = (p + 1) ** 2
+    nloc = (p + 1) * (pt + 1)
     nq = nq1 * nq1
-    node_z = _cell_nodes(mesh.z_breaks, ref)
-    node_t = _cell_nodes(mesh.t_breaks, ref)
+    node_z = _cell_nodes(mesh.z_breaks, ref_z)
+    node_t = _cell_nodes(mesh.t_breaks, ref_t)
 
     c_fac = E / (1.0 - nu * nu)
     a_c = (1.0 - nu) ** 2 / (1.0 - 2.0 * nu)
@@ -254,10 +262,10 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
     wq = (wz[cz][:, :, None] * wt[ct][:, None, :]).reshape(n_cells, nq) * adet
 
     # scalar basis tables on the tensor quadrature grid, (cells, q, nloc)
-    N = np.broadcast_to(np.einsum("qi,sj->qsij", V1, V1).reshape(nq, nloc),
+    N = np.broadcast_to(np.einsum("qi,sj->qsij", Vz, Vt).reshape(nq, nloc),
                         (n_cells, nq, nloc))
-    Gz = np.einsum("cqi,sj->cqsij", D1 / hz[:, None, None], V1)
-    Gt = np.einsum("qi,csj->cqsij", V1, D1 / ht[:, None, None])
+    Gz = np.einsum("cqi,sj->cqsij", Dz / hz[:, None, None], Vt)
+    Gt = np.einsum("qi,csj->cqsij", Vz, Dt / ht[:, None, None])
     Gz = Gz.reshape(nz_cells, nq, nloc)[cz]
     Gt = Gt.reshape(nt_cells, nq, nloc)[ct]
     inv = 1.0 / det
@@ -305,7 +313,7 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
     # node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp.  The clamped
     # lateral ends z = z+- hold the first and the last nt ids.
     ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
-           + (p * ct[:, None] + np.arange(p + 1))[:, None, :]).reshape(n_cells, nloc)
+           + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
     indptr, indices, slot = _shared_pattern(
         np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1), 3)
@@ -326,12 +334,19 @@ def _build_family(mesh: MeridianMesh, degree: int) -> LameFamily:
         # K(k) is one axpy on their data; M, in every Lanczos matvec, drops its zeros
         mats[name] = (_compact(data, indices, indptr) if name == "M" else
                       sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free))))
-    return LameFamily(degree=p, **mats, free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes)
+    return LameFamily(degree=p, thickness_degree=pt, **mats, free=free, node_z=node_z,
+                      node_t=node_t, n_nodes=n_nodes)
 
 
 def get_family(mesh: MeridianMesh, degree: int = DEFAULT_DEGREE) -> LameFamily:
+    """The mesh's family at meridian degree ``degree``, built once per mesh.
+
+    Its thickness degree follows from ``mesh.eps`` and ``degree`` (see
+    ``_thickness_degree``), so ``degree`` alone keys the cache.
+    """
     if degree not in mesh._families:
-        mesh._families[degree] = _build_family(mesh, degree)
+        mesh._families[degree] = _build_family(
+            mesh, degree, _thickness_degree(mesh.eps, degree))
     return mesh._families[degree]
 
 
@@ -368,6 +383,22 @@ def default_mesh_size(eps: float) -> tuple[int, int]:
     if eps >= 0.02:
         return 12, 2
     return 16, 2
+
+
+def _thickness_degree(eps: float, degree: int) -> int:
+    """Thickness degree under meridian degree ``degree`` at half-thickness eps.
+
+    The criterion: on each default mesh, the eigenvalue at the table's k_opt
+    moves by at most a tenth of the meridian error |lambda(p + 1) -
+    lambda(p)| on every table sweep.  At p = 6, degree 3 meets it for
+    0.01 <= eps < 0.05 (worst ratio 0.089, L at 0.02; degree 2 reaches 0.52,
+    H at 0.01).  Degree 4 misses it at eps = 0.05 (0.13) and degree 5 at
+    eps = 0.1 (0.31), both on L, so eps >= 0.05 keeps the full degree.  Below
+    eps = 0.01 the meridian error sinks to the level of the algebraic error
+    (7.5e-9 at H, 1e-3, k 12, where degree 5 gives a ratio of 2.6), so the
+    criterion cannot judge thinner shells, and they keep the full degree too.
+    """
+    return min(degree, 3) if 0.01 <= eps < 0.05 else degree
 
 
 def k_sweep(
@@ -421,26 +452,25 @@ def midline_mode_trace(system: FourierLameSystem, eigvec: np.ndarray) -> Midline
     fam = system.family
     mesh = system.mesh
     profile = mesh.profile
-    p = fam.degree
+    p, pt = fam.degree, fam.thickness_degree
     full = np.zeros(3 * fam.n_nodes)
     full[fam.free] = eigvec
     u_r = full[0::3].reshape(len(fam.node_z), len(fam.node_t))
 
-    ref = _lobatto_nodes(p)
     # thickness cell containing x3 = 0 and basis values there
     ct = min(np.searchsorted(mesh.t_breaks, 0.0, side="right") - 1,
              mesh.n_thickness - 1)
     t0, t1 = mesh.t_breaks[ct], mesh.t_breaks[ct + 1]
     xt = (0.0 - t0) / (t1 - t0)
-    Vt, _ = _lagrange_tables(ref, np.array([xt]))
+    Vt, _ = _lagrange_tables(_lobatto_nodes(pt), np.array([xt]))
     z_lo, z_hi = profile.interval
     zs = np.linspace(z_lo, z_hi, TRACE_SAMPLES)
     cz = np.minimum(np.searchsorted(mesh.z_breaks, zs, side="right") - 1,
                     mesh.n_meridian - 1)
     z0, z1 = mesh.z_breaks[cz], mesh.z_breaks[cz + 1]
-    Vz, _ = _lagrange_tables(ref, (zs - z0) / (z1 - z0))
+    Vz, _ = _lagrange_tables(_lobatto_nodes(p), (zs - z0) / (z1 - z0))
     # nodal u_r interpolated to x3 = 0, then along each sample's meridian cell
-    mid = u_r[:, p * ct : p * ct + p + 1] @ Vt[0]
+    mid = u_r[:, pt * ct : pt * ct + pt + 1] @ Vt[0]
     vals = np.einsum("si,si->s", Vz, mid[p * cz[:, None] + np.arange(p + 1)])
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:

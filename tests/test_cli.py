@@ -113,6 +113,7 @@ def test_sweep2d_csv_and_determinism(tmp_path, capsys):
     data = (tmp_path / "sweep2d_D_eps0.1.csv").read_text()
     lines = data.strip().splitlines()
     assert lines[0].startswith("#")
+    assert " degree=4 thickness_degree=4 " in lines[0]
     assert lines[1] == "eps,k,lambda1,dofs,residual"
     assert len(lines) >= 4
     summary = (tmp_path / "sweep2d_D_summary.csv").read_text().splitlines()
@@ -207,6 +208,21 @@ def test_trace_csv(tmp_path, capsys):
     assert "half_width" in lines[0]
     u = [abs(float(ln.split(",")[1])) for ln in lines[2:]]
     assert abs(max(u) - 1.0) < 1e-9
+
+
+def test_meta_line_names_the_thickness_degree(tmp_path, capsys):
+    # --degree is the meridian degree; at 0.01 <= eps < 0.05 the thickness
+    # degree is min(degree, 3)
+    code, _, _ = run(capsys, ["sweep2d", "--model", "H", "--eps", "0.02", "--mesh", "4x2",
+                              "--degree", "4", "--out", str(tmp_path)])
+    assert code == 0
+    code, _, _ = run(capsys, ["trace", "--model", "H", "--eps", "0.02", "--k", "4",
+                              "--mesh", "4x2", "--degree", "4", "--out", str(tmp_path)])
+    assert code == 0
+    for name in ("sweep2d_H_eps0.02.csv", "trace_H_eps0.02_k4.csv"):
+        text = (tmp_path / name).read_text()
+        assert sum(ln.startswith("#") for ln in text.splitlines()) == 1, name
+        assert " degree=4 thickness_degree=3 " in text.splitlines()[0], name
 
 
 def test_sweep2d_parallel_jobs(tmp_path, capsys):

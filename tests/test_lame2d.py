@@ -186,6 +186,55 @@ def test_eigenvalue_matches_extended_precision_rayleigh_quotient(model, eps, n_m
     assert abs(float(rec.lambda1 / theta - 1)) <= 2e-7
 
 
+@pytest.mark.parametrize("eps, degree, want", [
+    (0.1, 6, 6), (0.05, 6, 6), (0.02, 6, 3), (0.01, 6, 3), (1e-3, 6, 6),
+    (0.02, 4, 3), (0.02, 2, 2), (0.1, 4, 4)])
+def test_default_thickness_degree(eps, degree, want):
+    # the explicit degree is the meridian one; the thickness degree follows
+    # from eps, so the thick shells of ASSEMBLY_PINS and the thin pencils of
+    # the extended-precision test keep thickness degree p
+    mesh = lame2d.build_meridian_mesh(ax.preset("H"), eps, 2, 2)
+    fam = lame2d.get_family(mesh, degree)
+    assert (fam.degree, fam.thickness_degree) == (degree, want)
+    assert len(fam.node_z) == 2 * degree + 1 and len(fam.node_t) == 2 * want + 1
+    assert fam.dof_count == 3 * (2 * degree - 1) * (2 * want + 1)
+
+
+def test_full_thickness_degree_reproduces_the_full_family(monkeypatch):
+    mesh = lame2d.build_meridian_mesh(ax.preset("L"), 0.02)
+    full = lame2d._build_family(mesh, 6, 6)
+    assert lame2d.get_family(mesh, 6).thickness_degree == 3
+    # the family that get_family built here before the thickness rule
+    monkeypatch.setattr(lame2d, "_thickness_degree", lambda eps, degree: degree)
+    before = lame2d.get_family(lame2d.build_meridian_mesh(ax.preset("L"), 0.02), 6)
+    for name in ("A0", "A1", "A2", "M"):
+        for part in ("data", "indices", "indptr"):
+            got, want = (getattr(getattr(fam, name), part) for fam in (full, before))
+            assert np.array_equal(got, want), (name, part)
+    assert np.array_equal(full.node_t, before.node_t)
+
+
+@pytest.mark.parametrize("model, eps, k, lam_full", [("L", 0.02, 3, 0.7007942031098178),
+                                                     ("L", 0.01, 4, 0.5997328670737406)])
+def test_thickness_degree_rule_on_the_table(model, eps, k, lam_full):
+    # |lambda(6, 3) - lambda(6, 6)| <= 0.1 |lambda(7, 7) - lambda(6, 6)| at
+    # k_opt on the default mesh; at each eps these table sweeps come closest
+    # to the bound (ratios 0.089 and 0.016).  lam_full is the cold lambda of
+    # the degree-6 family that was the default before the thickness rule.
+    mesh = lame2d.build_meridian_mesh(ax.preset(model), eps)
+
+    def lam(p, pt):
+        mesh._families[p] = lame2d._build_family(mesh, p, pt)
+        return lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, k, p))[0].lambda1
+
+    full, meridian, default = lam(6, 6), lam(7, 7), lam(6, 3)
+    assert abs(full / lam_full - 1.0) <= 1e-11
+    assert abs(default - full) <= 0.1 * abs(meridian - full)
+    mesh._families.clear()
+    rec, _ = lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, k))
+    assert rec.lambda1 == default
+
+
 def test_p_refinement_monotone():
     mesh = lame2d.build_meridian_mesh(ax.preset("A"), 0.1, 8, 2)
     lams = []
@@ -236,14 +285,15 @@ def test_midline_trace_on_cell_boundaries_matches_nodal_values():
     _, vec = lame2d.first_eigenpair_2d(system)
     trace = lame2d.midline_mode_trace(system, vec)
     fam = system.family
-    p = fam.degree
+    p, pt = fam.degree, fam.thickness_degree
+    assert (p, pt) == (6, 3)
     full = np.zeros(3 * fam.n_nodes)
     full[fam.free] = vec
     u_r = full[0::3].reshape(len(fam.node_z), len(fam.node_t))
     # 241 samples on 16 cells: every 15th sample sits on a cell boundary,
     # where the trace is the nodal u_r of that column interpolated to x3 = 0
     # over the upper thickness cell
-    want = BarycentricInterpolator(fam.node_t[p:], u_r[::p, p:], axis=1)(0.0)
+    want = BarycentricInterpolator(fam.node_t[pt:], u_r[::p, pt:], axis=1)(0.0)
     got = trace.u_r[::15]
     assert len(got) == len(want) == mesh.n_meridian + 1
     i = int(np.argmax(np.abs(want)))
