@@ -1,8 +1,18 @@
 """Generalized symmetric-definite eigensolver shared by the 1D and 2D stacks.
 
-Shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``; Lehoucq,
-Sorensen and Yang 1998) on one banded Cholesky factor of K - shift M (LAPACK
-``dpbtrf``/``dpbtrs``; Golub and Van Loan, *Matrix Computations*, sec. 4.3).
+The smallest eigenpairs of K x = lambda M x come from Lanczos (ARPACK through
+``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen and Yang 1998) in standard
+mode on the spectral transformation (Ericsson and Ruhe, *Math. Comp.* 35,
+1980) in its symmetric form (Grimes, Lewis and Simon, *SIAM J. Matrix Anal.
+Appl.* 15, 1994).  With one banded Cholesky factor K - shift M = U^T U (LAPACK
+``dpbtrf``; Golub and Van Loan, *Matrix Computations*, sec. 4.3), the
+operator y -> U^-T M U^-1 y is symmetric positive definite with eigenvalues
+nu = 1 / (lambda - shift), and one application is two banded triangular
+solves (BLAS ``dtbsv``) around one product with M, where ARPACK's generalized
+shift-invert mode needs about three M products per step.  A Ritz vector y
+maps back to the M-normalized x = U^-1 y / sqrt(nu), and a start vector x0 to
+y0 = U x0 (``dtbmv``).
+
 Both stacks pass exactly symmetric CSR pencils in an ordering that is already
 banded, so no fill-reducing ordering is computed: the factor fills the band,
 stored zeros included.  The 1D pencils have half-bandwidth 2 (quadratic
@@ -10,8 +20,11 @@ Lagrange) or 3 (cubic Hermite).  The 2D pencils are numbered meridian-major,
 so their half-bandwidth, 3 (p (p_t n_thickness + 1) + p_t) + 2 at meridian
 degree p and thickness degree p_t, grows with the thickness nodes: on the 2
 cells that every default uses it is 254 at p = p_t = 6 and 137 at p_t = 3,
-and the factor's cost grows with its square.  Dense inputs are converted to
-CSR.
+and the factor's cost grows with its square.  The band is filled through a
+map of the CSR pattern (its lower-triangle mask and flat band indices),
+built once per pattern and kept while the pattern's index buffer lives:
+every K(k) of a 2D family shares that buffer, so a sweep builds one map and
+the map dies with the family.  Dense inputs are converted to CSR.
 
 Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
 thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
@@ -24,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +56,7 @@ class EigenPairs:
     values: np.ndarray      # ascending
     vectors: np.ndarray     # columns, M-orthonormal
     residuals: np.ndarray   # ||K x - lambda M x|| / ((||K||_1 + |lambda| ||M||_1) ||x||)
-    iterations: int         # applications of (K - shift M)^{-1}
+    iterations: int         # applications of U^-T M U^-1, K - shift M = U^T U
     shift: float            # shift of the factor actually used
 
 
@@ -78,14 +92,24 @@ def _one_blas_thread():
         _SET_BLAS_THREADS(previous)
 
 
-def _upper_band(a) -> np.ndarray:
-    """LAPACK upper band storage of an exactly symmetric matrix, Fortran-ordered.
+# id of a CSR index buffer -> (weak reference to its indptr buffer, the two
+# arrays' memory spans, the band map); an entry dies with its index buffer
+_BAND_MAPS: dict[int, tuple] = {}
 
-    ``a`` is dense or canonical CSR: a duplicate entry would overwrite, not add.
-    Row j's entries a[j, i], i <= j, are column j of the band (a[i, j] = a[j, i]),
-    so the lower triangle fills it without a transpose.
-    """
-    a = sp.csr_matrix(a)
+
+def _owner(x: np.ndarray):
+    """The object that owns x's memory: x itself, or the array that x views."""
+    return x if x.base is None else x.base
+
+
+def _span(x: np.ndarray) -> tuple:
+    return x.__array_interface__["data"][0], x.shape, x.strides, x.dtype.str
+
+
+def _build_band_map(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(lower, flat, u)`` of a canonical CSR pattern: the mask of its entries
+    a[j, i], i <= j, their flat indices in Fortran-ordered LAPACK upper band
+    storage, and the half-bandwidth u."""
     n = a.shape[0]
     row = np.repeat(np.arange(n, dtype=np.intp), np.diff(a.indptr))
     lower = a.indices <= row
@@ -97,23 +121,60 @@ def _upper_band(a) -> np.ndarray:
     flat += 1
     flat *= u
     flat += col
+    return lower, flat, u
+
+
+def _band_map(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_build_band_map(a)``, built once per pattern and kept with int32 indices
+    where they fit.
+
+    Every K(k) of a 2D family views the family's index arrays through new
+    array objects, so the map is keyed on the buffers they view and on their
+    memory spans.  It lives as long as the index buffer does (nothing may
+    modify it in place), so it dies with the family.
+    """
+    idx, ptr = _owner(a.indices), _owner(a.indptr)
+    spans = _span(a.indices), _span(a.indptr)
+    entry = _BAND_MAPS.get(id(idx))
+    if entry is not None and entry[0]() is ptr and entry[1] == spans:
+        return entry[2]
+    lower, flat, u = _build_band_map(a)
+    narrow = np.int32 if (u + 1) * a.shape[0] <= np.iinfo(np.int32).max else np.intp
+    try:
+        if entry is None:  # a first map for this buffer: drop it when the buffer dies
+            weakref.finalize(idx, _BAND_MAPS.pop, id(idx), None).atexit = False
+        _BAND_MAPS[id(idx)] = (weakref.ref(ptr), spans, (lower, flat.astype(narrow), u))
+    except TypeError:  # a buffer that takes no weak reference is not cached
+        pass
+    # numpy indexes with intp: this first fill skips the cast of the stored copy
+    return lower, flat, u
+
+
+def _upper_band(a) -> np.ndarray:
+    """LAPACK upper band storage of an exactly symmetric matrix, Fortran-ordered.
+
+    ``a`` is dense or canonical CSR: a duplicate entry would overwrite, not add.
+    Row j's entries a[j, i], i <= j, are column j of the band (a[i, j] = a[j, i]),
+    so the lower triangle fills it without a transpose.
+    """
+    a = sp.csr_matrix(a)
+    n = a.shape[0]
+    lower, flat, u = _band_map(a)
     band = np.zeros((u + 1) * n)
     band[flat] = a.data[lower]
     return band.reshape((u + 1, n), order="F")
 
 
-def _factorize(K, M, shift: float):
-    """Solver for K - s M and the s used, from a banded Cholesky factor; a shift
+def _factorize(K, M, shift: float) -> tuple[np.ndarray, float]:
+    """Upper banded Cholesky factor U of K - s M = U^T U and the s used; a shift
     at which K - s M is not positive definite is retried once, perturbed downwards."""
     shifts = [shift, shift - 1e-3 * abs(shift) if shift != 0.0 else -1e-8]
     for s in shifts:
         try:
-            cb = sla.cholesky_banded(_upper_band(K - s * M if s != 0.0 else K),
-                                     overwrite_ab=True)
+            return sla.cholesky_banded(_upper_band(K - s * M if s != 0.0 else K),
+                                       overwrite_ab=True), s
         except np.linalg.LinAlgError as err:  # K - s M not positive definite
             last_err = err
-            continue
-        return (lambda b: sla.cho_solve_banded((cb, False), b, check_finite=False)), s
     raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
 
 
@@ -134,6 +195,8 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
     ``max_iter`` caps ARPACK's restarts; ``tol`` bounds each pair's backward
     error and is checked on the result.  Deterministic for a fixed seed; an
     optional x0 (a vector or an (n, 1) column) replaces the seeded start vector.
+    The band map of a sparse K's pattern is kept while its index arrays live, so
+    they must not be modified in place between solves (``sort_indices`` included).
     """
     if K.shape != M.shape or K.shape[0] != K.shape[1]:
         raise SolverError("pencil matrices must be square and of equal size")
@@ -141,30 +204,36 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
     K, M = sp.csr_matrix(K), sp.csr_matrix(M)
     if not 1 <= m <= n:
         raise SolverError(f"cannot extract {m} pairs from an n = {n} pencil")
+    # ||K||_1 takes two nnz-long temporaries (|K.data|, intp column indices); taken
+    # before the band and its map exist, they do not add to those
+    k_norm, m_norm = _norm1(K), _norm1(M)
     applied, used = 0, shift
     if m == n:  # ARPACK needs m < n; a pencil this small is solved densely
         values, vectors = sla.eigh(K.toarray(), M.toarray())
     else:
-        solve, used = _factorize(K, M, shift)
+        U, used = _factorize(K, M, shift)
+        u, tbsv = U.shape[0] - 1, sla.blas.dtbsv
 
-        def apply(b):
+        def apply(y):  # U^-T M U^-1 y
             nonlocal applied
             applied += 1
-            return solve(b)
+            return tbsv(u, U, M @ tbsv(u, U, y), trans=1, overwrite_x=1)
 
-        v0 = np.random.default_rng(seed).standard_normal(n) if x0 is None else np.ravel(x0)
-        # each Ritz value of (K - used M)^-1 M to 1e-12 relative, so lambda - used too;
-        # tol=0 stalls on the near-degenerate bottoms of the 1D scans at extreme gamma
+        v0 = (np.random.default_rng(seed).standard_normal(n) if x0 is None
+              else sla.blas.dtbmv(u, U, np.ravel(x0)))  # U x0
+        # each Ritz value nu = 1 / (lambda - used) to 1e-12 relative, so lambda - used
+        # too; tol=0 stalls on the near-degenerate bottoms of the 1D scans at extreme gamma
         try:
-            values, vectors = spla.eigsh(
-                K, k=m, M=M, sigma=used, which="LM", v0=v0, tol=1e-12, maxiter=max_iter,
-                ncv=min(n, max(2 * m + 1, 12)),  # 30 % fewer solves than scipy's 20
-                OPinv=spla.LinearOperator((n, n), matvec=apply, dtype=float))
+            nu, Y = spla.eigsh(
+                spla.LinearOperator((n, n), matvec=apply, dtype=float), k=m, which="LM",
+                v0=v0, tol=1e-12, maxiter=max_iter,
+                ncv=min(n, max(2 * m + 1, 12)))  # 30 % fewer steps than scipy's 20
         except spla.ArpackError as err:
             raise SolverError(f"shift-invert Lanczos failed: {err}") from None
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
-    k_norm, m_norm = _norm1(K), _norm1(M)
+        order = np.argsort(-nu)
+        nu, values = nu[order], used + 1.0 / nu[order]
+        # x = U^-1 y / sqrt(nu): x^T M x = y^T (U^-T M U^-1) y / nu = 1
+        vectors = np.column_stack([tbsv(u, U, Y[:, j]) for j in order]) / np.sqrt(nu)
     residuals = np.linalg.norm(K @ vectors - (M @ vectors) * values, axis=0) / (
         (k_norm + np.abs(values) * m_norm) * np.linalg.norm(vectors, axis=0))
     if not np.all(residuals <= tol):

@@ -1,11 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from axishell import asymptotics
+from axishell import asymptotics, profiles
 from axishell.cli import main
 from axishell.profiles import ShellProfile
 
@@ -197,6 +198,38 @@ def test_stdout_commands_deterministic(capsys):
     _, out1, _ = run(capsys, ["classify", "--model", "D"])
     _, out2, _ = run(capsys, ["classify", "--model", "D"])
     assert out1 == out2
+
+
+# (a0, a1, gamma) as `axishell asymptotics` prints them, by model and Young's
+# modulus E.  A change that moves one of them must update this table and say why.
+PRINTED_CONSTANTS = {
+    ("A", 1.0): ("0.0", "3.38523", "2.93231"),
+    ("B", 1.0): ("0.0", "3.44639", "2.1247"),
+    ("D", 1.0): ("0.25", "0.707981", "0.857004"),
+    ("H", 1.0): ("0.0625", "0.607854", "0.759011"),
+    ("L", 1.0): ("0.178045", "1.55472", "0.851405"),
+    ("A", 2.0): ("0.0", "6.77046", "2.93231"),
+    ("B", 2.0): ("0.0", "6.89277", "2.1247"),
+    ("D", 2.0): ("0.5", "1.41596", "0.857004"),
+    ("H", 2.0): ("0.125", "1.21571", "0.759011"),
+    ("L", 2.0): ("0.35609", "3.10944", "0.851405"),
+}
+
+
+def test_printed_constants_fingerprint(tmp_path, capsys):
+    # the printed digits of the per-class constants are a fingerprint of the
+    # whole 1D stack: a relative move of 1e-5 shifts any nonzero one by at least
+    # a unit in its sixth digit, and A's a1 at E = 2 changes at 1.2e-7
+    for (model, E), want in PRINTED_CONSTANTS.items():
+        path = tmp_path / f"{model}_E{E:g}.json"
+        path.write_text(dataclasses.replace(profiles.preset(model), E=E).to_json())
+        code, out, _ = run(capsys, ["asymptotics", "--profile", str(path)])
+        assert code == 0
+        # each top-level field on its own line, as printed
+        printed = dict(line.strip().rstrip(",").split(": ", 1)
+                       for line in out.splitlines()[1:-1])
+        got = tuple(printed[f'"{name}"'] for name in ("a0", "a1", "gamma"))
+        assert got == want, (model, E)
 
 
 def test_trace_csv(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Shared generalized eigensolver against dense references."""
 
 import ctypes
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -101,17 +103,56 @@ def test_warm_start_matches_cold_start():
     np.testing.assert_allclose(warm.values, cold.values, rtol=1e-12)
 
 
+def _shifted_h20_pencil():
+    """A 1D H^2_0 pencil with a shift below lambda_1, as the gamma scans solve it."""
+    prof = ax.preset("B")
+    mesh = fem1d.Mesh1D.uniform(prof.interval, 24)
+    K, M = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh)
+    lam1 = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+    return K, M, lam1 - 0.005 * abs(lam1)
+
+
+@pytest.mark.parametrize("pencil", ["sparse", "shifted h20"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("warm", [False, True])
+def test_standard_form_solve_matches_dense_eigh(monkeypatch, pencil, m, warm):
+    K, M, shift = (*_sparse_pencil(), 0.0) if pencil == "sparse" else _shifted_h20_pencil()
+    # the dense reference of the same transformation: M x = nu (K - shift M) x,
+    # lambda = shift + 1/nu; eigh(K, M) itself loses 2e-10 on the Hermite
+    # pencil's lambda_1, whose M has condition number 4e4
+    nu, X = sla.eigh(M.toarray(), (K - shift * M).toarray())
+    want = shift + 1.0 / nu[::-1]
+    x0 = X[:, -1] + 1e-3 * np.random.default_rng(2).standard_normal(len(nu)) if warm else None
+    # each application of U^-T M U^-1 makes one transposed triangular solve
+    transposed = []
+    tbsv = eig.sla.blas.dtbsv
+
+    def counting(*args, **kwargs):
+        transposed.append(kwargs.get("trans", 0) == 1)
+        return tbsv(*args, **kwargs)
+
+    monkeypatch.setattr(eig.sla.blas, "dtbsv", counting)
+    out = eig.solve_smallest(K, M, m, shift=shift, x0=x0)
+    assert out.shift == shift
+    np.testing.assert_allclose(out.values, want[:m], rtol=1e-12, atol=0)
+    gram = out.vectors.T @ (M @ out.vectors)
+    np.testing.assert_allclose(gram, np.eye(m), rtol=0, atol=1e-12)
+    assert out.iterations == sum(transposed) > 0
+    assert len(transposed) == 2 * out.iterations + m  # plus x = U^-1 y per pair
+
+
 def _band_matrices():
     """(name, matrix) pairs: 1D and 2D pencils, a dense input and a far coupling."""
     prof = ax.preset("B")
     mesh1d = fem1d.Mesh1D.uniform(prof.interval, 24)
     K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh1d)
     mesh2d = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2)
-    K2 = {k: lame2d.assemble_fourier_lame(mesh2d, k, degree=3).stiffness for k in (0, 3)}
+    # every K(k) after the first reads the band map of its family's pattern
+    K2 = [(f"2d K({k})", lame2d.assemble_fourier_lame(mesh2d, k, degree=3).stiffness)
+          for k in range(6)]
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 9))
-    return [("h20 K", K1), ("h20 M", M1), ("2d K(0)", K2[0]), ("2d K(3)", K2[3]),
-            ("2d M", lame2d.get_family(mesh2d, 3).M),
+    return [("h20 K", K1), ("h20 M", M1), *K2, ("2d M", lame2d.get_family(mesh2d, 3).M),
             ("dense", A @ A.T + np.diag(np.arange(9.0))), ("far", _sparse_pencil()[0])]
 
 
@@ -129,6 +170,31 @@ def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
         band = eig._upper_band(A)
         assert band.flags.f_contiguous, name
         assert band.shape == want.shape and np.array_equal(band, want), name
+
+
+def test_band_map_built_once_per_family_and_dropped_with_it(monkeypatch):
+    built = []
+    build = eig._build_band_map
+
+    def counting(a):
+        built.append(a)
+        return build(a)
+
+    monkeypatch.setattr(eig, "_build_band_map", counting)
+    mesh = lame2d.build_meridian_mesh(ax.preset("B"), 0.1, 4, 2)
+    for k in range(6):
+        K = lame2d.assemble_fourier_lame(mesh, k, degree=3).stiffness
+        assert K.indices is not lame2d.get_family(mesh, 3).A0.indices  # a new view each k
+        eig._upper_band(K)
+    assert len(built) == 1
+    key = id(eig._owner(K.indices))
+    lower, flat, u = eig._BAND_MAPS[key][2]
+    assert flat.dtype == np.int32 and lower.dtype == bool
+    maps = [weakref.ref(lower), weakref.ref(flat)]
+    del mesh, K, lower, flat, built
+    gc.collect()
+    assert key not in eig._BAND_MAPS
+    assert all(ref() is None for ref in maps)
 
 
 def test_norm1_matches_scipy_column_sums_bit_for_bit():
@@ -213,9 +279,12 @@ def test_solve_runs_factor_and_lanczos_on_one_blas_thread(monkeypatch, two_blas_
     seen = []
     _record_threads(monkeypatch, eig.sla, "cholesky_banded", seen)
     _record_threads(monkeypatch, eig.spla, "eigsh", seen)
+    _record_threads(monkeypatch, eig.sla.blas, "dtbsv", seen)
     K, M = _sparse_pencil()
-    eig.solve_smallest(K, M, 2)
-    assert seen == [("cholesky_banded", 1), ("eigsh", 1)]
+    out = eig.solve_smallest(K, M, 2)
+    assert seen[:2] == [("cholesky_banded", 1), ("eigsh", 1)]
+    # two triangular solves per Lanczos step, one per returned pair
+    assert seen[2:] == [("dtbsv", 1)] * (2 * out.iterations + 2)
     assert _OPENBLAS.scipy_openblas_get_num_threads() == two_blas_threads
 
 

@@ -144,10 +144,8 @@ def test_stiffness_axpy_matches_scipy_sum(model, degree):
     band = np.zeros((u + 1, K.shape[0]))
     for d in range(u + 1):
         band[u - d, d:] = np.diag(dense, d)
-    b = np.random.default_rng(0).standard_normal(K.shape[0])
-    solve, shift = eig._factorize(K, fam.M, 0.0)
-    ref = sla.cho_solve_banded((sla.cholesky_banded(band), False), b)
-    assert shift == 0.0 and np.array_equal(solve(b), ref)
+    U, shift = eig._factorize(K, fam.M, 0.0)
+    assert shift == 0.0 and np.array_equal(U, sla.cholesky_banded(band))
 
 
 def test_positive_eigenvalues_all_k():
