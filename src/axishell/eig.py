@@ -11,7 +11,8 @@ nu = 1 / (lambda - shift), and one application is two banded triangular
 solves (BLAS ``dtbsv``) around one product with M, where ARPACK's generalized
 shift-invert mode needs about three M products per step.  A Ritz vector y
 maps back to the M-normalized x = U^-1 y / sqrt(nu), and a start vector x0 to
-y0 = U x0 (``dtbmv``).
+y0 = U x0 (``dtbmv``).  All n pairs (m = n, beyond ARPACK) come from the
+same operator, formed column by column and solved densely (``eigh``).
 
 Both stacks pass exactly symmetric CSR pencils in an ordering that is already
 banded, so no fill-reducing ordering is computed: the factor fills the band,
@@ -207,18 +208,18 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
     # ||K||_1 takes two nnz-long temporaries (|K.data|, intp column indices); taken
     # before the band and its map exist, they do not add to those
     k_norm, m_norm = _norm1(K), _norm1(M)
-    applied, used = 0, shift
-    if m == n:  # ARPACK needs m < n; a pencil this small is solved densely
-        values, vectors = sla.eigh(K.toarray(), M.toarray())
+    applied = 0
+    U, used = _factorize(K, M, shift)
+    u, tbsv = U.shape[0] - 1, sla.blas.dtbsv
+
+    def apply(y):  # U^-T M U^-1 y
+        nonlocal applied
+        applied += 1
+        return tbsv(u, U, M @ tbsv(u, U, y), trans=1, overwrite_x=1)
+
+    if m == n:  # ARPACK needs m < n; a pencil this small is solved densely, in the same form
+        nu, Y = sla.eigh(np.column_stack([apply(e) for e in np.eye(n)]))
     else:
-        U, used = _factorize(K, M, shift)
-        u, tbsv = U.shape[0] - 1, sla.blas.dtbsv
-
-        def apply(y):  # U^-T M U^-1 y
-            nonlocal applied
-            applied += 1
-            return tbsv(u, U, M @ tbsv(u, U, y), trans=1, overwrite_x=1)
-
         v0 = (np.random.default_rng(seed).standard_normal(n) if x0 is None
               else sla.blas.dtbmv(u, U, np.ravel(x0)))  # U x0
         # each Ritz value nu = 1 / (lambda - used) to 1e-12 relative, so lambda - used
@@ -230,10 +231,10 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
                 ncv=min(n, max(2 * m + 1, 12)))  # 30 % fewer steps than scipy's 20
         except spla.ArpackError as err:
             raise SolverError(f"shift-invert Lanczos failed: {err}") from None
-        order = np.argsort(-nu)
-        nu, values = nu[order], used + 1.0 / nu[order]
-        # x = U^-1 y / sqrt(nu): x^T M x = y^T (U^-T M U^-1) y / nu = 1
-        vectors = np.column_stack([tbsv(u, U, Y[:, j]) for j in order]) / np.sqrt(nu)
+    order = np.argsort(-nu)
+    nu, values = nu[order], used + 1.0 / nu[order]
+    # x = U^-1 y / sqrt(nu): x^T M x = y^T (U^-T M U^-1) y / nu = 1
+    vectors = np.column_stack([tbsv(u, U, Y[:, j]) for j in order]) / np.sqrt(nu)
     residuals = np.linalg.norm(K @ vectors - (M @ vectors) * values, axis=0) / (
         (k_norm + np.abs(values) * m_norm) * np.linalg.norm(vectors, axis=0))
     if not np.all(residuals <= tol):

@@ -11,9 +11,12 @@ Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
 product X^T diag(c) X, made exactly symmetric.  ``_shared_pattern``,
 ``_scatter`` and ``_compact`` are the sparse assembler of both stacks (lame2d
-too): one CSR pattern per mesh, cell blocks summed into it in cell order, so
-K == K.T bit for bit, and exact zeros dropped (except in the 2D K(k), which
-keeps the pattern).  The (K, M) pairs go through
+too): one CSR pattern per mesh, built straight from the sorted unique pairs
+of free nodes, with the CSR position of every local entry; cell blocks summed
+into it in cell order, so K == K.T bit for bit, and exact zeros dropped
+(except in the 2D K(k), which keeps the pattern).  A slot belongs to one
+component pair, so a caller may scatter each component block on its own
+slice of the positions, as lame2d does.  The (K, M) pairs go through
 ``eig.solve_smallest(K, M, ...)`` like the 2D ones.
 """
 
@@ -84,30 +87,44 @@ def _shared_pattern(fn: np.ndarray, ncomp: int):
     ``fn[c, i]`` is the index among the free nodes of local node i of cell c,
     or -1 on a clamped node; a clamped node has all ``ncomp`` components
     fixed, so the free DOFs are ncomp fn + comp.  Returns ``(indptr, indices,
-    slot)``: ``slot`` holds the CSR position of every local entry (cell, comp,
-    i, comp', j) in that order, or nnz where the entry touches a clamped DOF.
+    slot)``, all int32: the index arrays with sorted rows, and ``slot``, the
+    CSR position of every local entry (cell, comp, i, comp', j) in that order,
+    or nnz where the entry touches a clamped DOF.
     """
     n_free = int(fn.max()) + 1
     both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
-    fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
-    fj = np.broadcast_to(fn[:, None, :], both.shape)[both]
-    pairs, pair = np.unique(fi * n_free + fj, return_inverse=True)
-    node = sp.csr_matrix((np.ones(len(pairs)), divmod(pairs, n_free)),
-                         shape=(n_free, n_free))
-    dof = sp.kron(node, np.ones((ncomp, ncomp)), format="csr")
-    dof.sort_indices()
-    # row ncomp fi + a lists ncomp fj + b for the neighbours fj of fi in order, b fastest
-    a, b = np.arange(ncomp)[:, None], np.arange(ncomp)
-    pos = np.full(both.shape + (ncomp, ncomp), dof.nnz)
-    pos[both] = (dof.indptr[ncomp * fi[:, None, None] + a]
-                 + ncomp * (pair - node.indptr[fi])[:, None, None] + b)
-    return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
+    pairs, pair = np.unique((fn[:, :, None] * n_free + fn[:, None, :])[both],
+                            return_inverse=True)
+    fi, fj = np.divmod(pairs, n_free)  # node pairs by row, then column
+    deg = np.bincount(fi, minlength=n_free)
+    first = np.cumsum(deg) - deg  # first pair of each node row
+    # row ncomp i + a lists ncomp j + b for the neighbours j of i in order, b fastest:
+    # the rows of ``cols`` of node i's pairs, once for each a
+    row_deg = np.repeat(deg, ncomp)
+    indptr = np.concatenate([[0], np.cumsum(ncomp * row_deg)]).astype(np.int32)
+    b = np.arange(ncomp, dtype=np.int32)
+    a = b[:, None]
+    cols = (ncomp * fj[:, None] + b).astype(np.int32)
+    # the k-th neighbour in a row of node i is pair first[i] + k
+    lag = (np.cumsum(row_deg) - row_deg - np.repeat(first, ncomp)).astype(np.int32)
+    at = np.arange(ncomp * len(pairs), dtype=np.int32) - np.repeat(lag, row_deg)
+    indices = cols.take(at, axis=0).ravel()
+    # the CSR position of every local entry; the rows of a clamped node (fn -1)
+    # index arbitrary entries until nnz overwrites every entry that touches it
+    offset = np.zeros(both.shape, dtype=np.int32)
+    offset[both] = pair
+    offset -= first[fn][:, :, None]
+    slot = (indptr[ncomp * fn[:, None, :, None, None] + a[..., None, None]] + b[:, None]
+            + ncomp * offset[:, None, :, None, :])
+    np.copyto(slot, indptr[-1], where=~both[:, None, :, None, :])
+    return indptr, indices, slot.ravel()
 
 
 def _scatter(slot: np.ndarray, local: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """CSR data: each entry of ``local`` summed into its slot in cell order; slot nnz dropped."""
+    """CSR data: each entry of ``local`` summed, in order, into its slot (an array of
+    the same shape); slot nnz dropped."""
     nnz = int(indptr[-1])
-    return np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+    return np.bincount(slot.ravel(), weights=local.ravel(), minlength=nnz + 1)[:nnz]
 
 
 def _compact(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

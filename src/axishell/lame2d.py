@@ -17,9 +17,11 @@ for 0.01 <= eps < 0.05 (see ``_thickness_degree``) and p_t = p otherwise; the
 band, set by the thickness nodes, then halves.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each matrix is summed into the family's
-one CSR pattern by the sparse assembler of fem1d.  The mass matrix, in every
-Lanczos matvec, then drops its exact zeros; each K(k) keeps the shared
-pattern, whose band its Cholesky factor fills anyway.
+one CSR pattern by the sparse assembler of fem1d, one nonzero component
+block at a time: 5 of the 9 component pairs in A0, 4 in A1 and 3 in A2 and
+M.  The mass matrix, in every Lanczos matvec, then drops its exact zeros;
+each K(k) keeps the shared pattern, whose band its Cholesky factor fills
+anyway.
 """
 
 from __future__ import annotations
@@ -276,39 +278,38 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
         # X^T diag(w) Y for every cell at once
         return np.matmul(X.transpose(0, 2, 1), w[:, :, None] * Y)
 
+    def sym(X):
+        # a diagonal block's symmetric part keeps the global matrices exactly symmetric
+        return 0.5 * (X + X.transpose(0, 2, 1))
+
     R, P, T3 = 0, 1, 2
     cpl = a_c + (1.0 - nu)
-    blocks = {
-        # k^0 terms
-        "A0": {
-            (R, R): (blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
-                     + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
-                     + blk(d_c * r * wq, Gtau, Gtau)),
-            (T3, T3): blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr),
+
+    def component_blocks():
+        # each matrix's nonzero component blocks, one matrix at a time so that only
+        # its blocks are alive; an off-diagonal block B at (a, b) also enters the
+        # mirrored slots (b, a) as B^T
+        yield "A0", {  # k^0 terms
+            (R, R): sym(blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
+                        + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
+                        + blk(d_c * r * wq, Gtau, Gtau)),
+            (T3, T3): sym(blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr)),
             (R, T3): (blk(b_c * r * wq, Gr, Gtau) + blk(b_c * wq, N, Gtau)
                       + blk(d_c * r * wq, Gtau, Gr)),
-            (P, P): (blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
-                     - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
-                     + blk(4 * d_c / r**3 * wq, N, N)),
-        },
-        # k^1 terms (phi couples to r and tau)
-        "A1": {
+            (P, P): sym(blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
+                        - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
+                        + blk(4 * d_c / r**3 * wq, N, N)),
+        }
+        yield "A1", {  # k^1 terms (phi couples to r and tau)
             (P, R): (blk(cpl / r**2 * wq, N, N) + blk(b_c / r * wq, N, Gr)
                      - blk(d_c / r * wq, Gr, N)),
             (P, T3): blk(b_c / r * wq, N, Gtau) - blk(d_c / r * wq, Gtau, N),
-        },
+        }
         # k^2 terms
-        "A2": {
-            (R, R): blk(d_c / r * wq, N, N),
-            (T3, T3): blk(d_c / r * wq, N, N),
-            (P, P): blk(a_c / r**3 * wq, N, N),
-        },
-        "M": {
-            (R, R): blk(r * wq, N, N),
-            (T3, T3): blk(r * wq, N, N),
-            (P, P): blk(wq / r, N, N),
-        },
-    }
+        nn = sym(blk(d_c / r * wq, N, N))
+        yield "A2", {(R, R): nn, (T3, T3): nn, (P, P): sym(blk(a_c / r**3 * wq, N, N))}
+        nn = sym(blk(r * wq, N, N))
+        yield "M", {(R, R): nn, (T3, T3): nn, (P, P): sym(blk(wq / r, N, N))}
 
     # node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp.  The clamped
     # lateral ends z = z+- hold the first and the last nt ids.
@@ -317,19 +318,19 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
     indptr, indices, slot = _shared_pattern(
         np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1), 3)
+    slot = slot.reshape(n_cells, 3, nloc, 3, nloc)
 
     mats = {}
-    for name, parts in blocks.items():
-        local = np.zeros((n_cells, 3, nloc, 3, nloc))
-        for (a, b), block in parts.items():
-            local[:, a, :, b, :] = block
-            if a != b:
-                local[:, b, :, a, :] = block.transpose(0, 2, 1)
-        # exactly symmetric cell matrices keep the global ones exactly symmetric
-        local = 0.5 * (local + local.transpose(0, 3, 4, 1, 2))
+    for name, parts in component_blocks():
+        parts = {**parts, **{(b, a): B.transpose(0, 2, 1)
+                             for (a, b), B in parts.items() if a != b}}
+        # one scatter of the stacked blocks: a slot belongs to one component pair,
+        # so each entry is still summed over the cells in cell order
+        rows, cols = map(list, zip(*parts))
+        local = np.stack(list(parts.values()))
         if name != "M":
             local *= c_fac
-        data = _scatter(slot, local, indptr)
+        data = _scatter(slot[:, rows, :, cols, :], local, indptr)
         # A0, A1 and A2 keep the shared pattern, zero blocks included, so that
         # K(k) is one axpy on their data; M, in every Lanczos matvec, drops its zeros
         mats[name] = (_compact(data, indices, indptr) if name == "M" else

@@ -12,8 +12,10 @@ from the paper" in README.md:
   measured 2.29), so the demanded factor 2.5 is unattainable there.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,29 @@ def test_criterion_2_wavenumber_table(sweep2d):
         f"criterion 2 (2D wavenumber table, {elapsed:.0f} s): "
         + ("PASS" if ok else "FAIL") + "  " + " ".join(rows)
     )
+    assert ok
+
+
+def test_wavenumber_table_fingerprints(sweep2d):
+    # k_opt and lambda_1(k_opt) of the table sweeps as committed by
+    # tests/make_fingerprints.py; an assembly or solver change that moves a
+    # table eigenvalue past 1e-8 relative shows here before it can move a k_opt
+    pins = json.loads(Path(__file__).with_name("fingerprints.json").read_text())
+    assert sorted((p["model"], p["eps"]) for p in pins) == sorted(
+        (mid, eps) for mid in TAB_K for eps in TAB_K[mid])
+    drift, moved = {}, []
+    for p in pins:
+        sweep = sweep2d(p["model"], p["eps"])
+        name = f"{p['model']}@{p['eps']:g}"
+        if sweep.k_opt != p["k_opt"]:
+            moved.append(f"{name} k_opt {sweep.k_opt}/{p['k_opt']}")
+        drift[name] = abs(sweep.lambda1 / float.fromhex(p["lambda1"]) - 1.0)
+    worst = max(drift, key=drift.get)
+    ok = not moved and drift[worst] <= 1e-8
+    record_criterion(
+        "table fingerprints (16 k_opt, lambda(k_opt) to 1e-8 vs tests/fingerprints.json): "
+        + ("PASS" if ok else "FAIL") + f"  largest lambda drift {drift[worst]:.1e} at {worst}"
+        + "".join(f"; {m}" for m in moved))
     assert ok
 
 

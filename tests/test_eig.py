@@ -141,6 +141,20 @@ def test_standard_form_solve_matches_dense_eigh(monkeypatch, pencil, m, warm):
     assert len(transposed) == 2 * out.iterations + m  # plus x = U^-1 y per pair
 
 
+def test_dense_solve_of_every_pair_uses_the_standard_form():
+    # m = n is beyond ARPACK and solved densely, on U^-T M U^-1 at the shift used
+    # like m < n; eigh(K, M) missed this pencil's lambda_1 by 2.3e-10 relative
+    K, M, shift = _shifted_h20_pencil()
+    n = K.shape[0]
+    assert n == 46
+    full, first = (eig.solve_smallest(K, M, m, shift=shift) for m in (n, 1))
+    assert full.shift == first.shift == shift
+    assert abs(full.values[0] / first.values[0] - 1.0) <= 1e-12
+    assert np.all(np.diff(full.values) > 0)
+    low = full.vectors[:, :3]
+    np.testing.assert_allclose(low.T @ (M @ low), np.eye(3), rtol=0, atol=1e-12)
+
+
 def _band_matrices():
     """(name, matrix) pairs: 1D and 2D pencils, a dense input and a far coupling."""
     prof = ax.preset("B")

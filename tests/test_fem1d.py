@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import axishell as ax
@@ -157,13 +158,13 @@ def test_batched_assembly_regression():
 
 
 def _record_scatters(monkeypatch):
-    """Every (local blocks, pattern nnz) that goes through ``fem1d._scatter``, in call order."""
+    """Every (slot, local blocks, pattern nnz) that goes through ``fem1d._scatter``, in
+    call order."""
     seen = []
     scatter = fem1d._scatter
 
     def record(slot, local, indptr):
-        n_loc = math.isqrt(local[0].size)  # local DOFs per cell, (component, node) order
-        seen.append((local.reshape(len(local), n_loc, n_loc).copy(), int(indptr[-1])))
+        seen.append((np.array(slot), local.copy(), int(indptr[-1])))
         return scatter(slot, local, indptr)
 
     monkeypatch.setattr(fem1d, "_scatter", record)
@@ -186,17 +187,20 @@ def _assert_sorted_csr(A):
     assert np.all(np.diff(A.indices)[inner[1:]] > 0)
 
 
+def _free_nodes_1d(n_el, step):
+    # element e holds nodes step e .. step (e + 1); both end nodes are clamped (-1)
+    node = step * np.arange(n_el)[:, None] + np.arange(step + 1)
+    return np.where((node > 0) & (node < step * n_el), node - 1, -1)
+
+
 def _dofs_1d(n_el, space):
     # global numbering: node-major (value, slope) pairs for H20, one value per
-    # node for H10; the end nodes are clamped, local order is (component, node)
-    e = np.arange(n_el)[:, None]
+    # node for H10; local order is (component, node)
     if space == "H20":
-        node = e + np.arange(2)
-        fn = np.where((node > 0) & (node < n_el), node - 1, -1)
+        fn = _free_nodes_1d(n_el, 1)
         dof = np.concatenate([2 * fn, 2 * fn + 1], axis=1)
         return np.where(np.concatenate([fn, fn], axis=1) >= 0, dof, -1), 2 * (n_el - 1)
-    node = 2 * e + np.arange(3)
-    return np.where((node > 0) & (node < 2 * n_el), node - 1, -1), 2 * n_el - 1
+    return _free_nodes_1d(n_el, 2), 2 * n_el - 1
 
 
 @pytest.mark.parametrize("model, graded", [("B", False), ("D", False), ("L", False), ("D", True)])
@@ -215,8 +219,9 @@ def test_shared_scatter_matches_dense_accumulation_1d(model, graded, monkeypatch
     ]
     mats = [(space, A) for space, group in mats for A in group]
     assert len(seen) == len(mats)
-    for (space, A), (local, nnz) in zip(mats, seen):
+    for (space, A), (_, local, nnz) in zip(mats, seen):
         dof, n = _dofs_1d(mesh.n_elements, space)
+        local = local.reshape(len(local), dof.shape[1], dof.shape[1])  # (component, node) order
         assert np.array_equal(A.toarray(), _dense_sum(local, dof, n))
         assert np.all(A.data != 0.0) and A.nnz <= nnz
         _assert_sorted_csr(A)
@@ -227,25 +232,92 @@ def test_shared_scatter_matches_dense_accumulation_1d(model, graded, monkeypatch
     assert all(np.array_equal(a, b) for a, b in zip(pattern, (el.indptr, el.indices, el.slot)))
 
 
+def _free_nodes_2d(p, pt, nz_cells, nt_cells):
+    # scalar node (iz, it) is iz nt + it, local node (i, s) of a cell i (pt + 1) + s;
+    # the lateral ends (the first and last nt nodes) are clamped (-1)
+    nz, nt = p * nz_cells + 1, pt * nt_cells + 1
+    cz, ct = np.divmod(np.arange(nz_cells * nt_cells), nt_cells)
+    ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
+           + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(len(cz), -1)
+    return np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
+
+
+def _kron_pattern(fn, ncomp):
+    """``fem1d._shared_pattern`` built the long way: the sorted unique node pairs,
+    their Kronecker product with an ncomp x ncomp block of ones, sorted rows, and
+    the slot of each free local entry written through a mask."""
+    n_free = int(fn.max()) + 1
+    both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
+    fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
+    fj = np.broadcast_to(fn[:, None, :], both.shape)[both]
+    pairs, pair = np.unique(fi * n_free + fj, return_inverse=True)
+    node = sp.csr_matrix((np.ones(len(pairs)), divmod(pairs, n_free)),
+                         shape=(n_free, n_free))
+    dof = sp.kron(node, np.ones((ncomp, ncomp)), format="csr")
+    dof.sort_indices()
+    a, b = np.arange(ncomp)[:, None], np.arange(ncomp)
+    pos = np.full(both.shape + (ncomp, ncomp), dof.nnz)
+    pos[both] = (dof.indptr[ncomp * fi[:, None, None] + a]
+                 + ncomp * (pair - node.indptr[fi])[:, None, None] + b)
+    return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
+
+
+@pytest.mark.parametrize("fn, ncomp", [
+    (_free_nodes_1d(7, 1), 2),           # cubic Hermite, (value, slope) per node
+    (_free_nodes_1d(7, 2), 1),           # quadratic Lagrange
+    (_free_nodes_2d(4, 2, 3, 2), 3),     # thickness degree below the meridian degree
+], ids=["h20", "h10", "2d"])
+def test_shared_pattern_matches_kron_construction(fn, ncomp):
+    indptr, indices, slot = fem1d._shared_pattern(fn, ncomp)
+    want = _kron_pattern(fn, ncomp)
+    assert indptr.dtype == indices.dtype == slot.dtype == np.int32
+    assert np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])
+    assert np.array_equal(slot, want[2])
+    assert (slot == indptr[-1]).any()  # entries on clamped nodes
+
+
 def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
     p, nz_cells, nt_cells = 3, 4, 2
     seen = _record_scatters(monkeypatch)
+    patterns = []
+    shared_pattern = lame2d._shared_pattern
+
+    def record_pattern(fn, ncomp):
+        patterns.append(shared_pattern(fn, ncomp))
+        return patterns[-1]
+
+    monkeypatch.setattr(lame2d, "_shared_pattern", record_pattern)
     mesh = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, nz_cells, nt_cells)
     fam = lame2d.get_family(mesh, degree=p)
-    # scalar node (iz, it) is iz nt + it, DOF 3 node + comp; the lateral ends
-    # (the first and last nt nodes) are clamped
-    nz, nt = p * nz_cells + 1, p * nt_cells + 1
-    cz, ct = np.divmod(np.arange(nz_cells * nt_cells), nt_cells)
-    ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
-           + (p * ct[:, None] + np.arange(p + 1))[:, None, :]).reshape(len(cz), -1)
-    fn = np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
+    # DOF 3 node + comp, local DOFs in (comp, node) order
+    fn = _free_nodes_2d(p, p, nz_cells, nt_cells)
+    n_cells, nloc = fn.shape
     dof = np.where(fn[:, None, :] >= 0, 3 * fn[:, None, :] + np.arange(3)[:, None], -1)
-    dof = dof.reshape(len(cz), -1)
+    dof = dof.reshape(n_cells, -1)
     n = fam.dof_count
-    assert [nnz for _, nnz in seen] == [fam.A0.nnz] * 4
-    names = ("A0", "A1", "A2", "M")
-    ref = {name: _dense_sum(local, dof, n) for name, (local, _) in zip(names, seen)}
-    for name in names:
+    (*_, slot), = patterns
+    slot = slot.reshape(n_cells, 3, nloc, 3, nloc)
+    # one call per matrix, A0, A1, A2 and M in turn, with its nonzero component
+    # blocks (a, b) stacked; an off-diagonal block of a symmetric matrix comes
+    # with its mirror (b, a)
+    R, P, T = 0, 1, 2
+    wanted = {"A0": {(R, R), (T, T), (P, P), (R, T), (T, R)},
+              "A1": {(P, R), (R, P), (P, T), (T, P)},
+              "A2": {(R, R), (T, T), (P, P)},
+              "M": {(R, R), (T, T), (P, P)}}
+    assert [nnz for *_, nnz in seen] == [fam.A0.nnz] * 4
+    ref = {}
+    for (name, pairs), (slots, blocks, _) in zip(wanted.items(), seen):
+        local = np.zeros((n_cells, 3, nloc, 3, nloc))
+        got = set()
+        for s, block in zip(slots, blocks):
+            (a, b), = [(a, b) for a in range(3) for b in range(3)
+                       if np.array_equal(s, slot[:, a, :, b, :])]
+            got.add((a, b))
+            local[:, a, :, b, :] = block
+        assert got == pairs and len(blocks) == len(pairs), name
+        ref[name] = _dense_sum(local.reshape(n_cells, 3 * nloc, 3 * nloc), dof, n)
+    for name in wanted:
         A = getattr(fam, name)
         assert np.array_equal(A.toarray(), ref[name]), name
         _assert_sorted_csr(A)

@@ -79,26 +79,33 @@ def test_symmetry_and_spd_mass():
     np.linalg.cholesky(M)  # SPD
 
 
-# Fingerprints of the per-cell assembly that preceded the batched one, at
-# eps 0.1 on 4 x 2 cells: stored entries of (A0, A1, A2, M), those above
-# 1e-13 max|A|, and lambda_1 at k = 3.
+# Fingerprints of the family on 4 x 2 cells, keyed (model, eps, degree): stored
+# entries of (A0, A1, A2, M), those above 1e-13 max|A|, and lambda_1 at k = 3.
+# The eps 0.1 rows come from the per-cell assembly that preceded the batched
+# one; H at eps 0.02 (thickness degree 3 under degree 6) from the dense-block
+# scatter that preceded the block-wise one.
 ASSEMBLY_PINS = {
-    ("B", 3): ((7285, 5828, 4371, 4371), (7285, 5828, 4371, 4371), 0.20762870637703135),
-    ("B", 6): ((80995, 64796, 48597, 48597), (80995, 64796, 48597, 48597),
-               0.20613100139303123),
-    ("D", 3): ((7279, 5826, 4371, 4371), (7223, 5766, 4371, 4371), 0.6329759503341575),
-    ("D", 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
-               0.6306502825866545),
-    ("H", 3): ((7281, 5822, 4371, 4371), (7223, 5766, 4371, 4371), 0.5398947620387022),
-    ("H", 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
-               0.5375096711284458),
+    ("B", 0.1, 3): ((7285, 5828, 4371, 4371), (7285, 5828, 4371, 4371), 0.20762870637703135),
+    ("B", 0.1, 6): ((80995, 64796, 48597, 48597), (80995, 64796, 48597, 48597),
+                    0.20613100139303123),
+    ("D", 0.1, 3): ((7279, 5826, 4371, 4371), (7223, 5766, 4371, 4371), 0.6329759503341575),
+    ("D", 0.1, 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
+                    0.6306502825866545),
+    ("H", 0.1, 3): ((7281, 5822, 4371, 4371), (7223, 5766, 4371, 4371), 0.5398947620387022),
+    ("H", 0.1, 6): ((80995, 64796, 48597, 48597), (80801, 64602, 48597, 48597),
+                    0.5375096711284458),
+    ("H", 0.02, 6): ((25885, 20708, 15531, 15531), (25823, 20646, 15531, 15531),
+                     0.1971920157683465),
 }
 
 
-@pytest.mark.parametrize("model, degree", sorted(ASSEMBLY_PINS))
-def test_assembly_regression(model, degree):
-    nnz, significant, lam = ASSEMBLY_PINS[model, degree]
-    mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.1, 4, 2)
+@pytest.mark.parametrize("model, eps, degree", [
+    # the eps 0.1 cases are named model-degree
+    pytest.param(*key, id="-".join(map(str, key[::2] if key[1] == 0.1 else key)))
+    for key in sorted(ASSEMBLY_PINS)])
+def test_assembly_regression(model, eps, degree):
+    nnz, significant, lam = ASSEMBLY_PINS[model, eps, degree]
+    mesh = lame2d.build_meridian_mesh(ax.preset(model), eps, 4, 2)
     fam = lame2d.get_family(mesh, degree=degree)
     # M holds one 3 x 3 diagonal block per pair of nodes sharing a cell; A0
     # couples 5 of the 9 component pairs, A1 4, A2 3
@@ -189,7 +196,7 @@ def test_eigenvalue_matches_extended_precision_rayleigh_quotient(model, eps, n_m
     (0.02, 4, 3), (0.02, 2, 2), (0.1, 4, 4)])
 def test_default_thickness_degree(eps, degree, want):
     # the explicit degree is the meridian one; the thickness degree follows
-    # from eps, so the thick shells of ASSEMBLY_PINS and the thin pencils of
+    # from eps, so the eps 0.1 shells of ASSEMBLY_PINS and the thin pencils of
     # the extended-precision test keep thickness degree p
     mesh = lame2d.build_meridian_mesh(ax.preset("H"), eps, 2, 2)
     fam = lame2d.get_family(mesh, degree)
