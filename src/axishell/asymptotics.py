@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import airy
 
 from . import fem1d
 from .errors import (
@@ -65,14 +63,17 @@ GAMMA_MAX_STEPS = 60   # bisection alone closes a grid cell to GAMMA_XTOL in 40
 DEFAULT_ELEMENTS = 128
 
 
-@lru_cache(maxsize=1)
 def airy_first_zero() -> float:
     """First zero of the reversed Airy function, i.e. smallest x > 0 with Ai(-x) = 0.
 
-    Brent's method on scipy's Ai gives the correctly rounded zero;
-    ``scipy.special.ai_zeros`` returns it 1 ulp high.
+    The correctly rounded double of 2.3381074104597670384891972524467...,
+    which is ``-mpmath.airyaizero(1)`` at 40 digits.  Brent's method on
+    scipy's Ai (``brentq`` on [2, 3], xtol 1e-14, rtol 1e-15) returns the
+    same double, which the tests check; ``scipy.special.ai_zeros`` returns
+    it 1 ulp high.  A constant keeps scipy.optimize and scipy.special off
+    the package's import path.
     """
-    return brentq(lambda x: airy(-x)[0], 2.0, 3.0, xtol=1e-14, rtol=1e-15)
+    return float.fromhex("0x1.2b471a873adf9p+1")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +29,19 @@ from . import __version__, asymptotics, lame2d, symbols, verify
 from .errors import AxishellError
 from .geometry import ShellClassTag, classify, essential_spectrum_range, frame_at
 from .profiles import ShellProfile, preset
+
+
+# a value such as -1,1 or -1e-3: no option of the CLI starts with '-' and a digit
+_NEGATIVE_VALUE = re.compile(r"-\.?\d[\d.,eE+-]*")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number list as a value, not an option."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _load_profile(args) -> ShellProfile:
@@ -309,7 +323,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="axishell",
         description="Axisymmetric-shell classification, wavenumber asymptotics, "
         "and meridian eigenvalue sweeps",
@@ -364,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--z-center", type=float, default=0.0)
     p.add_argument("--interval", type=_parse_interval, default="-1,1",
-                   help="meridian interval z-,z+ of every arc; write --interval=-1,1, "
-                   "since a space-separated value that starts with '-' reads as an option")
+                   help="meridian interval z-,z+ of every arc")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="output directory (default: stdout)")
     p.set_defaults(func=cmd_torus_sweep)

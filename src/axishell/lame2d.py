@@ -228,7 +228,8 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
     gw = 0.5 * gw
     ref_z, ref_t = _lobatto_nodes(p), _lobatto_nodes(pt)
     Vz, Dz = _lagrange_tables(ref_z, gx)
-    Vt, Dt = _lagrange_tables(ref_t, gx)
+    # the same nodes at the same points when p_t = p
+    Vt, Dt = (Vz, Dz) if pt == p else _lagrange_tables(ref_t, gx)
 
     nz_cells, nt_cells = mesh.n_meridian, mesh.n_thickness
     n_cells = nz_cells * nt_cells

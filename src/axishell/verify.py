@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import airy
 
 from . import asymptotics, fem1d, lame2d, symbols
 from .geometry import frame_at
@@ -48,6 +46,10 @@ def identity_suite(profile2d: ShellProfile | None = None, seed: int = 0):
     uniformly with ``seed``.  The 2D assembly identities use ``profile2d``
     (model D when None); the toroidal check runs for model D only.
     """
+    # only the suite needs these, so importing the package does not load them
+    from scipy.optimize import brentq
+    from scipy.special import airy
+
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(POINTWISE_TOLS, 0.0)
     for mid in PRESET_IDS:

@@ -23,6 +23,7 @@ import axishell as ax
 from axishell import asymptotics as asy
 from axishell.verify import identity_suite
 from conftest import record_criterion
+from make_fingerprints import CONSTANTS, constants_pin, torus_pins
 
 TAB_ASY = {
     "A": (2.9323, 3.3852),
@@ -105,11 +106,28 @@ def test_criterion_2_wavenumber_table(sweep2d):
     assert ok
 
 
+def _pins(section: str) -> list:
+    """One section of tests/fingerprints.json, as tests/make_fingerprints.py wrote it."""
+    return json.loads(Path(__file__).with_name("fingerprints.json").read_text())[section]
+
+
+def _pin_drift(pin: dict, got: dict) -> float:
+    """Largest relative move of a float field; inf if any other field differs."""
+    if pin["exact"] != got["exact"] or pin["hex"].keys() != got["hex"].keys():
+        return math.inf
+    drift = 0.0
+    for name, text in pin["hex"].items():
+        want, value = float.fromhex(text), float.fromhex(got["hex"][name])
+        if value != want:  # a pinned zero must stay exactly zero
+            drift = max(drift, abs(value / want - 1.0) if want else math.inf)
+    return drift
+
+
 def test_wavenumber_table_fingerprints(sweep2d):
     # k_opt and lambda_1(k_opt) of the table sweeps as committed by
     # tests/make_fingerprints.py; an assembly or solver change that moves a
     # table eigenvalue past 1e-8 relative shows here before it can move a k_opt
-    pins = json.loads(Path(__file__).with_name("fingerprints.json").read_text())
+    pins = _pins("table")
     assert sorted((p["model"], p["eps"]) for p in pins) == sorted(
         (mid, eps) for mid in TAB_K for eps in TAB_K[mid])
     drift, moved = {}, []
@@ -126,6 +144,28 @@ def test_wavenumber_table_fingerprints(sweep2d):
         + ("PASS" if ok else "FAIL") + f"  largest lambda drift {drift[worst]:.1e} at {worst}"
         + "".join(f"; {m}" for m in moved))
     assert ok
+
+
+def test_constants_fingerprints():
+    # every field `axishell asymptotics` prints, unrounded, for the five presets
+    # at E = 1 and 2: each float within 1e-8 relative, the rest identical
+    pins = _pins("constants")
+    assert [(p["model"], p["E"]) for p in pins] == CONSTANTS
+    drift = {f"{p['model']}@E={p['E']:g}": _pin_drift(p, constants_pin(p["model"], p["E"]))
+             for p in pins}
+    worst = max(drift, key=drift.get)
+    record_criterion(
+        "constants fingerprints (5 presets at E = 1, 2 to 1e-8 vs tests/fingerprints.json): "
+        + ("PASS" if drift[worst] <= 1e-8 else "FAIL")
+        + f"  largest drift {drift[worst]:.1e} at {worst}")
+    assert drift[worst] <= 1e-8
+
+
+def test_torus_sweep_fingerprints():
+    pins = _pins("torus_sweep")
+    got = torus_pins()
+    assert len(got) == len(pins) == 5
+    assert max(_pin_drift(p, g) for p, g in zip(pins, got)) <= 1e-8
 
 
 def test_criterion_3_cylinder_routes():

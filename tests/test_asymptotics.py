@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import airy
 
 import axishell as ax
@@ -48,6 +48,12 @@ def test_airy_function_and_zero():
     assert abs(za - float(-mpmath.airyaizero(1))) < 1e-9
     for x in (-4.5, -2.0, -0.5, 0.0, 1.0, 4.0, 7.5):
         assert abs(airy(x)[0] - float(mpmath.airyai(x))) < 1e-10
+
+
+def test_airy_first_zero_is_brents_root_bit_for_bit():
+    # the constant is the double that Brent's method finds on scipy's Ai
+    assert asy.airy_first_zero() == brentq(lambda x: airy(-x)[0], 2.0, 3.0,
+                                           xtol=1e-14, rtol=1e-15)
 
 
 @pytest.mark.parametrize("eta1", [4, 2, 1, Fraction(2, 3)])

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import axishell
 from axishell import asymptotics, profiles
 from axishell.cli import main
 from axishell.profiles import ShellProfile
@@ -125,6 +130,18 @@ def test_sweep2d_csv_and_determinism(tmp_path, capsys):
     data2 = (out2 / "sweep2d_D_eps0.1.csv").read_text()
     strip = lambda t: re.sub(r"generated=\S+", "", t)  # noqa: E731
     assert strip(data) == strip(data2)
+
+
+def test_torus_sweep_interval_with_a_space_or_equals(capsys):
+    # a space-separated value that starts with '-' is the option's value
+    strip = lambda t: re.sub(r"generated=\S+", "", t)  # noqa: E731
+    outputs = []
+    for form in (["--interval", "-0.5,1"], ["--interval=-0.5,1"]):
+        code, out, _ = run(capsys, ["torus-sweep", "--r-min", "-1.0", "--r-max", "-0.99", *form])
+        assert code == 0
+        outputs.append(strip(out))
+    assert " interval=-0.5,1 " in outputs[0].splitlines()[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_torus_sweep_csv(tmp_path, capsys):
@@ -278,3 +295,35 @@ def test_verify_model_A(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+_IMPORT_SET = """
+import json, sys
+FORBIDDEN = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft",
+             "scipy.interpolate")
+loaded = {}
+import axishell
+loaded["import axishell"] = [m for m in FORBIDDEN if m in sys.modules]
+from axishell import cli
+loaded["import axishell.cli"] = [m for m in FORBIDDEN if m in sys.modules]
+for argv in (["sweep2d", "--model", "H", "--eps", "0.1", "--jobs", "1", "--out", sys.argv[1]],
+             ["asymptotics", "--model", "L"]):
+    assert cli.main(argv) == 0
+    loaded[argv[0]] = [m for m in FORBIDDEN if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_set_leaves_out_optimize_and_special(tmp_path):
+    # a cold `axishell` process pays for every module it imports; the package
+    # and the sweep2d and asymptotics commands need no scipy beyond sparse
+    # and linalg, and each of these would add to the start-up time
+    src = str(Path(axishell.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == dict.fromkeys(
+        ["import axishell", "import axishell.cli", "sweep2d", "asymptotics"], [])
