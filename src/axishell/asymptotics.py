@@ -208,13 +208,12 @@ class _GammaScan:
     """
 
     def __init__(self, K_op, K_b, M, p_low: int, p_high: int, b_min: float = 0.0,
-                 seed: int = 0, K_0=None, lb_0: float = 0.0):
+                 K_0=None, lb_0: float = 0.0):
         self.K_op, self.K_b, self.M, self.K_0 = K_op, K_b, M, K_0
         self.p_low, self.p_high = p_low, p_high
         self.b_min, self.lb_0 = b_min, lb_0
-        self.seed = seed
         self._warm = None
-        self.lam_op_min = float(fem1d.smallest_eigenpairs(K_op, M, seed=seed).values[0])
+        self.lam_op_min = float(fem1d.smallest_eigenpairs(K_op, M).values[0])
 
     def mu1(self, gamma: float, with_vector: bool = False):
         K = gamma ** self.p_low * self.K_op + gamma ** self.p_high * self.K_b
@@ -223,9 +222,7 @@ class _GammaScan:
         lb = (self.lb_0 + gamma ** self.p_low * self.lam_op_min
               + gamma ** self.p_high * self.b_min)
         shift = lb - 0.005 * abs(lb)
-        pairs = fem1d.smallest_eigenpairs(
-            K, self.M, seed=self.seed, x0=self._warm, shift=shift
-        )
+        pairs = fem1d.smallest_eigenpairs(K, self.M, x0=self._warm, shift=shift)
         self._warm = pairs.vectors
         mu = float(pairs.values[0])
         return (mu, pairs.vectors[:, 0]) if with_vector else mu
@@ -385,7 +382,7 @@ def _bending(profile: ShellProfile, mesh: fem1d.Mesh1D, space: str):
     return K_b, float(np.min(b0_fun(np.linspace(*profile.interval, 1025))))
 
 
-def _parabolic_scan(profile: ShellProfile, n_elements: int, seed: int = 0) -> _GammaScan:
+def _parabolic_scan(profile: ShellProfile, n_elements: int) -> _GammaScan:
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     E = profile.E
 
@@ -396,17 +393,17 @@ def _parabolic_scan(profile: ShellProfile, n_elements: int, seed: int = 0) -> _G
 
     K_op, M = fem1d.assemble_h20(profile, a4, 0.0, mesh)
     K_b, b_min = _bending(profile, mesh, "H20")
-    return _GammaScan(K_op, K_b, M, -4, 4, b_min=b_min, seed=seed)
+    return _GammaScan(K_op, K_b, M, -4, 4, b_min=b_min)
 
 
 def optimize_gamma_parabolic(
     profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS, seed: int = 0,
+    n_elements: int = DEFAULT_ELEMENTS,
 ) -> AsymptoticsResult:
     """Cone (or cylinder, as a cross-check) constants by gamma optimization;
     ``diagnostics["scan"]`` holds the minimized scan."""
     cls = _require_class(profile, (ShellClassTag.CONE, ShellClassTag.CYLINDER), cls)
-    return _scan_result(cls, 4, 0.0, _parabolic_scan(profile, n_elements, seed=seed))
+    return _scan_result(cls, 4, 0.0, _parabolic_scan(profile, n_elements))
 
 
 def _elliptic_constants(profile: ShellProfile, cls: ShellClass) -> AsymptoticsResult:
@@ -461,11 +458,11 @@ def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
     return fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
 
 
-def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int, seed: int = 0):
+def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int):
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b, b_min = _bending(profile, mesh, "H10")
-    return _GammaScan(K_h2, K_b, M, -2, 4, b_min=b_min, seed=seed)
+    return _GammaScan(K_h2, K_b, M, -2, 4, b_min=b_min)
 
 
 def _arc_parameters(profile: ShellProfile):
@@ -482,7 +479,7 @@ def _arc_parameters(profile: ShellProfile):
 
 def toroidal_constants(
     profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS, seed: int = 0,
+    n_elements: int = DEFAULT_ELEMENTS,
 ) -> AsymptoticsResult:
     """Constant-potential constants by optimizing gamma^-2 H2 + gamma^4 B0;
     ``diagnostics["scan"]`` holds the minimized scan."""
@@ -494,7 +491,7 @@ def toroidal_constants(
             "azimuthal curvature to dominate"
         )
     a0 = profile.E / radius**2
-    scan = _toroidal_scan(profile, a0, n_elements, seed=seed)
+    scan = _toroidal_scan(profile, a0, n_elements)
     if scan.lam_op_min <= 0.0:
         raise AdmissibilityError(
             f"first eigenvalue of the second-order reduction is {scan.lam_op_min:.6g} <= 0"
@@ -506,7 +503,7 @@ def toroidal_constants(
 
 def compute(
     profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS, seed: int = 0,
+    n_elements: int = DEFAULT_ELEMENTS,
 ) -> AsymptoticsResult:
     """Dispatch on the shell class; refuses hyperbolic/inadmissible shells."""
     if cls is None:
@@ -515,11 +512,11 @@ def compute(
     if tag is ShellClassTag.CYLINDER:
         return cylinder_closed_form(profile, cls, n_elements=n_elements)
     if tag is ShellClassTag.CONE:
-        return optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
+        return optimize_gamma_parabolic(profile, cls, n_elements=n_elements)
     if tag in (ShellClassTag.GAUSS_ELLIPTIC, ShellClassTag.AIRY_ELLIPTIC):
         return _elliptic_constants(profile, cls)
     if tag is ShellClassTag.TORUS_ELLIPTIC:
-        return toroidal_constants(profile, cls, n_elements=n_elements, seed=seed)
+        return toroidal_constants(profile, cls, n_elements=n_elements)
     raise ReductionNotApplicableError(
         f"scalar reduction not applicable to class {tag.value}: {cls.detail}"
     )
@@ -552,7 +549,7 @@ def toroidal_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: int, seed: int):
+def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: int):
     """The k scan of H0 + k^-2 H2 + eps^2 k^4 B0 on H^1_0 (lam0 substituted in H2)."""
     mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
     K_h2, M = _h2_pencil(profile, lam0, mesh)
@@ -561,11 +558,11 @@ def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: i
     K_h0 = fem1d.assemble_weighted_mass(profile, h0, mesh, "H10")
     h0_min = float(np.min(h0(np.linspace(*profile.interval, 1025)[::8])))
     return _GammaScan(K_h2, eps**2 * K_b0, M, -2, 4,
-                      b_min=eps**2 * b0_min, seed=seed, K_0=K_h0, lb_0=h0_min)
+                      b_min=eps**2 * b0_min, K_0=K_h0, lb_0=h0_min)
 
 
 def elliptic_k_minimization(
-    profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0, asym=None,
+    profile: ShellProfile, eps: float, n_elements: int = 256, asym=None,
 ):
     """Directly minimize over k the first eigenvalue of H0 + k^-2 H2 + eps^2 k^4 B0.
 
@@ -577,13 +574,13 @@ def elliptic_k_minimization(
     """
     if asym is None:
         asym = compute(profile)
-    scan = _elliptic_scan(profile, asym.a0, eps, n_elements, seed)
+    scan = _elliptic_scan(profile, asym.a0, eps, n_elements)
     k_center = predict(asym, eps).k_real
     opt = scan.minimize(bracket=(k_center * 0.4, k_center * 2.5))
     return opt.gamma, opt.mu, {"scan": scan, **opt.counts("k")}
 
 
-def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed: int = 0):
+def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256):
     """Numeric bending/total energy ratio of the reduced operator at k = k(eps).
 
     ratio = eps^2 k^4 <B0 eta, eta> / <(H0 + k^-2 H2 + eps^2 k^4 B0) eta, eta>
@@ -592,10 +589,10 @@ def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256, seed:
     """
     cls = classify(profile)
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE):
-        res = optimize_gamma_parabolic(profile, cls, n_elements=n_elements, seed=seed)
+        res = optimize_gamma_parabolic(profile, cls, n_elements=n_elements)
         return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
-    scan = _elliptic_scan(profile, res.a0, eps, n_elements, seed)
+    scan = _elliptic_scan(profile, res.a0, eps, n_elements)
     k = predict(res, eps).k_real
     _, vec = scan.mu1(k, with_vector=True)
     h0, h2, bend = (float(vec @ (K @ vec)) for K in (scan.K_0, scan.K_op, scan.K_b))

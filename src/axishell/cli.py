@@ -87,12 +87,16 @@ def _positive_int(text: str) -> int:
 
 def _parse_mesh(text: str) -> tuple[int, int]:
     try:
-        nm, nt = text.lower().split("x")
-        return int(nm), int(nt)
+        nm, nt = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"mesh spec {text!r} is not of the form NxM"
         ) from None
+    # the limits of lame2d.build_meridian_mesh
+    if nm < 1 or nt < 2:
+        raise argparse.ArgumentTypeError(
+            f"mesh {text!r} needs at least 1 meridian cell and 2 thickness cells")
+    return nm, nt
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -155,7 +159,7 @@ def cmd_classify(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     profile = _load_profile(args)
-    res = asymptotics.compute(profile, seed=args.seed)
+    res = asymptotics.compute(profile)
     doc = res.to_dict()
     doc = {
         k: (float(f"{v:.6g}") if isinstance(v, float) else v) for k, v in doc.items()
@@ -173,16 +177,15 @@ def cmd_sweep1d(args) -> int:
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE, ShellClassTag.TORUS_ELLIPTIC):
         scan_constants = (asymptotics.toroidal_constants if cls.tag is ShellClassTag.TORUS_ELLIPTIC
                           else asymptotics.optimize_gamma_parabolic)
-        res = scan_constants(profile, cls, seed=args.seed)
+        res = scan_constants(profile, cls)
         scan = res.diagnostics["scan"]
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.n_points)
         meta.update(kind="gamma-scan", gamma_opt=f"{res.gamma:.8g}", a1=f"{res.a1:.8g}")
         columns = ["gamma", "mu1"]
     else:
         eps = args.eps_list[0] if args.eps_list else 1e-4
-        res = asymptotics.compute(profile, cls, seed=args.seed)
-        k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, seed=args.seed,
-                                                                   asym=res)
+        res = asymptotics.compute(profile, cls)
+        k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, asym=res)
         scan = data["scan"]
         k_center = asymptotics.predict(res, eps).k_real
         grid = np.geomspace(0.4 * k_center, 2.5 * k_center, args.n_points)
@@ -203,9 +206,9 @@ def _map(worker, payloads: list, jobs: int) -> list:
 
 
 def _sweep2d_worker(payload):
-    profile, res, eps, mesh_spec, degree, seed = payload
+    profile, res, eps, mesh_spec, degree = payload
     mesh = lame2d.build_meridian_mesh(profile, eps, *(mesh_spec or ()))
-    sweep = lame2d.k_sweep(profile, eps, mesh=mesh, degree=degree, asym=res, seed=seed)
+    sweep = lame2d.k_sweep(profile, eps, mesh=mesh, degree=degree, asym=res)
     # the sweep left its family in the mesh's cache
     thickness_degree = lame2d.get_family(mesh, degree).thickness_degree
     return f"{mesh.n_meridian}x{mesh.n_thickness}", thickness_degree, sweep
@@ -213,9 +216,9 @@ def _sweep2d_worker(payload):
 
 def cmd_sweep2d(args) -> int:
     profile = _load_profile(args)
-    res = asymptotics.compute(profile, seed=args.seed)
+    res = asymptotics.compute(profile)
     eps_list = args.eps_list or [0.1, 0.05, 0.02, 0.01]
-    payloads = [(profile, res, eps, args.mesh, args.degree, args.seed) for eps in eps_list]
+    payloads = [(profile, res, eps, args.mesh, args.degree) for eps in eps_list]
     summary_rows = []
     failures = 0
     for eps, (mesh_used, thickness_degree, sweep) in zip(
@@ -245,9 +248,9 @@ def cmd_trace(args) -> int:
     mesh = lame2d.build_meridian_mesh(profile, eps, *(args.mesh or ()))
     k = args.k
     if k is None:
-        k = asymptotics.predict(asymptotics.compute(profile, seed=args.seed), eps).k_int
+        k = asymptotics.predict(asymptotics.compute(profile), eps).k_int
     system = lame2d.assemble_fourier_lame(mesh, k, args.degree)
-    rec, vec = lame2d.first_eigenpair_2d(system, seed=args.seed)
+    rec, vec = lame2d.first_eigenpair_2d(system)
     trace = lame2d.midline_mode_trace(system, vec)
     meta = {"model": args.model or "custom", "eps": f"{eps:g}", "k": k,
             "mesh": f"{mesh.n_meridian}x{mesh.n_thickness}", "degree": args.degree,
@@ -392,10 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled test points")
     p.set_defaults(func=cmd_verify)
-
-    for name in ("asymptotics", "sweep1d", "sweep2d", "trace", "verify"):
-        sub.choices[name].add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -51,6 +51,8 @@ from .errors import SolverError
 
 __all__ = ["EigenPairs", "solve_smallest"]
 
+MAX_RESTARTS = 200  # ARPACK's cap on implicit restarts (eigsh's maxiter)
+
 
 @dataclass
 class EigenPairs:
@@ -185,17 +187,17 @@ def _norm1(a: sp.csr_matrix) -> float:
 
 
 @_one_blas_thread()
-def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: int = 0,
-                   max_iter: int = 200, x0: np.ndarray | None = None) -> EigenPairs:
+def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
+                   x0: np.ndarray | None = None) -> EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, for a ``shift`` below lambda_1.
 
     K (symmetric) and M (SPD) are square, of equal size, dense or sparse.  The
     shift must lie below lambda_1, so that K - shift M is positive definite for
     its Cholesky factor; where it is not, the factor is retried once at a
     shift perturbed downwards (``shift`` in the result).
-    ``max_iter`` caps ARPACK's restarts; ``tol`` bounds each pair's backward
-    error and is checked on the result.  Deterministic for a fixed seed; an
-    optional x0 (a vector or an (n, 1) column) replaces the seeded start vector.
+    ``tol`` bounds each pair's backward error and is checked on the result.
+    Deterministic: a cold solve starts from one fixed vector, which an
+    optional x0 (a vector or an (n, 1) column) replaces.
     The band map of a sparse K's pattern is kept while its index arrays live, so
     they must not be modified in place between solves (``sort_indices`` included).
     """
@@ -220,14 +222,14 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10, seed: i
     if m == n:  # ARPACK needs m < n; a pencil this small is solved densely, in the same form
         nu, Y = sla.eigh(np.column_stack([apply(e) for e in np.eye(n)]))
     else:
-        v0 = (np.random.default_rng(seed).standard_normal(n) if x0 is None
+        v0 = (np.random.default_rng(0).standard_normal(n) if x0 is None
               else sla.blas.dtbmv(u, U, np.ravel(x0)))  # U x0
         # each Ritz value nu = 1 / (lambda - used) to 1e-12 relative, so lambda - used
         # too; tol=0 stalls on the near-degenerate bottoms of the 1D scans at extreme gamma
         try:
             nu, Y = spla.eigsh(
                 spla.LinearOperator((n, n), matvec=apply, dtype=float), k=m, which="LM",
-                v0=v0, tol=1e-12, maxiter=max_iter,
+                v0=v0, tol=1e-12, maxiter=MAX_RESTARTS,
                 ncv=min(n, max(2 * m + 1, 12)))  # 30 % fewer steps than scipy's 20
         except spla.ArpackError as err:
             raise SolverError(f"shift-invert Lanczos failed: {err}") from None

@@ -251,8 +251,8 @@ def assemble_weighted_mass(
 
 
 def smallest_eigenpairs(
-    K, M, m: int = 1, seed: int = 0, x0: np.ndarray | None = None, shift: float = 0.0,
+    K, M, m: int = 1, x0: np.ndarray | None = None, shift: float = 0.0,
 ) -> eig.EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, through ``eig.solve_smallest``:
     Lanczos on U^-T M U^-1 for the banded Cholesky factor K - shift M = U^T U."""
-    return eig.solve_smallest(K, M, m, shift=shift, seed=seed, x0=x0)
+    return eig.solve_smallest(K, M, m, shift=shift, x0=x0)

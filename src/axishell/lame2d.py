@@ -367,10 +367,10 @@ def assemble_fourier_lame(
 
 
 def first_eigenpair_2d(
-    system: FourierLameSystem, seed: int = 0, x0: np.ndarray | None = None,
+    system: FourierLameSystem, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(system.stiffness, system.mass, 1, tol=1e-8, seed=seed, x0=x0)
+    pairs = eig.solve_smallest(system.stiffness, system.mass, 1, tol=1e-8, x0=x0)
     rec = SweepRecord(
         eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),
@@ -409,7 +409,6 @@ def k_sweep(
     mesh: MeridianMesh | None = None,
     degree: int = DEFAULT_DEGREE,
     asym=None,
-    seed: int = 0,
 ) -> KSweepResult:
     """Sweep integer wavenumbers from k = 0 until the first eigenvalue has clearly turned up.
 
@@ -429,7 +428,7 @@ def k_sweep(
     note = "no interior minimum before the wavenumber budget"
     for k in range(k_cap + 1):
         system = assemble_fourier_lame(mesh, k, degree)
-        rec, vec = first_eigenpair_2d(system, seed=seed, x0=warm)
+        rec, vec = first_eigenpair_2d(system, x0=warm)
         warm = vec[:, np.newaxis]
         records.append(rec)
         if rec.lambda1 < best[0]:

@@ -73,9 +73,18 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["torus-sweep", "--seed", "0"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--model", "A", "--seed", "0"])
-    assert exc.value.code == 2
+    # only verify takes --seed: every solve starts from one fixed vector
+    for command in ("classify", "asymptotics", "sweep1d", "sweep2d", "trace"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "A", "--seed", "0"])
+        assert exc.value.code == 2
+    # a mesh below build_meridian_mesh's limits is refused before any solve
+    for command in ("sweep2d", "trace"):
+        for mesh in ("0x2", "8x1", "8x0"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", "H", "--eps", "0.1", "--mesh", mesh])
+            assert exc.value.code == 2
+            assert "at least 1 meridian cell and 2 thickness cells" in capsys.readouterr().err
     # an interval that is not two numbers z- < z+ is refused before any arc is built
     for interval in ("1,-1", "0"):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import scipy.linalg.cython_blas
 import scipy.sparse as sp
 
 import axishell as ax
-from axishell import eig, fem1d, lame2d
+from axishell import asymptotics, eig, fem1d, lame2d
 from axishell.errors import SolverError
 
 
@@ -65,13 +66,14 @@ def test_dense_and_sparse_inputs_agree():
     np.testing.assert_allclose(dense.values, sparse.values, rtol=1e-10)
 
 
-def test_deterministic_given_seed():
+def test_deterministic_cold_start():
+    # two cold solves of one pencil start from the same fixed vector
     rng = np.random.default_rng(1)
     A = rng.standard_normal((30, 30))
     K = A @ A.T + 30 * np.eye(30)
     M = np.eye(30)
-    a = eig.solve_smallest(K, M, 2, seed=7)
-    b = eig.solve_smallest(K, M, 2, seed=7)
+    a = eig.solve_smallest(K, M, 2)
+    b = eig.solve_smallest(K, M, 2)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -86,10 +88,10 @@ def _sparse_pencil(n=400, seed=3):
     return K.tocsr(), M.tocsr()
 
 
-def test_sparse_pencil_deterministic_given_seed():
+def test_sparse_pencil_deterministic_cold_start():
     K, M = _sparse_pencil()
-    a = eig.solve_smallest(K, M, 3, seed=11)
-    b = eig.solve_smallest(K, M, 3, seed=11)
+    a = eig.solve_smallest(K, M, 3)
+    b = eig.solve_smallest(K, M, 3)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -234,15 +236,30 @@ def test_singular_shift_retry():
     assert out.iterations > 0
 
 
-def test_unmet_tolerance_and_no_convergence_raise():
+def test_unmet_tolerance_and_no_convergence_raise(monkeypatch):
     rng = np.random.default_rng(42)
     A = rng.standard_normal((50, 50))
     B = rng.standard_normal((50, 50))
     K, M = A @ A.T + 50 * np.eye(50), B @ B.T + 50 * np.eye(50)
     with pytest.raises(SolverError, match="exceed tol"):
         eig.solve_smallest(K, M, 4, tol=1e-30)
+    monkeypatch.setattr(eig, "MAX_RESTARTS", 1)
     with pytest.raises(SolverError, match="No convergence"):
-        eig.solve_smallest(K, M, 4, max_iter=1)
+        eig.solve_smallest(K, M, 4)
+
+
+def test_no_start_vector_or_restart_knobs():
+    # every cold solve starts from one fixed vector under one restart cap, so no
+    # function or class of the solver stack takes a seed or an iteration cap
+    knobs = []
+    for module in (eig, fem1d, lame2d, asymptotics):
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    and obj.__module__ == module.__name__:
+                params = inspect.signature(obj).parameters
+                knobs += [f"{module.__name__}.{name}({p})" for p in ("seed", "max_iter")
+                          if p in params]
+    assert not knobs
 
 
 def test_residuals_reported():

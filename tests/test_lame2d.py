@@ -308,7 +308,7 @@ def test_midline_trace_on_cell_boundaries_matches_nodal_values():
 def _scripted_sweep(monkeypatch, lambdas, gamma):
     """k_sweep over a prescribed lambda(k), with k_cap = ceil(2.5 gamma) + 1."""
 
-    def fake_solve(system, seed=0, x0=None):
+    def fake_solve(system, x0=None):
         rec = lame2d.SweepRecord(eps=0.1, k=system.k, lambda1=lambdas[system.k],
                                  dof_count=1, residual=0.0)
         return rec, np.ones(1)
