@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +59,12 @@ GAMMA_BRACKET = (0.3, 30.0)
 GAMMA_COARSE = 8
 GAMMA_XTOL = 1e-12     # step in log gamma that ends the stationarity iteration
 GAMMA_MAX_STEPS = 60   # bisection alone closes a grid cell to GAMMA_XTOL in 40
-DEFAULT_ELEMENTS = 128
+DEFAULT_ELEMENTS = 128  # elements of every gamma scan
+K_SCAN_ELEMENTS = 256   # elements of the elliptic k scan
+# mu1 = kappa^4 of the clamped beam: the first eigenvalue of u'''' = mu u on
+# (0, 1) with u = u' = 0 at both ends, cos kappa cosh kappa = 1.  The correctly
+# rounded double of 500.56390174043259597..., from mpmath.findroot at 40 digits
+CLAMPED_BEAM_MU1 = float.fromhex("0x1.f4905bdd4d50cp+8")
 
 
 def airy_first_zero() -> float:
@@ -298,14 +302,6 @@ class _GammaScan:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _clamped_unit_bilaplacian(n_elements: int = DEFAULT_ELEMENTS) -> float:
-    """First eigenvalue of u'''' on (0, 1) with clamped ends (unit weight)."""
-    beam = ShellProfile("affine", (0.0, 1.0), coeffs=(1.0,), name="unit-beam")
-    mesh = fem1d.Mesh1D.uniform((0.0, 1.0), n_elements)
-    return float(fem1d.smallest_eigenpairs(*fem1d.assemble_h20(beam, 1.0, 0.0, mesh)).values[0])
-
-
 def _require_class(profile: ShellProfile, expected: tuple, cls: ShellClass | None):
     if cls is None:
         cls = classify(profile)
@@ -338,14 +334,15 @@ def _law(cls: ShellClass, eta1, a0: float, b: float, c: float, **fields) -> Asym
 
 
 def cylinder_closed_form(
-    profile: ShellProfile, cls: ShellClass | None = None, n_elements: int = DEFAULT_ELEMENTS
+    profile: ShellProfile, cls: ShellClass | None = None,
 ) -> AsymptoticsResult:
     """Cylinder constants: the law with eta1 = 4, b = B0(R) and c = E R^2 mu1,
-    mu1 the first clamped bilaplacian eigenvalue on the interval."""
+    mu1 = CLAMPED_BEAM_MU1 / L^4 the first clamped bilaplacian eigenvalue on
+    the interval of length L.  No eigen-solve."""
     cls = _require_class(profile, (ShellClassTag.CYLINDER,), cls)
     R = float(profile.f(profile.interval[0]))
     L = profile.length
-    mu1 = _clamped_unit_bilaplacian(n_elements) / L**4
+    mu1 = CLAMPED_BEAM_MU1 / L**4
     return _law(cls, 4, 0.0, b0_at(R, profile.E, profile.nu), profile.E * R**2 * mu1,
                 diagnostics={"mu1_bilaplacian": mu1, "radius": R, "length": L})
 
@@ -382,8 +379,8 @@ def _bending(profile: ShellProfile, mesh: fem1d.Mesh1D, space: str):
     return K_b, float(np.min(b0_fun(np.linspace(*profile.interval, 1025))))
 
 
-def _parabolic_scan(profile: ShellProfile, n_elements: int) -> _GammaScan:
-    mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
+def _parabolic_scan(profile: ShellProfile) -> _GammaScan:
+    mesh = fem1d.Mesh1D.uniform(profile.interval, DEFAULT_ELEMENTS)
     E = profile.E
 
     def a4(z):
@@ -398,12 +395,11 @@ def _parabolic_scan(profile: ShellProfile, n_elements: int) -> _GammaScan:
 
 def optimize_gamma_parabolic(
     profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS,
 ) -> AsymptoticsResult:
     """Cone (or cylinder, as a cross-check) constants by gamma optimization;
     ``diagnostics["scan"]`` holds the minimized scan."""
     cls = _require_class(profile, (ShellClassTag.CONE, ShellClassTag.CYLINDER), cls)
-    return _scan_result(cls, 4, 0.0, _parabolic_scan(profile, n_elements))
+    return _scan_result(cls, 4, 0.0, _parabolic_scan(profile))
 
 
 def _elliptic_constants(profile: ShellProfile, cls: ShellClass) -> AsymptoticsResult:
@@ -458,8 +454,8 @@ def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
     return fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
 
 
-def _toroidal_scan(profile: ShellProfile, lam0: float, n_elements: int):
-    mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
+def _toroidal_scan(profile: ShellProfile, lam0: float):
+    mesh = fem1d.Mesh1D.uniform(profile.interval, DEFAULT_ELEMENTS)
     K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b, b_min = _bending(profile, mesh, "H10")
     return _GammaScan(K_h2, K_b, M, -2, 4, b_min=b_min)
@@ -479,7 +475,6 @@ def _arc_parameters(profile: ShellProfile):
 
 def toroidal_constants(
     profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS,
 ) -> AsymptoticsResult:
     """Constant-potential constants by optimizing gamma^-2 H2 + gamma^4 B0;
     ``diagnostics["scan"]`` holds the minimized scan."""
@@ -491,7 +486,7 @@ def toroidal_constants(
             "azimuthal curvature to dominate"
         )
     a0 = profile.E / radius**2
-    scan = _toroidal_scan(profile, a0, n_elements)
+    scan = _toroidal_scan(profile, a0)
     if scan.lam_op_min <= 0.0:
         raise AdmissibilityError(
             f"first eigenvalue of the second-order reduction is {scan.lam_op_min:.6g} <= 0"
@@ -501,30 +496,25 @@ def toroidal_constants(
                         arc_radius=radius, arc_center_r=r_center)
 
 
-def compute(
-    profile: ShellProfile, cls: ShellClass | None = None,
-    n_elements: int = DEFAULT_ELEMENTS,
-) -> AsymptoticsResult:
+def compute(profile: ShellProfile, cls: ShellClass | None = None) -> AsymptoticsResult:
     """Dispatch on the shell class; refuses hyperbolic/inadmissible shells."""
     if cls is None:
         cls = classify(profile)
     tag = cls.tag
     if tag is ShellClassTag.CYLINDER:
-        return cylinder_closed_form(profile, cls, n_elements=n_elements)
+        return cylinder_closed_form(profile, cls)
     if tag is ShellClassTag.CONE:
-        return optimize_gamma_parabolic(profile, cls, n_elements=n_elements)
+        return optimize_gamma_parabolic(profile, cls)
     if tag in (ShellClassTag.GAUSS_ELLIPTIC, ShellClassTag.AIRY_ELLIPTIC):
         return _elliptic_constants(profile, cls)
     if tag is ShellClassTag.TORUS_ELLIPTIC:
-        return toroidal_constants(profile, cls, n_elements=n_elements)
+        return toroidal_constants(profile, cls)
     raise ReductionNotApplicableError(
         f"scalar reduction not applicable to class {tag.value}: {cls.detail}"
     )
 
 
-def toroidal_sweep(
-    radius: float, z_center: float, interval, r_grid, n_elements: int = DEFAULT_ELEMENTS,
-) -> list[dict]:
+def toroidal_sweep(radius: float, z_center: float, interval, r_grid) -> list[dict]:
     """One toroidal_constants run per arc-center offset (E = 1, nu = 0.3); failures recorded."""
     rows = []
     for r_c in r_grid:
@@ -536,7 +526,7 @@ def toroidal_sweep(
             prof = ShellProfile(
                 "circular_arc", tuple(interval), params=(float(r_c), radius, z_center)
             )
-            res = toroidal_constants(prof, n_elements=n_elements)
+            res = toroidal_constants(prof)
             row.update(Lambda2=res.lambda2, gamma_min=res.gamma, a1=res.a1)
         except AxishellError as err:  # per-point failure, sweep continues
             row["error"] = f"{type(err).__name__}: {err}"
@@ -549,9 +539,9 @@ def toroidal_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: int):
+def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float):
     """The k scan of H0 + k^-2 H2 + eps^2 k^4 B0 on H^1_0 (lam0 substituted in H2)."""
-    mesh = fem1d.Mesh1D.uniform(profile.interval, n_elements)
+    mesh = fem1d.Mesh1D.uniform(profile.interval, K_SCAN_ELEMENTS)
     K_h2, M = _h2_pencil(profile, lam0, mesh)
     K_b0, b0_min = _bending(profile, mesh, "H10")
     h0 = lambda z: h0_taylor(profile, z, 0).value  # noqa: E731
@@ -561,38 +551,37 @@ def _elliptic_scan(profile: ShellProfile, lam0: float, eps: float, n_elements: i
                       b_min=eps**2 * b0_min, K_0=K_h0, lb_0=h0_min)
 
 
-def elliptic_k_minimization(
-    profile: ShellProfile, eps: float, n_elements: int = 256, asym=None,
-):
+def elliptic_k_minimization(profile: ShellProfile, eps: float, asym=None):
     """Directly minimize over k the first eigenvalue of H0 + k^-2 H2 + eps^2 k^4 B0.
 
     Returns (k_opt, lambda_min, details), details holding the k ``scan`` and
     the iteration counts.  ``asym``, the profile's ``compute`` result, is
     computed if not given.  The independent route for the Gauss/Airy closed
-    forms: the gamma scan with K_0 = H0 and p = (-2, 4), started on a log grid
-    over 0.4 to 2.5 times the predicted k.
+    forms: the gamma scan with K_0 = H0 and p = (-2, 4) on K_SCAN_ELEMENTS
+    elements, started on a log grid over 0.4 to 2.5 times the predicted k.
     """
     if asym is None:
         asym = compute(profile)
-    scan = _elliptic_scan(profile, asym.a0, eps, n_elements)
+    scan = _elliptic_scan(profile, asym.a0, eps)
     k_center = predict(asym, eps).k_real
     opt = scan.minimize(bracket=(k_center * 0.4, k_center * 2.5))
     return opt.gamma, opt.mu, {"scan": scan, **opt.counts("k")}
 
 
-def energy_ratio(profile: ShellProfile, eps: float, n_elements: int = 256):
+def energy_ratio(profile: ShellProfile, eps: float):
     """Numeric bending/total energy ratio of the reduced operator at k = k(eps).
 
     ratio = eps^2 k^4 <B0 eta, eta> / <(H0 + k^-2 H2 + eps^2 k^4 B0) eta, eta>
-    with eta the computed ground state.  Parabolic profiles use the
-    equilibrated gamma form instead (exact 1/2 at the optimum).
+    with eta the ground state of the elliptic k scan.  Parabolic profiles use
+    the equilibrated gamma form of ``optimize_gamma_parabolic`` instead, exact
+    1/2 at the optimum; eps plays no part there.
     """
     cls = classify(profile)
     if cls.tag in (ShellClassTag.CYLINDER, ShellClassTag.CONE):
-        res = optimize_gamma_parabolic(profile, cls, n_elements=n_elements)
+        res = optimize_gamma_parabolic(profile, cls)
         return res.diagnostics["ratio_at_optimum"]
     res = compute(profile, cls)
-    scan = _elliptic_scan(profile, res.a0, eps, n_elements)
+    scan = _elliptic_scan(profile, res.a0, eps)
     k = predict(res, eps).k_real
     _, vec = scan.mu1(k, with_vector=True)
     h0, h2, bend = (float(vec @ (K @ vec)) for K in (scan.K_0, scan.K_op, scan.K_b))

@@ -65,6 +65,13 @@ def _parse_eps_list(text: str) -> list[float]:
     return values
 
 
+def _parse_eps(text: str) -> float:
+    values = _parse_eps_list(text)
+    if len(values) > 1:
+        raise argparse.ArgumentTypeError(f"takes one half-thickness, not the list {text!r}")
+    return values[0]
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -137,7 +144,7 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
 
 def cmd_classify(args) -> int:
     profile = _load_profile(args)
-    cls = classify(profile, n_samples=args.samples)
+    cls = classify(profile)
     lo, hi = essential_spectrum_range(profile)
     f, fp, fpp = profile.jet(np.linspace(*profile.interval, 513), 2)
     adm = 1.0 + fp**2 + f * fpp
@@ -183,7 +190,7 @@ def cmd_sweep1d(args) -> int:
         meta.update(kind="gamma-scan", gamma_opt=f"{res.gamma:.8g}", a1=f"{res.a1:.8g}")
         columns = ["gamma", "mu1"]
     else:
-        eps = args.eps_list[0] if args.eps_list else 1e-4
+        eps = args.eps
         res = asymptotics.compute(profile, cls)
         k_opt, lam_min, data = asymptotics.elliptic_k_minimization(profile, eps, asym=res)
         scan = data["scan"]
@@ -244,7 +251,7 @@ def cmd_sweep2d(args) -> int:
 def cmd_trace(args) -> int:
     """Midline radial-mode trace at one (eps, k) as CSV (z, u_r)."""
     profile = _load_profile(args)
-    eps = args.eps_list[0] if args.eps_list else 0.01
+    eps = args.eps
     mesh = lame2d.build_meridian_mesh(profile, eps, *(args.mesh or ()))
     k = args.k
     if k is None:
@@ -334,17 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"axishell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps=False):
+    def common(p):
         p.add_argument("--model", choices=list("ABDHL"), help="built-in model")
         p.add_argument("--profile", help="profile JSON file")
         p.add_argument("--out", help="output directory (default: stdout)")
-        if eps:
-            p.add_argument("--eps", dest="eps_list", type=_parse_eps_list,
-                           help="comma-separated half-thicknesses in (0, 0.25]")
 
     p = sub.add_parser("classify", help="classify a shell profile")
     common(p)
-    p.add_argument("--samples", type=int, default=1024)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("asymptotics", help="per-class constants and laws")
@@ -352,14 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("sweep1d", help="dump the 1D optimization curve")
-    common(p, eps=True)
+    common(p)
+    p.add_argument("--eps", type=_parse_eps, default=1e-4,
+                   help="half-thickness in (0, 0.25] of an elliptic k scan")
     p.add_argument("--gamma-min", type=_positive_float, default=0.3)
     p.add_argument("--gamma-max", type=_positive_float, default=30.0)
     p.add_argument("--n-points", type=_positive_int, default=64)
     p.set_defaults(func=cmd_sweep1d)
 
     p = sub.add_parser("sweep2d", help="2D wavenumber sweeps")
-    common(p, eps=True)
+    common(p)
+    p.add_argument("--eps", dest="eps_list", type=_parse_eps_list,
+                   help="comma-separated half-thicknesses in (0, 0.25]")
     p.add_argument("--mesh", type=_parse_mesh,
                    help="meridian x thickness cells, e.g. 12x2")
     p.add_argument("--degree", type=_positive_int, default=lame2d.DEFAULT_DEGREE)
@@ -367,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep2d)
 
     p = sub.add_parser("trace", help="midline mode trace at one (eps, k)")
-    common(p, eps=True)
+    common(p)
+    p.add_argument("--eps", type=_parse_eps, default=0.01, help="half-thickness in (0, 0.25]")
     p.add_argument("--k", type=int, help="wavenumber (default: 1D prediction)")
     p.add_argument("--mesh", type=_parse_mesh,
                    help="meridian x thickness cells, e.g. 16x2")

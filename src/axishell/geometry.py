@@ -43,6 +43,7 @@ H0_CONST_RTOL = 1e-10  # relative variation below which H0 counts as constant
 MULTI_MIN_ATOL = 1e-8  # minima within this of the global value are branches
 H0_GOLDEN_XTOL = 1e-10  # bracket width that ends the golden search for an H0 minimum
 ESSENTIAL_CELLS = 2048  # sampling cells of the essential-spectrum range
+CLASSIFY_CELLS = 1024  # sampling cells of classification and of the H0 minimum scan
 
 
 class ShellClassTag(enum.Enum):
@@ -188,12 +189,12 @@ def _h0_constant(h0: np.ndarray) -> bool:
     return float(h0.max() - h0.min()) <= H0_CONST_RTOL * max(float(h0.max()), 1e-300)
 
 
-def locate_H0_minimum(profile: ShellProfile, n_samples: int = 1024) -> H0Minimum:
+def locate_H0_minimum(profile: ShellProfile) -> H0Minimum:
     """Locate all global minimizers of H0 by grid scan plus golden refinement.
 
-    All sampled local minima are refined at once: one batched golden section
-    over the two cells around each, then a Newton polish on the analytic
-    derivative with a stop per candidate.  Derivatives at the minimizer come
+    The grid has CLASSIFY_CELLS cells.  All sampled local minima are refined
+    at once: one batched golden section over the two cells around each, then
+    a Newton polish on the analytic derivative with a stop per candidate.  Derivatives at the minimizer come
     from the exact jet (first derivative needs f''', second needs f'''').
     Minima within 1e-8 of the global value are reported together as
     branches; the returned top-level fields describe the branch at the
@@ -201,7 +202,7 @@ def locate_H0_minimum(profile: ShellProfile, n_samples: int = 1024) -> H0Minimum
     minimizer to locate and gives one interior branch at the midpoint.
     """
     z_minus, z_plus = profile.interval
-    zs = np.linspace(z_minus, z_plus, n_samples + 1)
+    zs = np.linspace(z_minus, z_plus, CLASSIFY_CELLS + 1)
     vals = frame_at(profile, zs).H0
     if _h0_constant(vals):
         ends, z = [], np.array([0.5 * (z_minus + z_plus)])
@@ -254,12 +255,11 @@ def locate_H0_minimum(profile: ShellProfile, n_samples: int = 1024) -> H0Minimum
     )
 
 
-def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
-    """Decide the shell class from the sign of f'' and the shape of H0."""
-    if n_samples < 64:
-        raise ValueError("classification needs at least 64 samples")
+def classify(profile: ShellProfile) -> ShellClass:
+    """Decide the shell class from the sign of f'' and the shape of H0, both
+    sampled on CLASSIFY_CELLS cells of the interval."""
     z_minus, z_plus = profile.interval
-    zs = np.linspace(z_minus, z_plus, n_samples + 1)
+    zs = np.linspace(z_minus, z_plus, CLASSIFY_CELLS + 1)
     fr = frame_at(profile, zs)
     f, fp, fpp = fr.f, fr.fp, fr.fpp
     scale = max(1.0, float(np.abs(f).max()))
@@ -284,7 +284,7 @@ def classify(profile: ShellProfile, n_samples: int = 1024) -> ShellClass:
             )
         return ShellClass(ShellClassTag.TORUS_ELLIPTIC)
 
-    minimum = locate_H0_minimum(profile, n_samples=max(n_samples, 1024))
+    minimum = locate_H0_minimum(profile)
     branch = minimum
     z0 = branch.z0
     if not frame_at(profile, z0).admissible:

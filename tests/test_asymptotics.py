@@ -56,6 +56,23 @@ def test_airy_first_zero_is_brents_root_bit_for_bit():
                                            xtol=1e-14, rtol=1e-15)
 
 
+def test_clamped_beam_mu1_is_kappa4_correctly_rounded():
+    # kappa the first positive root of cos kappa cosh kappa = 1, at 40 digits
+    with mpmath.workdps(40):
+        kappa = mpmath.findroot(lambda x: mpmath.cos(x) * mpmath.cosh(x) - 1, 4.73)
+        assert asy.CLAMPED_BEAM_MU1 == float(kappa**4)
+
+
+def test_cylinder_makes_no_eigen_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the cylinder's closed form made an eigen-solve")
+
+    monkeypatch.setattr(fem1d, "smallest_eigenpairs", no_solve)
+    closed = asy.cylinder_closed_form(ax.preset("A"))
+    assert asy.compute(ax.preset("A")) == closed
+    assert closed.diagnostics["mu1_bilaplacian"] == asy.CLAMPED_BEAM_MU1 / 2.0**4
+
+
 @pytest.mark.parametrize("eta1", [4, 2, 1, Fraction(2, 3)])
 @pytest.mark.parametrize("a0, b, c", [(0.0, 0.3, 2.0), (0.0, 4.0, 0.05),
                                       (0.25, 1.7, 0.4), (1.5, 0.05, 11.0)])
@@ -99,13 +116,6 @@ def test_cylinder_closed_form(asym_results):
     mu1 = res.diagnostics["mu1_bilaplacian"]
     assert abs(res.gamma**4 - 8 * math.sqrt(3 * 0.91 * mu1)) < 1e-9
     assert abs(res.a1 - math.sqrt(mu1 / (3 * 0.91))) < 1e-9
-
-
-def test_compute_forwards_n_elements_to_the_cylinder():
-    # compute(n_elements=n) must reach the beam solve of the cylinder's closed form
-    direct = asy.cylinder_closed_form(ax.preset("A"), n_elements=64)
-    assert asy.compute(ax.preset("A"), n_elements=64).a1 == direct.a1
-    assert asy.compute(ax.preset("A"), n_elements=64).gamma == direct.gamma
 
 
 def test_cylinder_optimization_cross_check(asym_results):
@@ -202,7 +212,7 @@ def test_gauss_two_way_cross_check(asym_results):
     # closed form vs direct numeric k-minimization of the assembled operator
     res = asym_results("H")
     eps = 1e-4
-    k_opt, lam_min, _ = asy.elliptic_k_minimization(ax.preset("H"), eps, n_elements=256)
+    k_opt, lam_min, _ = asy.elliptic_k_minimization(ax.preset("H"), eps)
     a1_num = (lam_min - res.a0) * eps ** (-float(res.alpha1))
     g_num = k_opt * eps ** float(res.beta)
     assert abs(a1_num / res.a1 - 1) <= 0.01
@@ -215,8 +225,8 @@ def test_airy_two_way_cross_check(asym_results):
     # rate (measured 10.3% -> 5.9% -> 3.2% per decade; see Known deviations in README.md)
     res = asym_results("L")
     errs = []
-    for eps, n in ((1e-4, 256), (1e-5, 384)):
-        k_opt, lam_min, _ = asy.elliptic_k_minimization(ax.preset("L"), eps, n_elements=n)
+    for eps in (1e-4, 1e-5):
+        k_opt, lam_min, _ = asy.elliptic_k_minimization(ax.preset("L"), eps)
         a1_num = (lam_min - res.a0) * eps ** (-float(res.alpha1))
         g_num = k_opt * eps ** float(res.beta)
         errs.append(abs(a1_num / res.a1 - 1))
@@ -273,7 +283,7 @@ def test_airy_refuses_a_class_with_only_interior_branches():
 
 
 def test_toroidal_sweep_rows():
-    rows = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.05, -1.0, -0.95], n_elements=96)
+    rows = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.05, -1.0, -0.95])
     assert len(rows) == 3
     mid = rows[1]
     assert not mid["error"]
@@ -285,7 +295,7 @@ def test_toroidal_sweep_rows():
     for a, b in zip(rows, rows[1:]):
         assert abs(b["gamma_min"] / a["gamma_min"] - 1) < 0.10
         assert abs(b["a1"] / a["a1"] - 1) < 0.10
-    bad = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [0.2], n_elements=64)
+    bad = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [0.2])
     assert bad[0]["error"]
 
 
@@ -295,7 +305,7 @@ def test_toroidal_sweep_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(asy, "toroidal_constants", broken)
     with pytest.raises(TypeError):
-        asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.0], n_elements=64)
+        asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.0])
 
 
 def test_public_results_are_python_floats(asym_results):
@@ -310,8 +320,7 @@ def test_public_results_are_python_floats(asym_results):
         diag = [x for v in res.diagnostics.values()
                 for x in (v if isinstance(v, tuple) else (v,))]
         assert all(type(x) is float for x in diag if isinstance(x, (float, np.floating)))
-    assert type(asy._clamped_unit_bilaplacian()) is float
-    row = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.0], n_elements=64)[0]
+    row = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [-1.0])[0]
     for name in ("r_circ", "Lambda2", "gamma_min", "a1"):
         assert type(row[name]) is float, (name, type(row[name]))
 
@@ -343,19 +352,19 @@ def test_stationarity_certificate_at_returned_optima(asym_results):
     # bisections where the slope's sign is at the solver's noise floor); the
     # energy-balance fixed point alone needs 15
     res = asym_results("B")
-    scan = asy._parabolic_scan(ax.preset("B"), asy.DEFAULT_ELEMENTS)
+    scan = asy._parabolic_scan(ax.preset("B"))
     assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -4, res.gamma) <= 1e-9
     assert abs(res.diagnostics["ratio_at_optimum"] - 0.5) <= 1e-9
     assert res.diagnostics["gamma_iterations"] <= 10
     torus_row = ShellProfile("circular_arc", (-1.0, 1.0), params=(-1.4, 2.0, 0.0))
     for prof in (ax.preset("D"), torus_row):
         res = ax.toroidal_constants(prof)
-        scan = asy._toroidal_scan(prof, res.a0, asy.DEFAULT_ELEMENTS)
+        scan = asy._toroidal_scan(prof, res.a0)
         assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -2, res.gamma) <= 1e-9
         assert res.diagnostics["gamma_iterations"] > 0
         assert res.diagnostics["bracket_expansions"] == 0
     eps = 1e-4
-    k_opt, _, data = asy.elliptic_k_minimization(ax.preset("H"), eps, n_elements=256)
+    k_opt, _, data = asy.elliptic_k_minimization(ax.preset("H"), eps)
     scan = data["scan"]
     assert _relative_log_slope(scan.K_op, scan.K_b, scan.M, -2, k_opt, K_0=scan.K_0) <= 1e-9
     assert 0 < data["k_iterations"] <= 10 and data["bracket_expansions"] == 0
@@ -366,7 +375,7 @@ def test_stationarity_iteration_falls_back_outside_fixed_point_basin(monkeypatch
     # start outside the fixed point's basin: the grid leaves D's optimum ~ 0.857
     # in a bracket two grid steps wide, the step to gamma = 30 is replaced by a
     # bisection, and the secant steps still reach the same gamma
-    scan = asy._toroidal_scan(ax.preset("D"), 0.25, asy.DEFAULT_ELEMENTS)
+    scan = asy._toroidal_scan(ax.preset("D"), 0.25)
     ref = scan.minimize(bracket=(0.1, 30.0))
     point, solved = asy._GammaScan._point, []
 
@@ -385,7 +394,7 @@ def test_stationarity_iteration_falls_back_outside_fixed_point_basin(monkeypatch
 
 
 def test_gamma_bracket_expansion_gives_up_after_three_decades():
-    scan = asy._parabolic_scan(ax.preset("B"), asy.DEFAULT_ELEMENTS)
+    scan = asy._parabolic_scan(ax.preset("B"))
     # three decades down from [1e4, 1e5] still leave B's optimum ~ 2.12 outside
     with pytest.raises(SolverError, match=r"in \[10, 100000\] after 3 decades"):
         scan.minimize(bracket=(1e4, 1e5))

@@ -85,6 +85,17 @@ def test_usage_errors(capsys):
                 main([command, "--model", "H", "--eps", "0.1", "--mesh", mesh])
             assert exc.value.code == 2
             assert "at least 1 meridian cell and 2 thickness cells" in capsys.readouterr().err
+    # classification samples a fixed grid
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model", "A", "--samples", "1024"])
+    assert exc.value.code == 2
+    # trace and sweep1d run at one half-thickness and refuse a list
+    for argv in (["trace", "--model", "H", "--eps", "0.05,0.02", "--mesh", "4x2"],
+                 ["sweep1d", "--model", "H", "--eps", "1e-3,1e-4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --eps: takes one half-thickness" in capsys.readouterr().err
     # an interval that is not two numbers z- < z+ is refused before any arc is built
     for interval in ("1,-1", "0"):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ import scipy.linalg.cython_blas
 import scipy.sparse as sp
 
 import axishell as ax
-from axishell import asymptotics, eig, fem1d, lame2d
+from axishell import asymptotics, eig, fem1d, geometry, lame2d
 from axishell.errors import SolverError
 
 
@@ -250,15 +250,19 @@ def test_unmet_tolerance_and_no_convergence_raise(monkeypatch):
 
 def test_no_start_vector_or_restart_knobs():
     # every cold solve starts from one fixed vector under one restart cap, so no
-    # function or class of the solver stack takes a seed or an iteration cap
+    # function or class of the solver stack takes a seed or an iteration cap;
+    # every 1D constant comes from one fixed discretization, so asymptotics
+    # takes no element count and geometry no sample count
     knobs = []
-    for module in (eig, fem1d, lame2d, asymptotics):
+    for module, names in ((eig, ("seed", "max_iter")), (fem1d, ("seed", "max_iter")),
+                          (lame2d, ("seed", "max_iter")),
+                          (asymptotics, ("seed", "max_iter", "n_elements")),
+                          (geometry, ("n_samples",))):
         for name, obj in vars(module).items():
             if (inspect.isfunction(obj) or inspect.isclass(obj)) \
                     and obj.__module__ == module.__name__:
                 params = inspect.signature(obj).parameters
-                knobs += [f"{module.__name__}.{name}({p})" for p in ("seed", "max_iter")
-                          if p in params]
+                knobs += [f"{module.__name__}.{name}({p})" for p in names if p in params]
     assert not knobs
 
 

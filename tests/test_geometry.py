@@ -129,11 +129,6 @@ def test_classify_presets():
     assert clsL.z0 == 0.5 and clsL.boundary_minimum
 
 
-def test_classify_needs_samples():
-    with pytest.raises(ValueError):
-        ax.classify(ax.preset("A"), n_samples=32)
-
-
 def test_classify_hyperbolic_and_mixed():
     hyper = ShellProfile("polynomial", (-1.0, 1.0), coeffs=(1.0, 0.0, 0.25))
     assert ax.classify(hyper).tag is ShellClassTag.HYPERBOLIC
