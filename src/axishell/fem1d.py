@@ -14,10 +14,11 @@ product X^T diag(c) X, made exactly symmetric.  ``_shared_pattern``,
 too): one CSR pattern per mesh, built straight from the sorted unique pairs
 of free nodes, with the CSR position of every local entry; cell blocks summed
 into it in cell order, so K == K.T bit for bit, and exact zeros dropped
-(except in the 2D K(k), which keeps the pattern).  A slot belongs to one
-component pair, so a caller may scatter each component block on its own
-slice of the positions, as lame2d does.  The (K, M) pairs go through
-``eig.solve_smallest(K, M, ...)`` like the 2D ones.
+(except in the 2D stiffness family, which keeps the lower triangle of the
+pattern).  A slot belongs to one component pair, so a caller may scatter
+each component block on its own slice of the positions, as lame2d does.
+The (K, M) pairs go through ``eig.solve_smallest(K, M, ...)`` like the 2D
+ones.
 """
 
 from __future__ import annotations

@@ -189,6 +189,12 @@ def _h0_constant(h0: np.ndarray) -> bool:
     return float(h0.max() - h0.min()) <= H0_CONST_RTOL * max(float(h0.max()), 1e-300)
 
 
+def _sampled_frame(profile: ShellProfile) -> tuple[np.ndarray, GeometryFrame]:
+    """The CLASSIFY_CELLS + 1 grid points of the interval and the frame on them."""
+    zs = np.linspace(*profile.interval, CLASSIFY_CELLS + 1)
+    return zs, frame_at(profile, zs)
+
+
 def locate_H0_minimum(profile: ShellProfile) -> H0Minimum:
     """Locate all global minimizers of H0 by grid scan plus golden refinement.
 
@@ -201,9 +207,13 @@ def locate_H0_minimum(profile: ShellProfile) -> H0Minimum:
     smallest z.  A potential that ``classify`` counts as constant has no
     minimizer to locate and gives one interior branch at the midpoint.
     """
+    zs, fr = _sampled_frame(profile)
+    return _h0_minimum(profile, zs, fr.H0)
+
+
+def _h0_minimum(profile: ShellProfile, zs: np.ndarray, vals: np.ndarray) -> H0Minimum:
+    """``locate_H0_minimum`` from H0 sampled at the grid points zs."""
     z_minus, z_plus = profile.interval
-    zs = np.linspace(z_minus, z_plus, CLASSIFY_CELLS + 1)
-    vals = frame_at(profile, zs).H0
     if _h0_constant(vals):
         ends, z = [], np.array([0.5 * (z_minus + z_plus)])
     else:
@@ -259,8 +269,7 @@ def classify(profile: ShellProfile) -> ShellClass:
     """Decide the shell class from the sign of f'' and the shape of H0, both
     sampled on CLASSIFY_CELLS cells of the interval."""
     z_minus, z_plus = profile.interval
-    zs = np.linspace(z_minus, z_plus, CLASSIFY_CELLS + 1)
-    fr = frame_at(profile, zs)
+    zs, fr = _sampled_frame(profile)
     f, fp, fpp = fr.f, fr.fp, fr.fpp
     scale = max(1.0, float(np.abs(f).max()))
     tol = 1e-13 * scale
@@ -284,7 +293,7 @@ def classify(profile: ShellProfile) -> ShellClass:
             )
         return ShellClass(ShellClassTag.TORUS_ELLIPTIC)
 
-    minimum = locate_H0_minimum(profile)
+    minimum = _h0_minimum(profile, zs, fr.H0)
     branch = minimum
     z0 = branch.z0
     if not frame_at(profile, z0).admissible:

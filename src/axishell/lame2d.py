@@ -4,8 +4,10 @@ The shell's 3D vibration problem separates over azimuthal modes e^{ik phi};
 each mode is a 3-component problem for (u^r, u^phi, u^tau) on the meridian
 domain.  With the azimuthal component rotated by i the bilinear form is real
 symmetric and splits as A0 + k A1 + k^2 A2, so one assembly per (mesh, eps)
-serves the whole wavenumber sweep.  A0, A1 and A2 share one CSR pattern, so
-the stiffness at each k is one axpy on their data arrays.
+serves the whole wavenumber sweep.  A0, A1 and A2 are kept as their lower
+triangles, the part that the banded Cholesky factor reads, on one shared CSR
+pattern, so the stiffness at each k is one axpy on their data arrays over
+half the entries of the full matrices.
 
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
@@ -19,9 +21,13 @@ over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each matrix is summed into the family's
 one CSR pattern by the sparse assembler of fem1d, one nonzero component
 block at a time: 5 of the 9 component pairs in A0, 4 in A1 and 3 in A2 and
-M.  The mass matrix, in every Lanczos matvec, then drops its exact zeros;
-each K(k) keeps the shared pattern, whose band its Cholesky factor fills
-anyway.
+M.  The mass matrix, in every Lanczos matvec, is scattered first, in full,
+and drops its exact zeros.  A0, A1 and A2 then scatter only the lower
+entries of each cell block into the lower triangle of the pattern, zero
+blocks included: each CSR row is sorted, so its lower entries are a prefix
+of it and a lower slot is the full slot less the upper entries of the rows
+above.  Every stored sum still runs over the cells in cell order, so each
+entry is bit for bit the one the full matrix would hold.
 """
 
 from __future__ import annotations
@@ -100,8 +106,10 @@ class LameFamily:
 
     Elements are Lagrange of degree ``degree`` along the meridian and
     ``thickness_degree`` through the thickness, which ``get_family`` takes
-    from ``_thickness_degree(eps, degree)``.  A0, A1, A2 and every K(k)
-    share one pair of index arrays; nothing may modify them in place.
+    from ``_thickness_degree(eps, degree)``.  A0, A1 and A2 are the lower
+    triangles (diagonal included) of the symmetric matrices, on one pattern
+    that keeps their zero blocks; they and every K(k) share its pair of index
+    arrays, which nothing may modify in place.  M is the full matrix.
     """
 
     degree: int               # Lagrange degree along the meridian
@@ -123,10 +131,25 @@ class LameFamily:
 @dataclass
 class FourierLameSystem:
     k: int
-    stiffness: sp.csr_matrix
+    stiffness_lower: sp.csr_matrix  # lower triangle of K(k), on the family's pattern
     mass: sp.csr_matrix
     family: LameFamily
     mesh: MeridianMesh
+
+    @property
+    def stiffness(self) -> sp.csr_matrix:
+        """The full symmetric K(k), built from its lower triangle at each read."""
+        return _symmetric_from_lower(self.stiffness_lower)
+
+
+def _symmetric_from_lower(lower: sp.csr_matrix) -> sp.csr_matrix:
+    """The symmetric CSR matrix whose lower triangle is ``lower``, every stored entry
+    (exact zeros too) mirrored, rows sorted."""
+    t = lower.tocoo()
+    strict = t.row > t.col
+    return sp.csr_matrix((np.concatenate([t.data, t.data[strict]]),
+                          (np.concatenate([t.row, t.col[strict]]),
+                           np.concatenate([t.col, t.row[strict]]))), shape=lower.shape)
 
 
 @dataclass
@@ -215,6 +238,52 @@ def _cell_nodes(breaks: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.append(pts[:, :-1].ravel(), pts[-1, -1])
 
 
+def _component_blocks(E, nu, r, wq, N, Gr, Gtau):
+    """Each matrix's nonzero component blocks {(a, b): block} for every cell, M first,
+    then A0, A1 and A2 scaled by E / (1 - nu^2); one matrix at a time, so that only
+    its blocks are alive.  An off-diagonal block at (a, b) stands for its mirror
+    (b, a) too, which is its transpose."""
+    c_fac = E / (1.0 - nu * nu)
+    a_c = (1.0 - nu) ** 2 / (1.0 - 2.0 * nu)
+    b_c = nu * (1.0 - nu) / (1.0 - 2.0 * nu)
+    d_c = 0.5 * (1.0 - nu)
+    cpl = a_c + (1.0 - nu)
+    R, P, T3 = 0, 1, 2
+
+    def blk(w, X, Y):
+        # X^T diag(w) Y for every cell at once
+        return np.matmul(X.transpose(0, 2, 1), w[:, :, None] * Y)
+
+    def sym(X):
+        # a diagonal block's symmetric part keeps the global matrices exactly symmetric
+        return 0.5 * (X + X.transpose(0, 2, 1))
+
+    def scaled(parts):
+        return {key: c_fac * B for key, B in parts.items()}
+
+    nn = sym(blk(r * wq, N, N))
+    yield "M", {(R, R): nn, (T3, T3): nn, (P, P): sym(blk(wq / r, N, N))}
+    yield "A0", scaled({  # k^0 terms
+        (R, R): sym(blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
+                    + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
+                    + blk(d_c * r * wq, Gtau, Gtau)),
+        (T3, T3): sym(blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr)),
+        (R, T3): (blk(b_c * r * wq, Gr, Gtau) + blk(b_c * wq, N, Gtau)
+                  + blk(d_c * r * wq, Gtau, Gr)),
+        (P, P): sym(blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
+                    - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
+                    + blk(4 * d_c / r**3 * wq, N, N)),
+    })
+    yield "A1", scaled({  # k^1 terms (phi couples to r and tau)
+        (P, R): (blk(cpl / r**2 * wq, N, N) + blk(b_c / r * wq, N, Gr)
+                 - blk(d_c / r * wq, Gr, N)),
+        (P, T3): blk(b_c / r * wq, N, Gtau) - blk(d_c / r * wq, Gtau, N),
+    })
+    # k^2 terms
+    nn = c_fac * sym(blk(d_c / r * wq, N, N))
+    yield "A2", {(R, R): nn, (T3, T3): nn, (P, P): c_fac * sym(blk(a_c / r**3 * wq, N, N))}
+
+
 def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> LameFamily:
     """Assemble A0, A1, A2 and M with every cell's quadrature in one batch."""
     p, pt = degree, thickness_degree
@@ -240,11 +309,6 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
     nq = nq1 * nq1
     node_z = _cell_nodes(mesh.z_breaks, ref_z)
     node_t = _cell_nodes(mesh.t_breaks, ref_t)
-
-    c_fac = E / (1.0 - nu * nu)
-    a_c = (1.0 - nu) ** 2 / (1.0 - 2.0 * nu)
-    b_c = nu * (1.0 - nu) / (1.0 - 2.0 * nu)
-    d_c = 0.5 * (1.0 - nu)
 
     # cells run meridian-major: cell = cz * nt_cells + ct; quadrature point
     # q = iz * nq1 + it on each cell's tensor Gauss grid
@@ -275,67 +339,67 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
     Gr = (tau_t * inv)[:, :, None] * Gz - (tau_z * inv)[:, :, None] * Gt
     Gtau = (-r_t * inv)[:, :, None] * Gz + (r_z * inv)[:, :, None] * Gt
 
-    def blk(w, X, Y):
-        # X^T diag(w) Y for every cell at once
-        return np.matmul(X.transpose(0, 2, 1), w[:, :, None] * Y)
-
-    def sym(X):
-        # a diagonal block's symmetric part keeps the global matrices exactly symmetric
-        return 0.5 * (X + X.transpose(0, 2, 1))
-
-    R, P, T3 = 0, 1, 2
-    cpl = a_c + (1.0 - nu)
-
-    def component_blocks():
-        # each matrix's nonzero component blocks, one matrix at a time so that only
-        # its blocks are alive; an off-diagonal block B at (a, b) also enters the
-        # mirrored slots (b, a) as B^T
-        yield "A0", {  # k^0 terms
-            (R, R): sym(blk(a_c * r * wq, Gr, Gr) + blk(a_c / r * wq, N, N)
-                        + blk(b_c * wq, Gr, N) + blk(b_c * wq, N, Gr)
-                        + blk(d_c * r * wq, Gtau, Gtau)),
-            (T3, T3): sym(blk(a_c * r * wq, Gtau, Gtau) + blk(d_c * r * wq, Gr, Gr)),
-            (R, T3): (blk(b_c * r * wq, Gr, Gtau) + blk(b_c * wq, N, Gtau)
-                      + blk(d_c * r * wq, Gtau, Gr)),
-            (P, P): sym(blk(d_c / r * wq, Gr, Gr) + blk(d_c / r * wq, Gtau, Gtau)
-                        - blk(2 * d_c / r**2 * wq, Gr, N) - blk(2 * d_c / r**2 * wq, N, Gr)
-                        + blk(4 * d_c / r**3 * wq, N, N)),
-        }
-        yield "A1", {  # k^1 terms (phi couples to r and tau)
-            (P, R): (blk(cpl / r**2 * wq, N, N) + blk(b_c / r * wq, N, Gr)
-                     - blk(d_c / r * wq, Gr, N)),
-            (P, T3): blk(b_c / r * wq, N, Gtau) - blk(d_c / r * wq, Gtau, N),
-        }
-        # k^2 terms
-        nn = sym(blk(d_c / r * wq, N, N))
-        yield "A2", {(R, R): nn, (T3, T3): nn, (P, P): sym(blk(a_c / r**3 * wq, N, N))}
-        nn = sym(blk(r * wq, N, N))
-        yield "M", {(R, R): nn, (T3, T3): nn, (P, P): sym(blk(wq / r, N, N))}
-
     # node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp.  The clamped
     # lateral ends z = z+- hold the first and the last nt ids.
     ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
            + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
-    indptr, indices, slot = _shared_pattern(
-        np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1), 3)
+    fn = np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
+    indptr, indices, slot = _shared_pattern(fn, 3)
     slot = slot.reshape(n_cells, 3, nloc, 3, nloc)
+    blocks = _component_blocks(E, nu, r, wq, N, Gr, Gtau)
 
-    mats = {}
-    for name, parts in component_blocks():
-        parts = {**parts, **{(b, a): B.transpose(0, 2, 1)
-                             for (a, b), B in parts.items() if a != b}}
-        # one scatter of the stacked blocks: a slot belongs to one component pair,
-        # so each entry is still summed over the cells in cell order
-        rows, cols = map(list, zip(*parts))
-        local = np.stack(list(parts.values()))
-        if name != "M":
-            local *= c_fac
-        data = _scatter(slot[:, rows, :, cols, :], local, indptr)
-        # A0, A1 and A2 keep the shared pattern, zero blocks included, so that
-        # K(k) is one axpy on their data; M, in every Lanczos matvec, drops its zeros
-        mats[name] = (_compact(data, indices, indptr) if name == "M" else
-                      sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free))))
+    # M, in every Lanczos matvec, is the full matrix without its exact zeros; its
+    # blocks lie on the diagonal (a, a)
+    _, parts = next(blocks)
+    rows = [a for a, _ in parts]
+    M = _compact(_scatter(slot[:, rows, :, rows, :], np.stack(list(parts.values())), indptr),
+                 indices, indptr)
+
+    # A0, A1 and A2 are stored as their lower triangles on one shared pattern,
+    # zero blocks included, so that K(k) is one axpy on their data.  Each CSR row
+    # is sorted, so its lower entries are a prefix of it: a lower slot is the full
+    # slot less the upper entries of the rows above.
+    _, lindptr, lindices = eig._lower_pattern(indptr, indices)
+    del indices
+    slot -= (indptr - lindptr)[3 * np.maximum(fn, 0)[:, None, :]
+                               + np.arange(3)[:, None]][..., None, None]
+    # a clamped entry's full slot is nnz, and at most nnz - lnnz upper entries
+    # precede a row: its lower slot lands at lnnz or above, and goes to lnnz
+    np.minimum(slot, lindptr[-1], out=slot)
+    slot = slot.reshape(n_cells, -1)
+    # local node order follows global order inside a cell, so local entry
+    # (a, i, b, j) lies in the lower triangle exactly when i > j, or i = j and
+    # a >= b: tri[a >= b] lists those (i, j) of a block as i nloc + j
+    tri = {True: np.flatnonzero(np.tri(nloc, dtype=bool)),
+           False: np.flatnonzero(np.tri(nloc, k=-1, dtype=bool))}
+
+    def lower_entries(a, b, B):
+        # (local positions, block, its entries) of block B at (a, b) in the lower
+        # triangle; an off-diagonal block also enters the mirrored slots (b, a) as B^T
+        B = B.reshape(n_cells, nloc * nloc)
+        for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
+            i, j = np.divmod(tri[a >= b], nloc)
+            yield ((a * nloc + i) * 3 + b) * nloc + j, B, j * nloc + i if flip else i * nloc + j
+
+    n = len(free)
+    mats = {"M": M}
+    for name, parts in blocks:
+        pieces = [e for (a, b), B in parts.items() for e in lower_entries(a, b, B)]
+        # one scatter of the pieces' slots and values, piece after piece and cell
+        # after cell in each: a slot belongs to one component pair, so each entry is
+        # still summed over the cells in cell order.  Every index is in range, and
+        # mode "clip" lets take write into the output without a buffer.
+        size = n_cells * sum(len(at) for *_, at in pieces)
+        where, local = np.empty(size, dtype=slot.dtype), np.empty(size)
+        start = 0
+        for pick, B, at in pieces:
+            end = start + n_cells * len(at)
+            np.take(slot, pick, axis=1, out=where[start:end].reshape(n_cells, -1), mode="clip")
+            np.take(B, at, axis=1, out=local[start:end].reshape(n_cells, -1), mode="clip")
+            start = end
+        mats[name] = sp.csr_matrix((_scatter(where, local, lindptr), lindices, lindptr),
+                                   shape=(n, n))
     return LameFamily(degree=p, thickness_degree=pt, **mats, free=free, node_z=node_z,
                       node_t=node_t, n_nodes=n_nodes)
 
@@ -360,17 +424,17 @@ def assemble_fourier_lame(
         raise SolverError("wavenumber must be an integer")
     fam = get_family(mesh, degree)
     # scipy's A0 + k A1 + k^2 A2 in the same operations and order, on the
-    # family's shared index arrays: its exact zeros stay stored
+    # family's shared lower index arrays: its exact zeros stay stored
     K = sp.csr_matrix((fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
                        fam.A0.indices, fam.A0.indptr), shape=fam.A0.shape)
-    return FourierLameSystem(k=int(k), stiffness=K, mass=fam.M, family=fam, mesh=mesh)
+    return FourierLameSystem(k=int(k), stiffness_lower=K, mass=fam.M, family=fam, mesh=mesh)
 
 
 def first_eigenpair_2d(
     system: FourierLameSystem, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(system.stiffness, system.mass, 1, tol=1e-8, x0=x0)
+    pairs = eig.solve_smallest(system.stiffness_lower, system.mass, 1, tol=1e-8, x0=x0)
     rec = SweepRecord(
         eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),

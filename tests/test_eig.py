@@ -163,9 +163,9 @@ def _band_matrices():
     mesh1d = fem1d.Mesh1D.uniform(prof.interval, 24)
     K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh1d)
     mesh2d = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2)
-    # every K(k) after the first reads the band map of its family's pattern
-    K2 = [(f"2d K({k})", lame2d.assemble_fourier_lame(mesh2d, k, degree=3).stiffness)
-          for k in range(6)]
+    # every lower K(k) after the first reads the band map of its family's pattern
+    K2 = [(f"2d K({k}) {part}", getattr(lame2d.assemble_fourier_lame(mesh2d, k, degree=3), attr))
+          for k in range(6) for part, attr in (("lower", "stiffness_lower"), ("full", "stiffness"))]
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 9))
     return [("h20 K", K1), ("h20 M", M1), *K2, ("2d M", lame2d.get_family(mesh2d, 3).M),
@@ -175,9 +175,11 @@ def _band_matrices():
 def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
     mats = _band_matrices()
     # K(0) stores the exact zeros of its k-terms; the band holds them anyway
-    assert np.any(dict(mats)["2d K(0)"].data == 0.0)
+    assert np.any(dict(mats)["2d K(0) lower"].data == 0.0)
     for name, A in mats:
         dense = A.toarray() if sp.issparse(A) else A
+        if name.endswith("lower"):
+            dense = dense + np.tril(dense, -1).T
         stored = A.tocoo() if sp.issparse(A) else sp.coo_matrix(A)
         u = int(np.max(stored.row - stored.col))
         want = np.zeros((u + 1, len(dense)))
@@ -186,6 +188,22 @@ def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
         band = eig._upper_band(A)
         assert band.flags.f_contiguous, name
         assert band.shape == want.shape and np.array_equal(band, want), name
+
+
+def test_shifted_band_is_the_band_of_the_sparse_difference():
+    # the factor's K - s M is formed on the bands, entry for entry what scipy's
+    # sparse difference holds, also where K's and M's half-bandwidths differ
+    rng = np.random.default_rng(4)
+    h20 = _band_matrices()[:2]
+    diag = sp.diags(1.0 + rng.random(46)).tocsr()
+    tri = sp.diags([rng.random(45), 2.0 + rng.random(46), rng.random(45)], [-1, 0, 1]).tocsr()
+    for K, M in ((h20[0][1], h20[1][1]), (diag, tri), (tri, diag)):
+        for s in (0.7, -1.3):
+            shifted = eig._upper_band(M)
+            shifted *= s
+            got = eig._band_less(eig._upper_band(K), shifted)
+            want = eig._upper_band(K - s * M)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_band_map_built_once_per_family_and_dropped_with_it(monkeypatch):
@@ -199,24 +217,80 @@ def test_band_map_built_once_per_family_and_dropped_with_it(monkeypatch):
     monkeypatch.setattr(eig, "_build_band_map", counting)
     mesh = lame2d.build_meridian_mesh(ax.preset("B"), 0.1, 4, 2)
     for k in range(6):
-        K = lame2d.assemble_fourier_lame(mesh, k, degree=3).stiffness
+        K = lame2d.assemble_fourier_lame(mesh, k, degree=3).stiffness_lower
         assert K.indices is not lame2d.get_family(mesh, 3).A0.indices  # a new view each k
         eig._upper_band(K)
     assert len(built) == 1
     key = id(eig._owner(K.indices))
-    lower, flat, u = eig._BAND_MAPS[key][2]
-    assert flat.dtype == np.int32 and lower.dtype == bool
-    maps = [weakref.ref(lower), weakref.ref(flat)]
-    del mesh, K, lower, flat, built
+    # K(k) is stored as its lower triangle: no mask, no index arrays of its own
+    lower, triangle, flat, u = eig._BAND_MAPS[key][2]
+    assert lower is None and triangle is None and flat.dtype == np.int32
+    maps = [weakref.ref(flat)]
+    del mesh, K, flat, built
     gc.collect()
     assert key not in eig._BAND_MAPS
     assert all(ref() is None for ref in maps)
+
+
+def test_full_pattern_band_map_records_its_triangle():
+    # a full K (the 1D assemblers, dense input) reaches the lower-triangle path
+    # through the triangle's index arrays kept in its band map
+    K = _band_matrices()[0][1]
+    L, flat, u = eig._triangle(K)
+    want = sp.tril(K, format="csr")
+    assert not np.shares_memory(L.indices, K.indices)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(L, part), getattr(want, part)), part
+    lower, triangle, _, _ = eig._BAND_MAPS[id(eig._owner(K.indices))][2]
+    assert lower.dtype == bool and lower.sum() == L.nnz
+    assert np.shares_memory(triangle[0], L.indices) and np.shares_memory(triangle[1], L.indptr)
+    assert eig._triangle(L)[0] is L  # a triangle is its own
 
 
 def test_norm1_matches_scipy_column_sums_bit_for_bit():
     for name, A in _band_matrices():
         want = float(abs(sp.csr_matrix(A)).sum(axis=0).max())
         assert eig._norm1(sp.csr_matrix(A)) == want, name
+
+
+def test_norm1_of_a_lower_triangle_matches_the_full_matrix():
+    # column j of |K| is column j plus row j of |tril(K)|, its diagonal once; the
+    # sums run in another order than the full matrix's column sums
+    empty_row = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
+    for name, A in _band_matrices() + [("empty row", empty_row)]:
+        if name.endswith("lower"):
+            continue
+        full = sp.csr_matrix(A)
+        want = eig._norm1(full)
+        got = eig._norm1_lower(sp.tril(full, format="csr"), full.diagonal())
+        assert abs(got / want - 1.0) <= 1e-15, name
+    # a row with no stored entry, solved below a shift that makes K - s M definite
+    out = eig.solve_smallest(sp.csr_matrix(empty_row), np.eye(3), 2, shift=-1.0)
+    np.testing.assert_allclose(out.values, [0.0, sla.eigvalsh(empty_row)[1]], atol=1e-12)
+
+
+def _pencils():
+    """(name, K, M) of one 1D and one 2D pencil."""
+    prof = ax.preset("B")
+    K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z),
+                                fem1d.Mesh1D.uniform(prof.interval, 24))
+    system = lame2d.assemble_fourier_lame(
+        lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2), 3, degree=3)
+    return [("1d", K1, M1), ("2d", system.stiffness, system.mass)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["1d", "2d"])
+@pytest.mark.parametrize("shift", [0.0, -0.5])
+def test_lower_triangle_and_full_pencil_solve_alike(which, shift):
+    # the solver reads K's lower triangle only, so K in full and tril(K) give the
+    # same band, factor and Lanczos run; the residuals' sums differ in order only
+    _, K, M = _pencils()[which]
+    full = eig.solve_smallest(K, M, 3, shift=shift)
+    lower = eig.solve_smallest(sp.tril(K, format="csr"), M, 3, shift=shift)
+    assert np.array_equal(full.values, lower.values)
+    assert np.array_equal(full.vectors, lower.vectors)
+    assert full.iterations == lower.iterations and full.shift == lower.shift
+    assert np.all(np.abs(full.residuals - lower.residuals) <= 1e-14)
 
 
 def test_not_positive_definite_shift_is_retried_below():

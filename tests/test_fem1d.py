@@ -277,16 +277,28 @@ def test_shared_pattern_matches_kron_construction(fn, ncomp):
 
 
 def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
-    p, nz_cells, nt_cells = 3, 4, 2
+    # every stored entry is the cell-order sum of the full cell blocks'
+    # contributions, bit for bit: M in full, A0, A1 and A2 in their lower triangle
     seen = _record_scatters(monkeypatch)
-    patterns = []
-    shared_pattern = lame2d._shared_pattern
+    blocks = []
+    component_blocks = lame2d._component_blocks
 
-    def record_pattern(fn, ncomp):
-        patterns.append(shared_pattern(fn, ncomp))
-        return patterns[-1]
+    def record_blocks(*args):
+        for name, parts in component_blocks(*args):
+            blocks.append((name, {key: B.copy() for key, B in parts.items()}))
+            yield name, parts
 
-    monkeypatch.setattr(lame2d, "_shared_pattern", record_pattern)
+    monkeypatch.setattr(lame2d, "_component_blocks", record_blocks)
+    for p in (3, 6):
+        seen.clear()
+        blocks.clear()
+        _check_family_scatter(p, seen, blocks)
+
+
+def _check_family_scatter(p, seen, blocks):
+    """The family of degree p on D@0.1 4 x 2 cells against the dense sum of the
+    recorded cell blocks; ``seen`` and ``blocks`` record its build."""
+    nz_cells, nt_cells = 4, 2
     mesh = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, nz_cells, nt_cells)
     fam = lame2d.get_family(mesh, degree=p)
     # DOF 3 node + comp, local DOFs in (comp, node) order
@@ -295,41 +307,51 @@ def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
     dof = np.where(fn[:, None, :] >= 0, 3 * fn[:, None, :] + np.arange(3)[:, None], -1)
     dof = dof.reshape(n_cells, -1)
     n = fam.dof_count
-    (*_, slot), = patterns
-    slot = slot.reshape(n_cells, 3, nloc, 3, nloc)
-    # one call per matrix, A0, A1, A2 and M in turn, with its nonzero component
-    # blocks (a, b) stacked; an off-diagonal block of a symmetric matrix comes
-    # with its mirror (b, a)
+    # M, A0, A1 and A2 in turn, each with its nonzero component blocks (a, b); an
+    # off-diagonal block of a symmetric matrix stands for its mirror (b, a) too
     R, P, T = 0, 1, 2
-    wanted = {"A0": {(R, R), (T, T), (P, P), (R, T), (T, R)},
-              "A1": {(P, R), (R, P), (P, T), (T, P)},
-              "A2": {(R, R), (T, T), (P, P)},
-              "M": {(R, R), (T, T), (P, P)}}
-    assert [nnz for *_, nnz in seen] == [fam.A0.nnz] * 4
+    wanted = {"M": {(R, R), (T, T), (P, P)},
+              "A0": {(R, R), (T, T), (P, P), (R, T)},
+              "A1": {(P, R), (P, T)},
+              "A2": {(R, R), (T, T), (P, P)}}
+    assert [(name, set(parts)) for name, parts in blocks] == list(wanted.items())
     ref = {}
-    for (name, pairs), (slots, blocks, _) in zip(wanted.items(), seen):
+    for name, parts in blocks:
         local = np.zeros((n_cells, 3, nloc, 3, nloc))
-        got = set()
-        for s, block in zip(slots, blocks):
-            (a, b), = [(a, b) for a in range(3) for b in range(3)
-                       if np.array_equal(s, slot[:, a, :, b, :])]
-            got.add((a, b))
-            local[:, a, :, b, :] = block
-        assert got == pairs and len(blocks) == len(pairs), name
+        for (a, b), B in parts.items():
+            local[:, a, :, b, :] = B
+            local[:, b, :, a, :] = B.transpose(0, 2, 1)
         ref[name] = _dense_sum(local.reshape(n_cells, 3 * nloc, 3 * nloc), dof, n)
-    for name in wanted:
+    assert np.array_equal(fam.M.toarray(), ref["M"])
+    assert np.all(fam.M.data != 0.0)
+    _assert_sorted_csr(fam.M)
+    for name in ("A0", "A1", "A2"):
         A = getattr(fam, name)
-        assert np.array_equal(A.toarray(), ref[name]), name
+        assert np.array_equal(A.toarray(), np.tril(ref[name])), name
         _assert_sorted_csr(A)
-    assert np.all(fam.M.data != 0.0) and fam.M.nnz < fam.A0.nnz
-    # A0, A1, A2 and K(k) share one uncompacted pattern; M is a compact copy of it
+    # one scatter per matrix: M on the full pattern (M keeps a third of it, its
+    # diagonal component blocks), A0, A1 and A2 on its lower triangle with only
+    # the lower entries of each cell block: all (i, j), i >= j, of a block (a, b)
+    # with a >= b, and i > j where a < b
+    full_nnz = 3 * fam.M.nnz
+    assert fam.A0.nnz == (full_nnz + n) // 2
+    assert [nnz for *_, nnz in seen] == [full_nnz] + [fam.A0.nnz] * 3
+    incl, strict = nloc * (nloc + 1) // 2, nloc * (nloc - 1) // 2
+    assert [local.size for _, local, _ in seen[1:]] == [
+        n_cells * (4 * incl + strict), n_cells * (2 * incl + 2 * strict), n_cells * 3 * incl]
+    # A0, A1, A2 and K(k) share one lower pattern, zero blocks included; the full
+    # K(k) is mirrored from it
     pattern = fam.A0.indptr.copy(), fam.A0.indices.copy()
     for k in (0, 3):
-        K = lame2d.assemble_fourier_lame(mesh, k, degree=p).stiffness
-        assert np.array_equal(K.toarray(), ref["A0"] + k * ref["A1"] + (k * k) * ref["A2"])
-        assert np.shares_memory(K.indices, fam.A0.indices)
-        assert np.shares_memory(K.indptr, fam.A0.indptr)
+        system = lame2d.assemble_fourier_lame(mesh, k, degree=p)
+        want = ref["A0"] + k * ref["A1"] + (k * k) * ref["A2"]
+        assert np.array_equal(system.stiffness.toarray(), want)
+        assert np.array_equal(system.stiffness_lower.toarray(), np.tril(want))
+        assert np.shares_memory(system.stiffness_lower.indices, fam.A0.indices)
+        assert np.shares_memory(system.stiffness_lower.indptr, fam.A0.indptr)
+        _assert_sorted_csr(system.stiffness)
     for A in (fam.A1, fam.A2):
         assert np.shares_memory(A.indices, fam.A0.indices)
+        assert np.shares_memory(A.indptr, fam.A0.indptr)
     assert np.array_equal(fam.A0.indptr, pattern[0]) and np.array_equal(fam.A0.indices, pattern[1])
     assert len(fam.A0.indices) == fam.A0.indptr[-1]

@@ -129,6 +129,26 @@ def test_classify_presets():
     assert clsL.z0 == 0.5 and clsL.boundary_minimum
 
 
+def test_classify_samples_the_frame_once(monkeypatch):
+    # classify hands its sampled H0 to the minimum search: one frame on the
+    # CLASSIFY_CELLS grid, then one at the minimizer; the minimum is the one
+    # locate_H0_minimum finds on its own sampling
+    prof = ax.preset("H")
+    sizes = []
+    frame_at = geometry.frame_at
+
+    def counting(profile, z):
+        sizes.append(np.size(z))
+        return frame_at(profile, z)
+
+    monkeypatch.setattr(geometry, "frame_at", counting)
+    cls = geometry.classify(prof)
+    assert sizes == [geometry.CLASSIFY_CELLS + 1, 1]
+    sizes.clear()
+    assert geometry.locate_H0_minimum(prof) == cls.h0_minimum
+    assert sizes == [geometry.CLASSIFY_CELLS + 1]
+
+
 def test_classify_hyperbolic_and_mixed():
     hyper = ShellProfile("polynomial", (-1.0, 1.0), coeffs=(1.0, 0.0, 0.25))
     assert ax.classify(hyper).tag is ShellClassTag.HYPERBOLIC
