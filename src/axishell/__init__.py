@@ -6,69 +6,53 @@ constants of the azimuthal-wavenumber power law k(eps) = gamma eps^(-beta)
 and the two-term eigenvalue law m1(eps) = a0 + a1 eps^(alpha1), and
 cross-validates them against a Fourier-decomposed 2D elasticity eigensolver
 on the meridian cross-section.
+
+The public names below resolve lazily (PEP 562): each is imported from its
+submodule on first access, so ``import axishell`` loads no numpy and the
+command line (``axishell.cli``) chooses how numpy's and scipy's BLAS load.
 """
 
-from .asymptotics import (
-    AsymptoticsResult,
-    airy_first_zero,
-    compute,
-    cylinder_closed_form,
-    exponents_from_eta1,
-    optimize_gamma_parabolic,
-    predict,
-    toroidal_constants,
-    toroidal_sweep,
-)
-from .errors import (
-    AdmissibilityError,
-    AssemblyError,
-    AxishellError,
-    DomainError,
-    GeometryError,
-    ReductionNotApplicableError,
-    SolverError,
-    ThicknessError,
-)
-from .geometry import (
-    GeometryFrame,
-    ShellClass,
-    ShellClassTag,
-    classify,
-    essential_spectrum_range,
-    frame_at,
-    locate_H0_minimum,
-)
-from .profiles import PRESET_IDS, ShellProfile, preset
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AsymptoticsResult",
-    "AdmissibilityError",
-    "AssemblyError",
-    "AxishellError",
-    "DomainError",
-    "GeometryError",
-    "GeometryFrame",
-    "PRESET_IDS",
-    "ReductionNotApplicableError",
-    "ShellClass",
-    "ShellClassTag",
-    "ShellProfile",
-    "SolverError",
-    "ThicknessError",
-    "airy_first_zero",
-    "classify",
-    "compute",
-    "cylinder_closed_form",
-    "essential_spectrum_range",
-    "exponents_from_eta1",
-    "frame_at",
-    "locate_H0_minimum",
-    "optimize_gamma_parabolic",
-    "predict",
-    "preset",
-    "toroidal_constants",
-    "toroidal_sweep",
-]
+# public name -> submodule that defines it, in the order of __all__
+_SOURCES = {
+    "AsymptoticsResult": "asymptotics",
+    "AdmissibilityError": "errors",
+    "AssemblyError": "errors",
+    "AxishellError": "errors",
+    "DomainError": "errors",
+    "GeometryError": "errors",
+    "GeometryFrame": "geometry",
+    "PRESET_IDS": "profiles",
+    "ReductionNotApplicableError": "errors",
+    "ShellClass": "geometry",
+    "ShellClassTag": "geometry",
+    "ShellProfile": "profiles",
+    "SolverError": "errors",
+    "ThicknessError": "errors",
+    "airy_first_zero": "asymptotics",
+    "classify": "geometry",
+    "compute": "asymptotics",
+    "cylinder_closed_form": "asymptotics",
+    "essential_spectrum_range": "geometry",
+    "exponents_from_eta1": "asymptotics",
+    "frame_at": "geometry",
+    "locate_H0_minimum": "geometry",
+    "optimize_gamma_parabolic": "asymptotics",
+    "predict": "asymptotics",
+    "preset": "profiles",
+    "toroidal_constants": "asymptotics",
+    "toroidal_sweep": "asymptotics",
+}
+
+__all__ = ["__version__", *_SOURCES]
+
+
+def __getattr__(name):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{source}", __name__), name)

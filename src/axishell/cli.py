@@ -18,17 +18,31 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
+# numpy's and scipy's OpenBLAS read OPENBLAS_NUM_THREADS once, when they load.
+# Every eigen-solve runs its BLAS on one thread (eig._one_blas_thread), so the
+# helper threads of a larger count only spin, here and in the forked --jobs
+# workers: load both with one thread unless the caller chose a count, and
+# leave the environment as the caller set it.
+_BLAS_THREADS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
+if _BLAS_THREADS_UNSET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
 
-from . import __version__, asymptotics, lame2d, symbols, verify
-from .errors import AxishellError
-from .geometry import ShellClassTag, classify, essential_spectrum_range, frame_at
-from .profiles import ShellProfile, preset
+    from . import __version__, asymptotics, lame2d, symbols, verify
+    from .errors import AxishellError
+    from .geometry import ShellClassTag, classify, essential_spectrum_range, frame_at
+    from .profiles import ShellProfile, preset
+finally:
+    if _BLAS_THREADS_UNSET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 # a value such as -1,1 or -1e-3: no option of the CLI starts with '-' and a digit
@@ -62,6 +76,11 @@ def _parse_eps_list(text: str) -> list[float]:
     for v in values:
         if not 0.0 < v <= 0.25:
             raise argparse.ArgumentTypeError(f"eps = {v} outside (0, 0.25]")
+    # each eps names its own output file, sweep2d_<model>_eps<eps:g>.csv
+    names = [f"{v:g}" for v in values]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"eps list {text!r} repeats {', '.join(repeated)}")
     return values
 
 
@@ -72,12 +91,19 @@ def _parse_eps(text: str) -> float:
     return values[0]
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < float("inf"):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
     return value
 
@@ -109,11 +135,12 @@ def _parse_mesh(text: str) -> tuple[int, int]:
 def _parse_interval(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(","))
-        if lo < hi:
+        if lo < hi and math.isfinite(lo) and math.isfinite(hi):
             return lo, hi
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"interval {text!r} is not of the form z-,z+ with z- < z+")
+    raise argparse.ArgumentTypeError(
+        f"interval {text!r} is not of the form z-,z+ with finite z- < z+")
 
 
 def _csv_lines(meta: dict, columns: list[str], rows: list[list]) -> str:
@@ -276,8 +303,8 @@ def _torus_worker(payload):
 
 
 def cmd_torus_sweep(args) -> int:
-    if args.r_min >= args.r_max or args.step <= 0:
-        print("usage error: need r-min < r-max and a positive step", file=sys.stderr)
+    if args.r_min >= args.r_max:
+        print("usage error: need r-min < r-max", file=sys.stderr)
         return 2
     grid = np.arange(args.r_min, args.r_max + 0.5 * args.step, args.step)
     payloads = [(args.radius, args.z_center, args.interval, float(r)) for r in grid]
@@ -383,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("torus-sweep", help="toroidal constants vs arc offset")
-    p.add_argument("--r-min", type=float, default=-3.0)
-    p.add_argument("--r-max", type=float, default=-0.1)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--z-center", type=float, default=0.0)
+    p.add_argument("--r-min", type=_finite_float, default=-3.0)
+    p.add_argument("--r-max", type=_finite_float, default=-0.1)
+    p.add_argument("--step", type=_positive_float, default=0.05)
+    p.add_argument("--radius", type=_positive_float, default=2.0)
+    p.add_argument("--z-center", type=_finite_float, default=0.0)
     p.add_argument("--interval", type=_parse_interval, default="-1,1",
                    help="meridian interval z-,z+ of every arc")
     p.add_argument("--jobs", type=_positive_int, default=1)

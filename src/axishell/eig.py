@@ -37,6 +37,10 @@ thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
 sweeps without shortening them), pool workers would multiply the threads past
 the cores, and a threaded BLAS reduction rounds differently with the thread
 count, so the 2D eigenvalues would depend on the machine's core count.
+A library caller keeps its own count: each solve sets one thread and restores
+the caller's count after.  The command line (``axishell.cli``) loads numpy's
+and scipy's OpenBLAS with one thread instead, unless OPENBLAS_NUM_THREADS is
+set, so its processes and pool workers start no helper threads at all.
 """
 
 from __future__ import annotations

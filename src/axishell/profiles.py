@@ -9,6 +9,7 @@ Airy shell types.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,9 @@ class ShellProfile:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        # NaN passes every comparison guard below, so it is refused first
+        if not all(map(math.isfinite, (*self.interval, *self.coeffs, *self.params, self.E))):
+            raise GeometryError("interval, coefficients, params and E must be finite")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             raise GeometryError(f"interval {self.interval} is not (z-, z+) with z- < z+")
         z_minus, z_plus = self.interval

@@ -297,6 +297,9 @@ def test_toroidal_sweep_rows():
         assert abs(b["a1"] / a["a1"] - 1) < 0.10
     bad = asy.toroidal_sweep(2.0, 0.0, (-1.0, 1.0), [0.2])
     assert bad[0]["error"]
+    # a NaN arc radius is a typed per-point failure, not an untyped ValueError
+    nan_row = asy.toroidal_sweep(float("nan"), 0.0, (-1.0, 1.0), [-1.2])[0]
+    assert nan_row["error"].startswith("GeometryError: ")
 
 
 def test_toroidal_sweep_propagates_programming_errors(monkeypatch):

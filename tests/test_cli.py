@@ -97,10 +97,26 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
         assert "argument --eps: takes one half-thickness" in capsys.readouterr().err
     # an interval that is not two numbers z- < z+ is refused before any arc is built
-    for interval in ("1,-1", "0"):
+    for interval in ("1,-1", "0", "-inf,inf", "-1,nan"):
         with pytest.raises(SystemExit) as exc:
             main(["torus-sweep", f"--interval={interval}"])
         assert exc.value.code == 2
+        assert "argument --interval:" in capsys.readouterr().err
+    # a non-finite number, or a radius or step that is not positive, is refused
+    # by the parser instead of failing inside numpy or the geometry
+    for option, value in (("--step", "nan"), ("--step", "0"), ("--r-max", "inf"),
+                          ("--r-min", "nan"), ("--radius", "nan"), ("--radius", "-2"),
+                          ("--z-center", "inf")):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus-sweep", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+    # each eps writes its own CSV, so a repeated eps would overwrite one
+    for eps in ("0.1,0.1", "0.1,0.05,1e-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep2d", "--model", "H", "--eps", eps])
+        assert exc.value.code == 2
+        assert "repeats 0.1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -347,3 +363,71 @@ def test_cli_import_set_leaves_out_optimize_and_special(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == dict.fromkeys(
         ["import axishell", "import axishell.cli", "sweep2d", "asymptotics"], [])
+
+
+def _fresh_python(script: Path, **env) -> object:
+    """Run ``script`` in a fresh interpreter on this package, with
+    OPENBLAS_NUM_THREADS unset unless ``env`` sets it; its last line as JSON."""
+    src = str(Path(axishell.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_NAMESPACE = """
+import json, sys
+import axishell
+numpy_loaded = "numpy" in sys.modules
+star = {}
+exec("from axishell import *", star)
+print(json.dumps({"numpy_loaded": numpy_loaded,
+                  "unresolved": [n for n in axishell.__all__ if not hasattr(axishell, n)],
+                  "star": sorted(n for n in star if n != "__builtins__"),
+                  "unknown_refused": not hasattr(axishell, "no_such_name")}))
+"""
+
+
+def test_package_namespace_is_lazy_and_complete(tmp_path):
+    # `import axishell` loads no numpy, so axishell.cli can choose how BLAS loads
+    script = tmp_path / "namespace.py"
+    script.write_text(_NAMESPACE)
+    doc = _fresh_python(script)
+    assert doc == {"numpy_loaded": False, "unresolved": [],
+                   "star": sorted(axishell.__all__), "unknown_refused": True}
+
+
+_CLI_THREADS = """
+import json, os
+
+def threads(_=None):
+    return len(os.listdir("/proc/self/task"))
+
+def threads_after_a_product(_):
+    # a product this size runs threaded if the BLAS has helper threads
+    import numpy as np
+    np.ones((512, 512)) @ np.ones((512, 512))
+    return threads()
+
+if __name__ == "__main__":
+    from axishell import cli
+    doc = {"threads": threads(), "env": os.environ.get("OPENBLAS_NUM_THREADS")}
+    doc["workers"] = cli._map(threads_after_a_product, [0, 1], 2)
+    print(json.dumps(doc))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="counts Linux threads on a machine where OpenBLAS would start helpers")
+def test_cli_loads_blas_with_one_thread_unless_the_caller_chose(tmp_path):
+    script = tmp_path / "cli_threads.py"
+    script.write_text(_CLI_THREADS)
+    # unset: no OpenBLAS helper threads here or in the --jobs workers, and the
+    # environment is left as it was found
+    assert _fresh_python(script) == {"threads": 1, "env": None, "workers": [1, 1]}
+    # a count the caller set is kept, and OpenBLAS starts its helpers
+    doc = _fresh_python(script, OPENBLAS_NUM_THREADS="2")
+    assert doc["env"] == "2"
+    assert doc["threads"] > 1

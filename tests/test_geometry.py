@@ -48,6 +48,25 @@ def test_frame_errors():
         ShellProfile("polynomial", (-1.0, 1.0), coeffs=(2.0,), nu=0.6)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="circular_arc", interval=(-1.0, 1.0), params=(NAN, 2.0, 0.0)),
+    dict(kind="circular_arc", interval=(-1.0, 1.0), params=(-1.0, 2.0, NAN)),
+    dict(kind="polynomial", interval=(-1.0, 1.0), coeffs=(2.0, NAN)),
+    dict(kind="polynomial", interval=(-1.0, 1.0), coeffs=(2.0, 0.0, INF)),
+    dict(kind="affine", interval=(-1.0, INF), coeffs=(2.0,)),
+    dict(kind="affine", interval=(-INF, 1.0), coeffs=(2.0,)),
+    dict(kind="affine", interval=(-1.0, 1.0), coeffs=(2.0,), E=NAN),
+    dict(kind="affine", interval=(-1.0, 1.0), coeffs=(2.0,), E=INF),
+])
+def test_profile_refuses_non_finite_numbers(kwargs):
+    # NaN slips through every comparison guard, so finiteness is checked first
+    with pytest.raises(GeometryError, match="must be finite"):
+        ShellProfile(**kwargs)
+
+
 def test_array_frame_matches_pointwise_frames():
     # frame_at and h2_coefficients on an array equal the per-point results
     # field by field, bit for bit; scalar frames keep plain float fields
