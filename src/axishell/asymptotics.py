@@ -220,9 +220,10 @@ class _GammaScan:
         self.lam_op_min = float(fem1d.smallest_eigenpairs(K_op, M).values[0])
 
     def mu1(self, gamma: float, with_vector: bool = False):
-        K = gamma ** self.p_low * self.K_op + gamma ** self.p_high * self.K_b
+        # K_0 + (gamma^p_low K_op + gamma^p_high K_b), summed in the solver's band
+        K = [(gamma ** self.p_low, self.K_op), (gamma ** self.p_high, self.K_b)]
         if self.K_0 is not None:
-            K = self.K_0 + K
+            K.append((1.0, self.K_0))
         lb = (self.lb_0 + gamma ** self.p_low * self.lam_op_min
               + gamma ** self.p_high * self.b_min)
         shift = lb - 0.005 * abs(lb)

@@ -423,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbols", help="dump symbol matrices at one z (debug)")
     common(p)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--lam0", type=float, default=0.0)
-    p.add_argument("--lam1", type=float, default=0.0)
+    p.add_argument("--z", type=_finite_float, required=True)
+    p.add_argument("--lam0", type=_finite_float, default=0.0)
+    p.add_argument("--lam1", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_symbols)
 
     p = sub.add_parser("verify", help="run the identity suite")

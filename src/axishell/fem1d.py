@@ -9,16 +9,17 @@ f(z) s(z) dz and with clamped traces eliminated:
 
 Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
-product X^T diag(c) X, made exactly symmetric.  ``_shared_pattern``,
-``_scatter`` and ``_compact`` are the sparse assembler of both stacks (lame2d
-too): one CSR pattern per mesh, built straight from the sorted unique pairs
-of free nodes, with the CSR position of every local entry; cell blocks summed
-into it in cell order, so K == K.T bit for bit, and exact zeros dropped
-(except in the 2D stiffness family, which keeps the lower triangle of the
-pattern).  A slot belongs to one component pair, so a caller may scatter
-each component block on its own slice of the positions, as lame2d does.
-The (K, M) pairs go through ``eig.solve_smallest(K, M, ...)`` like the 2D
-ones.
+product X^T diag(c) X, made exactly symmetric.  ``_NodePairs``, ``_scatter``
+and ``_compact`` are the sparse assembler of both stacks (lame2d too): the
+sorted unique pairs of free nodes that share a cell, found once per mesh,
+from which each CSR pattern is built straight away, for a chosen set of
+component pairs, in full or as its lower triangle, with the CSR position of
+every local entry; cell blocks summed into it in cell order, so K == K.T bit
+for bit, and exact zeros dropped (except in the 2D family, which keeps each
+matrix on the pattern of its nonzero component blocks).  A slot belongs to
+one component pair, so a caller may scatter each component block on its own
+slice of the positions, as lame2d does.  The (K, M) pairs go through
+``eig.solve_smallest(K, M, ...)`` like the 2D ones.
 """
 
 from __future__ import annotations
@@ -82,43 +83,120 @@ class Mesh1D:
         return len(self.nodes) - 1
 
 
-def _shared_pattern(fn: np.ndarray, ncomp: int):
-    """CSR pattern over the free DOFs, shared by every matrix of one mesh.
+class _NodePairs:
+    """The sorted unique pairs of free nodes that share a cell, from which every CSR
+    pattern of one mesh is built.
 
-    ``fn[c, i]`` is the index among the free nodes of local node i of cell c,
-    or -1 on a clamped node; a clamped node has all ``ncomp`` components
-    fixed, so the free DOFs are ncomp fn + comp.  Returns ``(indptr, indices,
-    slot)``, all int32: the index arrays with sorted rows, and ``slot``, the
-    CSR position of every local entry (cell, comp, i, comp', j) in that order,
-    or nnz where the entry touches a clamped DOF.
+    ``fn[c, i]`` is the index among the free nodes of local node i of cell c, or
+    -1 on a clamped node; a clamped node has all its components fixed, so the
+    free DOF of component a of free node i is ncomp i + a.
     """
-    n_free = int(fn.max()) + 1
-    both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
-    pairs, pair = np.unique((fn[:, :, None] * n_free + fn[:, None, :])[both],
-                            return_inverse=True)
-    fi, fj = np.divmod(pairs, n_free)  # node pairs by row, then column
-    deg = np.bincount(fi, minlength=n_free)
-    first = np.cumsum(deg) - deg  # first pair of each node row
-    # row ncomp i + a lists ncomp j + b for the neighbours j of i in order, b fastest:
-    # the rows of ``cols`` of node i's pairs, once for each a
-    row_deg = np.repeat(deg, ncomp)
-    indptr = np.concatenate([[0], np.cumsum(ncomp * row_deg)]).astype(np.int32)
-    b = np.arange(ncomp, dtype=np.int32)
-    a = b[:, None]
-    cols = (ncomp * fj[:, None] + b).astype(np.int32)
-    # the k-th neighbour in a row of node i is pair first[i] + k
-    lag = (np.cumsum(row_deg) - row_deg - np.repeat(first, ncomp)).astype(np.int32)
-    at = np.arange(ncomp * len(pairs), dtype=np.int32) - np.repeat(lag, row_deg)
-    indices = cols.take(at, axis=0).ravel()
-    # the CSR position of every local entry; the rows of a clamped node (fn -1)
-    # index arbitrary entries until nnz overwrites every entry that touches it
-    offset = np.zeros(both.shape, dtype=np.int32)
-    offset[both] = pair
-    offset -= first[fn][:, :, None]
-    slot = (indptr[ncomp * fn[:, None, :, None, None] + a[..., None, None]] + b[:, None]
-            + ncomp * offset[:, None, :, None, :])
-    np.copyto(slot, indptr[-1], where=~both[:, None, :, None, :])
-    return indptr, indices, slot.ravel()
+
+    def __init__(self, fn: np.ndarray):
+        n_free = int(fn.max()) + 1
+        n_cells, nloc = fn.shape
+        self.fn = fn
+        both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
+        # key i span + j - i + span // 2 of each local pair (i, j) of free nodes,
+        # which orders the pairs by row, then column: marking the keys sorts them.
+        # span, one more than twice the widest node distance in a cell, stays small
+        # in the banded numbering of both stacks
+        reach = np.broadcast_to(fn[:, None, :] - fn[:, :, None], both.shape)[both]
+        span = 2 * int(np.abs(reach).max()) + 1
+        keys = np.broadcast_to(fn[:, :, None] * span, both.shape)[both] + reach
+        keys += span // 2
+        del reach
+        seen = np.zeros(n_free * span, dtype=bool)
+        seen[keys] = True
+        pairs = np.flatnonzero(seen)
+        index = np.empty(len(seen), dtype=np.int32)  # of each key among the pairs
+        index[pairs] = np.arange(len(pairs), dtype=np.int32)
+        pair = index[keys]
+        del seen, index
+        fi, fj = np.divmod(pairs, span)  # node pairs by row, then column
+        fj += fi - span // 2
+        self.fj = fj.astype(np.int32)
+        self.deg = np.bincount(fi, minlength=n_free)
+        first = np.cumsum(self.deg) - self.deg  # first pair of each node row
+        # the neighbours j < i of node i come first in its row, then i itself
+        self.below = np.bincount(fi[fj < fi], minlength=n_free)
+        self.lower = np.flatnonzero(fj <= fi)  # the pairs of a lower triangle
+        # the rank of each pair in its node row, and of each local pair (i, j) of a
+        # cell, at i nloc + j; a clamped local pair keeps an arbitrary rank
+        self.rank = (np.arange(len(pairs)) - first[fi]).astype(np.int32)
+        self.both = both.reshape(n_cells, nloc * nloc)
+        self.offset = np.zeros(self.both.shape, dtype=np.int32)
+        self.offset[self.both] = self.rank[pair]
+
+    def pattern(self, ncomp: int, blocks: np.ndarray | None = None,
+                lower: bool = False) -> "_Pattern":
+        """The CSR pattern of the component pairs (a, b) where ``blocks[a, b]`` (a
+        symmetric ncomp x ncomp mask; every pair when None), in full or its lower
+        triangle only.  Row ncomp i + a lists ncomp j + b for the node neighbours j
+        of i in order, and for each the components b of row a, b fastest; a lower
+        row stops at j = i, b <= a."""
+        sel = np.ones((ncomp, ncomp), dtype=bool) if blocks is None else np.asarray(blocks)
+        width = sel.sum(axis=1, dtype=np.int32)
+        rank = np.cumsum(sel, axis=1, dtype=np.int32) - 1  # of b among the components of row a
+        counts = (self.below[:, None] * width + np.diagonal(rank) + 1 if lower
+                  else self.deg[:, None] * width)
+        indptr = np.concatenate([[0], np.cumsum(counts.ravel())]).astype(np.int32)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # the node pairs that the rows list, by node row: j <= i in a triangle
+        p, count = (self.lower, self.below + 1) if lower else (slice(None), self.deg)
+        at, col = self.rank[p], ncomp * self.fj[p]
+        below = np.flatnonzero(at < np.repeat(self.below, count)) if lower else None
+        for a in range(ncomp):
+            # where the entries of each pair start in row (i, a)
+            start = np.repeat(indptr[a:-1:ncomp], count)
+            start += width[a] * at
+            for b in np.flatnonzero(sel[a]):
+                if b > a:  # a lower row ends at (i, a): no diagonal pair
+                    indices[start[below] + rank[a, b]] = col[below] + b
+                else:
+                    indices[start + rank[a, b]] = col + b
+        return _Pattern(self, ncomp, indptr, indices, width, rank)
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """A CSR pattern of ``_NodePairs.pattern``, with the position of each local entry."""
+
+    pairs: _NodePairs
+    ncomp: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    width: np.ndarray   # the number of components b of row a
+    rank: np.ndarray    # rank[a, b]: the position of b among them
+
+    def slot(self, a: int, b: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The CSR positions of the local entries (a, i[t], b, j[t]) of every cell,
+        shape (cells, len(i)), int32, nnz where an entry touches a clamped DOF.  The
+        pattern must hold every entry asked for."""
+        pairs = self.pairs
+        at = i * pairs.fn.shape[1] + j
+        # the rows of a clamped node (fn -1) index arbitrary entries until nnz
+        # overwrites every entry that touches it
+        slot = self.indptr[self.ncomp * pairs.fn.take(i, axis=1) + a] + self.rank[a, b]
+        slot += self.width[a] * pairs.offset.take(at, axis=1)
+        np.copyto(slot, self.indptr[-1], where=~pairs.both.take(at, axis=1))
+        return slot
+
+
+def _shared_pattern(fn: np.ndarray, ncomp: int):
+    """CSR pattern over the free DOFs of every component pair, shared by every matrix
+    of one 1D mesh.  Returns ``(indptr, indices, slot)``, all int32: the index
+    arrays with sorted rows, and ``slot``, the CSR position of every local entry
+    (cell, comp, i, comp', j) in that order, or nnz where the entry touches a
+    clamped DOF."""
+    pattern = _NodePairs(fn).pattern(ncomp)
+    n_cells, nloc = fn.shape
+    i, j = (x.ravel() for x in np.indices((nloc, nloc)))
+    slot = np.empty((n_cells, ncomp, nloc, ncomp, nloc), dtype=np.int32)
+    for a in range(ncomp):
+        for b in range(ncomp):
+            slot[:, a, :, b, :] = pattern.slot(a, b, i, j).reshape(n_cells, nloc, nloc)
+    return pattern.indptr, pattern.indices, slot.ravel()
 
 
 def _scatter(slot: np.ndarray, local: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -255,5 +333,6 @@ def smallest_eigenpairs(
     K, M, m: int = 1, x0: np.ndarray | None = None, shift: float = 0.0,
 ) -> eig.EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, through ``eig.solve_smallest``:
-    Lanczos on U^-T M U^-1 for the banded Cholesky factor K - shift M = U^T U."""
+    Lanczos on U^-T M U^-1 for the banded Cholesky factor K - shift M = U^T U.
+    K is a matrix or a list of (scale, matrix) terms that sum to it."""
     return eig.solve_smallest(K, M, m, shift=shift, x0=x0)

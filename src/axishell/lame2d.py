@@ -4,10 +4,10 @@ The shell's 3D vibration problem separates over azimuthal modes e^{ik phi};
 each mode is a 3-component problem for (u^r, u^phi, u^tau) on the meridian
 domain.  With the azimuthal component rotated by i the bilinear form is real
 symmetric and splits as A0 + k A1 + k^2 A2, so one assembly per (mesh, eps)
-serves the whole wavenumber sweep.  A0, A1 and A2 are kept as their lower
-triangles, the part that the banded Cholesky factor reads, on one shared CSR
-pattern, so the stiffness at each k is one axpy on their data arrays over
-half the entries of the full matrices.
+serves the whole wavenumber sweep.  A0, A1 and A2 are kept as the lower
+triangles of their nonzero component blocks, the part that the banded
+Cholesky factor reads, and K(k) stays those three terms: the solver adds
+them, scaled by 1, k and k^2, into its band, so no K(k) matrix is formed.
 
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
@@ -18,16 +18,13 @@ nearly polynomial of low degree through the thickness, so p_t = min(p, 3)
 for 0.01 <= eps < 0.05 (see ``_thickness_degree``) and p_t = p otherwise; the
 band, set by the thickness nodes, then halves.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
-computed for all cells at once, and each matrix is summed into the family's
-one CSR pattern by the sparse assembler of fem1d, one nonzero component
-block at a time: 5 of the 9 component pairs in A0, 4 in A1 and 3 in A2 and
-M.  The mass matrix, in every Lanczos matvec, is scattered first, in full,
-and drops its exact zeros.  A0, A1 and A2 then scatter only the lower
-entries of each cell block into the lower triangle of the pattern, zero
-blocks included: each CSR row is sorted, so its lower entries are a prefix
-of it and a lower slot is the full slot less the upper entries of the rows
-above.  Every stored sum still runs over the cells in cell order, so each
-entry is bit for bit the one the full matrix would hold.
+computed for all cells at once, and each matrix is summed by the sparse
+assembler of fem1d into a CSR pattern of its nonzero component blocks only,
+built from the mesh's node pairs: 3 of the 9 component pairs in M, kept in
+full for every Lanczos matvec, and the lower triangles of 5 in A0, 4 in A1
+and 3 in A2, into which each cell block scatters only its lower entries.
+Every stored sum runs over the cells in cell order, so each entry is bit for
+bit the one the full matrix would hold.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import scipy.sparse as sp
 
 from . import asymptotics, eig
 from .errors import AssemblyError, SolverError, ThicknessError
-from .fem1d import _compact, _scatter, _shared_pattern
+from .fem1d import _NodePairs, _scatter
 from .profiles import ShellProfile
 
 __all__ = [
@@ -106,10 +103,12 @@ class LameFamily:
 
     Elements are Lagrange of degree ``degree`` along the meridian and
     ``thickness_degree`` through the thickness, which ``get_family`` takes
-    from ``_thickness_degree(eps, degree)``.  A0, A1 and A2 are the lower
-    triangles (diagonal included) of the symmetric matrices, on one pattern
-    that keeps their zero blocks; they and every K(k) share its pair of index
-    arrays, which nothing may modify in place.  M is the full matrix.
+    from ``_thickness_degree(eps, degree)``.  Each matrix is stored on the CSR
+    pattern of its nonzero component blocks only, (a, b) and its mirror (b, a):
+    A0 on (r, r), (phi, phi), (tau, tau) and (r, tau), A1 on (phi, r) and
+    (phi, tau), A2 on the three diagonal pairs, as lower triangles (diagonal
+    included); M on the three diagonal pairs, in full.  Nothing may modify
+    their index arrays in place.
     """
 
     degree: int               # Lagrange degree along the meridian
@@ -130,16 +129,31 @@ class LameFamily:
 
 @dataclass
 class FourierLameSystem:
+    """The pencil K(k) x = lambda M x of one wavenumber k of a family.
+
+    K(k) = A0 + k A1 + k^2 A2 is kept as those terms (``terms``), which the
+    solver adds into its band; no K(k) matrix is formed for a solve.
+    """
+
     k: int
-    stiffness_lower: sp.csr_matrix  # lower triangle of K(k), on the family's pattern
-    mass: sp.csr_matrix
     family: LameFamily
     mesh: MeridianMesh
 
     @property
+    def terms(self) -> list:
+        """K(k) as (scale, lower triangle) terms: A0 + k A1 + k^2 A2, in that order."""
+        fam = self.family
+        return [(1.0, fam.A0), (float(self.k), fam.A1), (float(self.k * self.k), fam.A2)]
+
+    @property
+    def mass(self) -> sp.csr_matrix:
+        return self.family.M
+
+    @property
     def stiffness(self) -> sp.csr_matrix:
-        """The full symmetric K(k), built from its lower triangle at each read."""
-        return _symmetric_from_lower(self.stiffness_lower)
+        """The full symmetric K(k), summed and mirrored from its terms at each read."""
+        fam, k = self.family, self.k
+        return _symmetric_from_lower(fam.A0 + k * fam.A1 + (k * k) * fam.A2)
 
 
 def _symmetric_from_lower(lower: sp.csr_matrix) -> sp.csr_matrix:
@@ -345,61 +359,49 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
            + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
     fn = np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
-    indptr, indices, slot = _shared_pattern(fn, 3)
-    slot = slot.reshape(n_cells, 3, nloc, 3, nloc)
-    blocks = _component_blocks(E, nu, r, wq, N, Gr, Gtau)
-
-    # M, in every Lanczos matvec, is the full matrix without its exact zeros; its
-    # blocks lie on the diagonal (a, a)
-    _, parts = next(blocks)
-    rows = [a for a, _ in parts]
-    M = _compact(_scatter(slot[:, rows, :, rows, :], np.stack(list(parts.values())), indptr),
-                 indices, indptr)
-
-    # A0, A1 and A2 are stored as their lower triangles on one shared pattern,
-    # zero blocks included, so that K(k) is one axpy on their data.  Each CSR row
-    # is sorted, so its lower entries are a prefix of it: a lower slot is the full
-    # slot less the upper entries of the rows above.
-    _, lindptr, lindices = eig._lower_pattern(indptr, indices)
-    del indices
-    slot -= (indptr - lindptr)[3 * np.maximum(fn, 0)[:, None, :]
-                               + np.arange(3)[:, None]][..., None, None]
-    # a clamped entry's full slot is nnz, and at most nnz - lnnz upper entries
-    # precede a row: its lower slot lands at lnnz or above, and goes to lnnz
-    np.minimum(slot, lindptr[-1], out=slot)
-    slot = slot.reshape(n_cells, -1)
+    pairs = _NodePairs(fn)
     # local node order follows global order inside a cell, so local entry
     # (a, i, b, j) lies in the lower triangle exactly when i > j, or i = j and
     # a >= b: tri[a >= b] lists those (i, j) of a block as i nloc + j
     tri = {True: np.flatnonzero(np.tri(nloc, dtype=bool)),
            False: np.flatnonzero(np.tri(nloc, k=-1, dtype=bool))}
+    every = np.arange(nloc * nloc)
 
-    def lower_entries(a, b, B):
-        # (local positions, block, its entries) of block B at (a, b) in the lower
-        # triangle; an off-diagonal block also enters the mirrored slots (b, a) as B^T
-        B = B.reshape(n_cells, nloc * nloc)
-        for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
-            i, j = np.divmod(tri[a >= b], nloc)
-            yield ((a * nloc + i) * 3 + b) * nloc + j, B, j * nloc + i if flip else i * nloc + j
+    def entries(lower, parts):
+        # (a, b, local nodes i and j, block, its entries) of each block B at (a, b);
+        # an off-diagonal block also enters the mirrored slots (b, a) as B^T
+        for (a, b), B in parts.items():
+            B = B.reshape(n_cells, nloc * nloc)
+            for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
+                at = tri[a >= b] if lower else every
+                i, j = np.divmod(at, nloc)
+                yield a, b, i, j, B, j * nloc + i if flip else at
 
     n = len(free)
-    mats = {"M": M}
-    for name, parts in blocks:
-        pieces = [e for (a, b), B in parts.items() for e in lower_entries(a, b, B)]
+    mats = {}
+    for name, parts in _component_blocks(E, nu, r, wq, N, Gr, Gtau):
+        # M, in every Lanczos matvec, is stored in full, A0, A1 and A2 as their lower
+        # triangles; each on the pattern of its nonzero component blocks only
+        blocks = np.zeros((3, 3), dtype=bool)
+        for a, b in parts:
+            blocks[a, b] = blocks[b, a] = True
+        lower = name != "M"
+        pattern = pairs.pattern(3, blocks, lower)
+        pieces = list(entries(lower, parts))
         # one scatter of the pieces' slots and values, piece after piece and cell
         # after cell in each: a slot belongs to one component pair, so each entry is
-        # still summed over the cells in cell order.  Every index is in range, and
-        # mode "clip" lets take write into the output without a buffer.
-        size = n_cells * sum(len(at) for *_, at in pieces)
-        where, local = np.empty(size, dtype=slot.dtype), np.empty(size)
+        # summed over the cells in cell order.  Every index is in range, and mode
+        # "clip" lets take write into the output without a buffer.
+        size = n_cells * sum(len(i) for _, _, i, *_ in pieces)
+        where, local = np.empty(size, dtype=np.int32), np.empty(size)
         start = 0
-        for pick, B, at in pieces:
-            end = start + n_cells * len(at)
-            np.take(slot, pick, axis=1, out=where[start:end].reshape(n_cells, -1), mode="clip")
+        for a, b, i, j, B, at in pieces:
+            end = start + n_cells * len(i)
+            where[start:end] = pattern.slot(a, b, i, j).ravel()
             np.take(B, at, axis=1, out=local[start:end].reshape(n_cells, -1), mode="clip")
             start = end
-        mats[name] = sp.csr_matrix((_scatter(where, local, lindptr), lindices, lindptr),
-                                   shape=(n, n))
+        mats[name] = sp.csr_matrix((_scatter(where, local, pattern.indptr), pattern.indices,
+                                    pattern.indptr), shape=(n, n))
     return LameFamily(degree=p, thickness_degree=pt, **mats, free=free, node_z=node_z,
                       node_t=node_t, n_nodes=n_nodes)
 
@@ -422,19 +424,14 @@ def assemble_fourier_lame(
     """Stiffness/mass pair at integer wavenumber k (real symmetric form)."""
     if k != int(k):
         raise SolverError("wavenumber must be an integer")
-    fam = get_family(mesh, degree)
-    # scipy's A0 + k A1 + k^2 A2 in the same operations and order, on the
-    # family's shared lower index arrays: its exact zeros stay stored
-    K = sp.csr_matrix((fam.A0.data + k * fam.A1.data + (k * k) * fam.A2.data,
-                       fam.A0.indices, fam.A0.indptr), shape=fam.A0.shape)
-    return FourierLameSystem(k=int(k), stiffness_lower=K, mass=fam.M, family=fam, mesh=mesh)
+    return FourierLameSystem(k=int(k), family=get_family(mesh, degree), mesh=mesh)
 
 
 def first_eigenpair_2d(
     system: FourierLameSystem, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(system.stiffness_lower, system.mass, 1, tol=1e-8, x0=x0)
+    pairs = eig.solve_smallest(system.terms, system.mass, 1, tol=1e-8, x0=x0)
     rec = SweepRecord(
         eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),

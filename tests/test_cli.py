@@ -111,6 +111,15 @@ def test_usage_errors(capsys):
             main(["torus-sweep", option, value])
         assert exc.value.code == 2
         assert f"argument {option}:" in capsys.readouterr().err
+    # symbols prints JSON, which has no NaN or infinity, and a NaN z is a usage
+    # error, not a numerical failure
+    for option, value in (("--z", "nan"), ("--z", "inf"), ("--lam0", "nan"),
+                          ("--lam1", "inf")):
+        argv = ["symbols", "--model", "H", "--z", "0.1", option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
     # each eps writes its own CSV, so a repeated eps would overwrite one
     for eps in ("0.1,0.1", "0.1,0.05,1e-1"):
         with pytest.raises(SystemExit) as exc:

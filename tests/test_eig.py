@@ -158,112 +158,155 @@ def test_dense_solve_of_every_pair_uses_the_standard_form():
 
 
 def _band_matrices():
-    """(name, matrix) pairs: 1D and 2D pencils, a dense input and a far coupling."""
+    """(name, K) pairs, K a matrix or a list of (scale, matrix) terms: 1D and 2D
+    pencils, a dense input and a far coupling."""
     prof = ax.preset("B")
     mesh1d = fem1d.Mesh1D.uniform(prof.interval, 24)
     K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh1d)
     mesh2d = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2)
-    # every lower K(k) after the first reads the band map of its family's pattern
+    # K(k) as the terms A0 + k A1 + k^2 A2, lower triangles of their own patterns,
+    # and summed in full
     K2 = [(f"2d K({k}) {part}", getattr(lame2d.assemble_fourier_lame(mesh2d, k, degree=3), attr))
-          for k in range(6) for part, attr in (("lower", "stiffness_lower"), ("full", "stiffness"))]
+          for k in range(6) for part, attr in (("terms", "terms"), ("full", "stiffness"))]
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 9))
     return [("h20 K", K1), ("h20 M", M1), *K2, ("2d M", lame2d.get_family(mesh2d, 3).M),
             ("dense", A @ A.T + np.diag(np.arange(9.0))), ("far", _sparse_pencil()[0])]
 
 
+def _as_terms(K):
+    return K if isinstance(K, list) else [(1.0, sp.csr_matrix(K))]
+
+
+def _dense(K):
+    """The dense symmetric sum of K's terms, added in order; a term that stores
+    nothing above its diagonal is a lower triangle."""
+    total = 0.0
+    for scale, A in _as_terms(K):
+        A = A.toarray()
+        if not np.triu(A, 1).any():
+            A = A + np.tril(A, -1).T
+        total = total + scale * A
+    return total
+
+
 def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
     mats = _band_matrices()
-    # K(0) stores the exact zeros of its k-terms; the band holds them anyway
-    assert np.any(dict(mats)["2d K(0) lower"].data == 0.0)
-    for name, A in mats:
-        dense = A.toarray() if sp.issparse(A) else A
-        if name.endswith("lower"):
-            dense = dense + np.tril(dense, -1).T
-        stored = A.tocoo() if sp.issparse(A) else sp.coo_matrix(A)
-        u = int(np.max(stored.row - stored.col))
+    # the terms of K(k) differ in half-bandwidth and share the widest one's band
+    A0, A1, A2 = (A for _, A in dict(mats)["2d K(3) terms"])
+    assert eig._cached(A2).u < eig._cached(A1).u < eig._cached(A0).u
+    for name, K in mats:
+        dense = _dense(K)
+        u = max(int(np.max(A.tocoo().row - A.tocoo().col)) for _, A in _as_terms(K))
         want = np.zeros((u + 1, len(dense)))
         for d in range(u + 1):
             want[u - d, d:] = np.diag(dense, d)
-        band = eig._upper_band(A)
+        band = eig._band(_as_terms(K))
         assert band.flags.f_contiguous, name
         assert band.shape == want.shape and np.array_equal(band, want), name
 
 
 def test_shifted_band_is_the_band_of_the_sparse_difference():
-    # the factor's K - s M is formed on the bands, entry for entry what scipy's
-    # sparse difference holds, also where K's and M's half-bandwidths differ
+    # the factor's K - s M adds the term (-s, M) to K's band: entry for entry what
+    # scipy's sparse difference holds, also where K's and M's half-bandwidths differ
     rng = np.random.default_rng(4)
     h20 = _band_matrices()[:2]
     diag = sp.diags(1.0 + rng.random(46)).tocsr()
     tri = sp.diags([rng.random(45), 2.0 + rng.random(46), rng.random(45)], [-1, 0, 1]).tocsr()
     for K, M in ((h20[0][1], h20[1][1]), (diag, tri), (tri, diag)):
         for s in (0.7, -1.3):
-            shifted = eig._upper_band(M)
-            shifted *= s
-            got = eig._band_less(eig._upper_band(K), shifted)
-            want = eig._upper_band(K - s * M)
+            width = max(eig._cached(K).u, eig._cached(M).u)
+            got = eig._band([(-s, M)], width, out=eig._band([(1.0, K)], width))
+            want = eig._band([(1.0, (K - s * M).tocsr())])
             assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.array_equal(eig._band([(1.0, K), (-s, M)]), want)
 
 
 def test_band_map_built_once_per_family_and_dropped_with_it(monkeypatch):
     built = []
     build = eig._build_band_map
 
-    def counting(a):
-        built.append(a)
-        return build(a)
+    def counting(a, width):
+        built.append(id(a))
+        return build(a, width)
 
     monkeypatch.setattr(eig, "_build_band_map", counting)
     mesh = lame2d.build_meridian_mesh(ax.preset("B"), 0.1, 4, 2)
     for k in range(6):
-        K = lame2d.assemble_fourier_lame(mesh, k, degree=3).stiffness_lower
-        assert K.indices is not lame2d.get_family(mesh, 3).A0.indices  # a new view each k
-        eig._upper_band(K)
-    assert len(built) == 1
-    key = id(eig._owner(K.indices))
-    # K(k) is stored as its lower triangle: no mask, no index arrays of its own
-    lower, triangle, flat, u = eig._BAND_MAPS[key][2]
-    assert lower is None and triangle is None and flat.dtype == np.int32
-    maps = [weakref.ref(flat)]
-    del mesh, K, flat, built
+        eig._band(lame2d.assemble_fourier_lame(mesh, k, degree=3).terms)
+    fam = lame2d.get_family(mesh, 3)
+    # one map for each of A0, A1 and A2, at the width of the widest
+    assert built == [id(fam.A0), id(fam.A1), id(fam.A2)]
+    keys = [id(eig._owner(A.indices)) for A in (fam.A0, fam.A1, fam.A2)]
+    assert len(set(keys)) == 3  # each on a pattern of its own
+    maps = []
+    for key in keys:
+        width, take, flat = eig._PATTERNS[key].band_map
+        # a lower triangle: no positions to take, and its entries in stored order
+        assert take is None and flat.dtype == np.int32 and width == eig._cached(fam.A0).u
+        maps.append(weakref.ref(flat))
+    del mesh, fam, flat
     gc.collect()
-    assert key not in eig._BAND_MAPS
+    assert not any(key in eig._PATTERNS for key in keys)
     assert all(ref() is None for ref in maps)
 
 
 def test_full_pattern_band_map_records_its_triangle():
-    # a full K (the 1D assemblers, dense input) reaches the lower-triangle path
-    # through the triangle's index arrays kept in its band map
+    # a full K (the 1D assemblers, dense input) reaches the band through the
+    # positions of its lower-triangle entries, kept in its band map
     K = _band_matrices()[0][1]
-    L, flat, u = eig._triangle(K)
-    want = sp.tril(K, format="csr")
-    assert not np.shares_memory(L.indices, K.indices)
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(L, part), getattr(want, part)), part
-    lower, triangle, _, _ = eig._BAND_MAPS[id(eig._owner(K.indices))][2]
-    assert lower.dtype == bool and lower.sum() == L.nnz
-    assert np.shares_memory(triangle[0], L.indices) and np.shares_memory(triangle[1], L.indptr)
-    assert eig._triangle(L)[0] is L  # a triangle is its own
+    L = sp.tril(K, format="csr")
+    band = eig._band([(1.0, K)])
+    assert np.array_equal(band, eig._band([(1.0, L)]))
+    width, take, _ = eig._PATTERNS[id(eig._owner(K.indices))].band_map
+    assert take.dtype == np.int32 and np.array_equal(K.data[take], L.data)
+    assert eig._cached(K).diagonal is None
+    # a triangle is its own: its entries go to the band as they are stored
+    assert np.array_equal(L.indices[eig._cached(L).diagonal], np.arange(K.shape[0]))
+    assert eig._PATTERNS[id(eig._owner(L.indices))].band_map[1] is None
 
 
 def test_norm1_matches_scipy_column_sums_bit_for_bit():
     for name, A in _band_matrices():
-        want = float(abs(sp.csr_matrix(A)).sum(axis=0).max())
-        assert eig._norm1(sp.csr_matrix(A)) == want, name
+        if not isinstance(A, list):
+            want = float(abs(sp.csr_matrix(A)).sum(axis=0).max())
+            assert eig._norm1(sp.csr_matrix(A)) == want, name
+
+
+def test_mass_norm_kept_while_its_data_lives(monkeypatch):
+    # ||M||_1 is computed once per M: kept with M's pattern, keyed on M's data
+    M = lame2d.get_family(lame2d.build_meridian_mesh(ax.preset("H"), 0.1, 4, 2), 3).M
+    counted = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    value = eig._norm1(M)
+    assert value == eig._norm1(sp.csr_matrix(M)) and len(counted) == 1  # one M, shared arrays
+    # new data on the same pattern is a new M
+    doubled = sp.csr_matrix((2.0 * M.data, M.indices, M.indptr), shape=M.shape)
+    assert eig._norm1(doubled) == 2.0 * value and len(counted) == 2
+    entry = eig._PATTERNS[id(eig._owner(M.indices))]
+    data = weakref.ref(entry.norm[0]())
+    del doubled
+    gc.collect()
+    assert data() is None and entry.norm[0]() is None  # dropped with its data
+    assert eig._norm1(M) == value and len(counted) == 3
 
 
 def test_norm1_of_a_lower_triangle_matches_the_full_matrix():
-    # column j of |K| is column j plus row j of |tril(K)|, its diagonal once; the
-    # sums run in another order than the full matrix's column sums
+    # column j of |K| sums band column j and the entries of row j past the
+    # diagonal, u apart in the band's memory; the sums run in another order than
+    # the full matrix's column sums
     empty_row = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
-    for name, A in _band_matrices() + [("empty row", empty_row)]:
-        if name.endswith("lower"):
-            continue
-        full = sp.csr_matrix(A)
-        want = eig._norm1(full)
-        got = eig._norm1_lower(sp.tril(full, format="csr"), full.diagonal())
-        assert abs(got / want - 1.0) <= 1e-15, name
+    for name, K in _band_matrices() + [("empty row", empty_row)]:
+        want = eig._norm1(sp.csr_matrix(_dense(K)))
+        for terms in (_as_terms(K), [(1.0, sp.tril(_dense(K), format="csr"))]):
+            got = eig._band_norm1(eig._band(terms))
+            assert abs(got / want - 1.0) <= 1e-15, name
     # a row with no stored entry, solved below a shift that makes K - s M definite
     out = eig.solve_smallest(sp.csr_matrix(empty_row), np.eye(3), 2, shift=-1.0)
     np.testing.assert_allclose(out.values, [0.0, sla.eigvalsh(empty_row)[1]], atol=1e-12)
@@ -291,6 +334,80 @@ def test_lower_triangle_and_full_pencil_solve_alike(which, shift):
     assert np.array_equal(full.vectors, lower.vectors)
     assert full.iterations == lower.iterations and full.shift == lower.shift
     assert np.all(np.abs(full.residuals - lower.residuals) <= 1e-14)
+
+
+def _scan_terms(monkeypatch, scan, gamma):
+    """The K that ``scan.mu1(gamma)`` hands the solver."""
+    seen = []
+    solve = fem1d.smallest_eigenpairs
+
+    def recording(K, M, **kwargs):
+        seen.append(K)
+        return solve(K, M, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem1d, "smallest_eigenpairs", recording)
+        scan.mu1(gamma)
+    return seen[0]
+
+
+def _term_pencils(monkeypatch):
+    """(terms, their sparse sum, M): the parabolic and the elliptic 1D scan at one
+    gamma, the terms as mu1 passes them and the sum as it was formed before, and
+    a 2D K(k)."""
+    scan = asymptotics._parabolic_scan(ax.preset("B"))
+    gamma = 1.7
+    ell = asymptotics._elliptic_scan(ax.preset("H"), asymptotics.compute(ax.preset("H")).a0, 1e-3)
+    k = 14.0
+    system = lame2d.assemble_fourier_lame(
+        lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2), 3, degree=3)
+    return {
+        "1d": (_scan_terms(monkeypatch, scan, gamma),
+               gamma ** -4 * scan.K_op + gamma ** 4 * scan.K_b, scan.M),
+        "1d K_0": (_scan_terms(monkeypatch, ell, k),
+                   ell.K_0 + (k ** -2 * ell.K_op + k ** 4 * ell.K_b), ell.M),
+        "2d": (system.terms, system.stiffness, system.mass),
+    }
+
+
+@pytest.mark.parametrize("which", ["1d", "1d K_0", "2d"])
+@pytest.mark.parametrize("shift", [0.0, -0.5])
+def test_terms_and_their_sum_solve_alike(which, shift, monkeypatch):
+    # the band of the terms is the band of their sparse sum, so both give the
+    # same factor and Lanczos run; K x comes from the terms, in another order
+    terms, K, M = _term_pencils(monkeypatch)[which]
+    assert isinstance(terms, list)
+    assert np.array_equal(eig._band(terms), eig._band([(1.0, K)]))
+    split = eig.solve_smallest(terms, M, 3, shift=shift)
+    summed = eig.solve_smallest(K, M, 3, shift=shift)
+    assert np.array_equal(split.values, summed.values)
+    assert np.array_equal(split.vectors, summed.vectors)
+    assert split.iterations == summed.iterations and split.shift == summed.shift
+    assert np.all(np.abs(split.residuals - summed.residuals) <= 1e-14)
+
+
+def test_scan_builds_one_band_map_per_matrix(monkeypatch):
+    # a gamma scan passes its terms, so each of its matrices gets one band map for
+    # all its solves, not a sum, a triangle and a map per solve
+    built = []
+    build = eig._build_band_map
+
+    def counting(a, width):
+        built.append(a)
+        return build(a, width)
+
+    solves = []
+    solve = eig.solve_smallest
+
+    def counting_solves(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eig, "_build_band_map", counting)
+    monkeypatch.setattr(eig, "solve_smallest", counting_solves)
+    scan = asymptotics.compute(ax.preset("B")).diagnostics["scan"]
+    assert len(solves) >= 10  # lambda_1[K_op] and the scan's solves
+    assert sorted(map(id, built)) == sorted(map(id, (scan.K_op, scan.K_b, scan.M)))
 
 
 def test_not_positive_definite_shift_is_retried_below():

@@ -262,18 +262,62 @@ def _kron_pattern(fn, ncomp):
     return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
 
 
-@pytest.mark.parametrize("fn, ncomp", [
-    (_free_nodes_1d(7, 1), 2),           # cubic Hermite, (value, slope) per node
-    (_free_nodes_1d(7, 2), 1),           # quadratic Lagrange
-    (_free_nodes_2d(4, 2, 3, 2), 3),     # thickness degree below the meridian degree
-], ids=["h20", "h10", "2d"])
-def test_shared_pattern_matches_kron_construction(fn, ncomp):
-    indptr, indices, slot = fem1d._shared_pattern(fn, ncomp)
-    want = _kron_pattern(fn, ncomp)
-    assert indptr.dtype == indices.dtype == slot.dtype == np.int32
-    assert np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])
-    assert np.array_equal(slot, want[2])
-    assert (slot == indptr[-1]).any()  # entries on clamped nodes
+def _mask(ncomp, pairs):
+    blocks = np.zeros((ncomp, ncomp), dtype=bool)
+    for a, b in pairs:
+        blocks[a, b] = blocks[b, a] = True
+    return blocks
+
+
+def _restricted_pattern(fn, ncomp, blocks, lower):
+    """``_kron_pattern`` cut to the component pairs of ``blocks`` and, if ``lower``,
+    to the lower triangle: the kept entries in their order, and each local
+    entry's slot looked up by (row, column), nnz where the entry is cut."""
+    indptr, indices, slot = _kron_pattern(fn, ncomp)
+    if blocks.all() and not lower:
+        return indptr, indices, slot
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    keep = blocks[rows % ncomp, indices % ncomp] & ((rows >= indices) | (not lower))
+    counts = np.bincount(rows[keep], minlength=len(indptr) - 1)
+    new_indptr = np.concatenate([[0], np.cumsum(counts)])
+    moved = np.full(len(indices) + 1, keep.sum())
+    moved[np.flatnonzero(keep)] = np.arange(keep.sum())
+    return new_indptr, indices[keep], moved[slot]
+
+
+@pytest.mark.parametrize("fn, ncomp, blocks, lower", [
+    (_free_nodes_1d(7, 1), 2, None, False),           # cubic Hermite, (value, slope) per node
+    (_free_nodes_1d(7, 2), 1, None, False),           # quadratic Lagrange
+    (_free_nodes_2d(4, 2, 3, 2), 3, None, False),     # thickness degree below the meridian degree
+    (_free_nodes_1d(7, 1), 2, None, True),
+    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(0, 0), (1, 1), (2, 2)]), False),  # M
+    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(0, 0), (1, 1), (2, 2), (0, 2)]), True),  # A0
+    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(1, 0), (1, 2)]), True),  # A1
+], ids=["h20", "h10", "2d", "h20 lower", "2d M", "2d A0", "2d A1"])
+def test_shared_pattern_matches_kron_construction(fn, ncomp, blocks, lower):
+    # each pattern is built straight from the node pairs, for its component pairs,
+    # in full or as its lower triangle, and is the full pattern cut to them
+    every = np.ones((ncomp, ncomp), dtype=bool)
+    pattern = fem1d._NodePairs(fn).pattern(ncomp, blocks, lower)
+    blocks = every if blocks is None else blocks
+    want = _restricted_pattern(fn, ncomp, blocks, lower)
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    assert np.array_equal(pattern.indptr, want[0]) and np.array_equal(pattern.indices, want[1])
+    # the position of every local entry that the pattern holds or that is clamped
+    n_cells, nloc = fn.shape
+    i, j = (x.ravel() for x in np.indices((nloc, nloc)))
+    fi, fj = fn[:, i], fn[:, j]
+    slot = want[2].reshape(n_cells, ncomp, nloc, ncomp, nloc)
+    for a, b in zip(*np.nonzero(blocks)):
+        got = pattern.slot(a, b, i, j)
+        asked = (fi < 0) | (fj < 0) | (not lower) | (ncomp * fi + a >= ncomp * fj + b)
+        assert got.dtype == np.int32
+        assert np.array_equal(got[asked], slot[:, a, :, b, :].reshape(n_cells, -1)[asked])
+    assert (want[2] == pattern.indptr[-1]).any()  # entries on clamped nodes
+    if (blocks == every).all() and not lower:  # the 1D matrices' pattern
+        shared = fem1d._shared_pattern(fn, ncomp)
+        assert shared[2].dtype == np.int32
+        assert all(np.array_equal(a, b) for a, b in zip(shared, want))
 
 
 def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
@@ -329,29 +373,43 @@ def _check_family_scatter(p, seen, blocks):
         A = getattr(fam, name)
         assert np.array_equal(A.toarray(), np.tril(ref[name])), name
         _assert_sorted_csr(A)
-    # one scatter per matrix: M on the full pattern (M keeps a third of it, its
-    # diagonal component blocks), A0, A1 and A2 on its lower triangle with only
-    # the lower entries of each cell block: all (i, j), i >= j, of a block (a, b)
-    # with a >= b, and i > j where a < b
-    full_nnz = 3 * fam.M.nnz
-    assert fam.A0.nnz == (full_nnz + n) // 2
-    assert [nnz for *_, nnz in seen] == [full_nnz] + [fam.A0.nnz] * 3
+    # one scatter per matrix, each on the pattern of its nonzero component blocks:
+    # M's in full, A0's, A1's and A2's lower triangles, with only the lower entries
+    # of each cell block: all (i, j), i >= j, of a block (a, b) with a >= b, and
+    # i > j where a < b.  Over the P node pairs (i, j) that share a cell, n / 3 of
+    # them with i = j, a lower pattern holds half the off-diagonal pairs' entries
+    # and those with a >= b of the diagonal pairs': 4 of A0's 5 component pairs,
+    # 2 of A1's 4 and A2's 3
+    pairs, nodes = fam.M.nnz // 3, n // 3
+    assert [nnz for *_, nnz in seen] == [fam.M.nnz, fam.A0.nnz, fam.A1.nnz, fam.A2.nnz]
+    assert [A.nnz for A in (fam.A0, fam.A1, fam.A2)] == [
+        (5 * (pairs - nodes)) // 2 + 4 * nodes, (4 * (pairs - nodes)) // 2 + 2 * nodes,
+        (3 * (pairs - nodes)) // 2 + 3 * nodes]
     incl, strict = nloc * (nloc + 1) // 2, nloc * (nloc - 1) // 2
-    assert [local.size for _, local, _ in seen[1:]] == [
-        n_cells * (4 * incl + strict), n_cells * (2 * incl + 2 * strict), n_cells * 3 * incl]
-    # A0, A1, A2 and K(k) share one lower pattern, zero blocks included; the full
-    # K(k) is mirrored from it
-    pattern = fam.A0.indptr.copy(), fam.A0.indices.copy()
+    assert [local.size for _, local, _ in seen] == [
+        n_cells * 3 * nloc * nloc, n_cells * (4 * incl + strict),
+        n_cells * (2 * incl + 2 * strict), n_cells * 3 * incl]
+    # K(k) is kept as the terms A0 + k A1 + k^2 A2; the full K(k) is summed and
+    # mirrored from them
+    patterns = [(A.indptr.copy(), A.indices.copy()) for A in (fam.A0, fam.A1, fam.A2)]
     for k in (0, 3):
         system = lame2d.assemble_fourier_lame(mesh, k, degree=p)
         want = ref["A0"] + k * ref["A1"] + (k * k) * ref["A2"]
         assert np.array_equal(system.stiffness.toarray(), want)
-        assert np.array_equal(system.stiffness_lower.toarray(), np.tril(want))
-        assert np.shares_memory(system.stiffness_lower.indices, fam.A0.indices)
-        assert np.shares_memory(system.stiffness_lower.indptr, fam.A0.indptr)
+        assert np.array_equal(_dense_terms(system.terms), want)
+        assert all(A is B for (_, A), B in zip(system.terms, (fam.A0, fam.A1, fam.A2)))
         _assert_sorted_csr(system.stiffness)
-    for A in (fam.A1, fam.A2):
-        assert np.shares_memory(A.indices, fam.A0.indices)
-        assert np.shares_memory(A.indptr, fam.A0.indptr)
-    assert np.array_equal(fam.A0.indptr, pattern[0]) and np.array_equal(fam.A0.indices, pattern[1])
-    assert len(fam.A0.indices) == fam.A0.indptr[-1]
+        lame2d.first_eigenpair_2d(system)
+    # the solves left every index array as it was
+    for A, (indptr, indices) in zip((fam.A0, fam.A1, fam.A2), patterns):
+        assert np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
+        assert len(A.indices) == A.indptr[-1]
+
+
+def _dense_terms(terms):
+    """The dense sum of (scale, lower triangle) terms, each mirrored, in order."""
+    total = 0.0
+    for scale, A in terms:
+        A = A.toarray()
+        total = total + scale * (A + np.tril(A, -1).T)
+    return total

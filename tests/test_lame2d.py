@@ -137,27 +137,28 @@ def test_assembly_regression(model, eps, degree):
 @pytest.mark.parametrize("model", ["B", "D", "H", "L"])
 @pytest.mark.parametrize("degree", [3, 6])
 def test_stiffness_axpy_matches_scipy_sum(model, degree):
-    # K(k) is one axpy on the family's shared lower pattern: it stores exactly
-    # what scipy's sparse sum of the triangles stores, plus that sum's dropped
-    # exact zeros
+    # K(k) is kept as the terms A0 + k A1 + k^2 A2, each the lower triangle of its
+    # nonzero component blocks on a pattern of its own; the solver's band of the
+    # terms holds what scipy's sparse sum of the triangles holds
     mesh = lame2d.build_meridian_mesh(ax.preset(model), 0.1, 4, 2)
     fam = lame2d.get_family(mesh, degree=degree)
-    assert all(np.shares_memory(fam.A0.indices, A.indices) for A in (fam.A1, fam.A2))
+    indices = [A.indices for A in (fam.A0, fam.A1, fam.A2)]
+    assert not any(np.shares_memory(a, b) for a, b in zip(indices, indices[1:] + indices[:1]))
     for k in (0, 1, 3, 19):
         system = lame2d.assemble_fourier_lame(mesh, k, degree=degree)
-        L = system.stiffness_lower
-        assert np.shares_memory(L.indices, fam.A0.indices), k
-        assert np.shares_memory(L.indptr, fam.A0.indptr), k
-        want = (fam.A0 + k * fam.A1 + k * k * fam.A2).toarray()
-        assert np.array_equal(L.toarray(), want), k
+        assert [scale for scale, _ in system.terms] == [1.0, k, k * k]
+        assert all(A is B for (_, A), B in zip(system.terms, (fam.A0, fam.A1, fam.A2)))
+        summed = fam.A0 + k * fam.A1 + k * k * fam.A2
+        want = summed.toarray()
+        assert np.array_equal(eig._band(system.terms), eig._band([(1.0, summed)])), k
         assert np.array_equal(system.stiffness.toarray(), want + np.tril(want, -1).T), k
     # the factor is LAPACK's banded Cholesky of K, on a band built diagonal by diagonal
     dense = system.stiffness.toarray()
     u = int(np.max(np.subtract(*np.nonzero(dense))))
-    band = np.zeros((u + 1, L.shape[0]))
+    band = np.zeros((u + 1, dense.shape[0]))
     for d in range(u + 1):
         band[u - d, d:] = np.diag(dense, d)
-    U, shift = eig._factorize(eig._triangle(L), fam.M, 0.0)
+    U, shift, _ = eig._factorize(system.terms, fam.M, 0.0)
     assert shift == 0.0 and np.array_equal(U, sla.cholesky_banded(band))
 
 
@@ -356,9 +357,11 @@ def test_k_sweep_flags_a_k0_minimum_on_either_exit(monkeypatch):
 
 
 def test_family_build_and_first_solve_memory():
-    # A0, A1 and A2 are kept as their lower triangles and K(k) is solved from its
-    # triangle: the build and the first solve on H@1e-3 24 x 2 at degree 6 peak at
-    # about 35 MiB of numpy allocations, where the full family reached 59 MiB
+    # A0, A1 and A2 are kept as the lower triangles of their nonzero component
+    # blocks, and K(k) is solved from those terms with no K(k) matrix beside the
+    # band: the build and the first solve on H@1e-3 24 x 2 at degree 6 peak at
+    # about 26.7 MiB of numpy allocations, where triangles on one shared pattern
+    # and a K(k) matrix reached 35 MiB, and the full family 59 MiB
     mesh = lame2d.build_meridian_mesh(ax.preset("H"), 1e-3, 24, 2)
     tracemalloc.start()
     try:
@@ -367,4 +370,4 @@ def test_family_build_and_first_solve_memory():
     finally:
         tracemalloc.stop()
     assert lame2d.get_family(mesh).dof_count == 3 * (24 * 6 - 1) * (2 * 6 + 1)
-    assert peak <= 40 * 2**20
+    assert peak <= 29 * 2**20
