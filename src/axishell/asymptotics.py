@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fem1d
+from . import eig, fem1d
 from .errors import (
     AdmissibilityError, AxishellError, ReductionNotApplicableError, SolverError,
 )
@@ -217,17 +217,18 @@ class _GammaScan:
         self.p_low, self.p_high = p_low, p_high
         self.b_min, self.lb_0 = b_min, lb_0
         self._warm = None
-        self.lam_op_min = float(fem1d.smallest_eigenpairs(K_op, M).values[0])
+        # one pencil of the terms K_op, K_b (and K_0) for every solve of the scan
+        self.pencil = eig.Pencil.from_matrices([K_op, K_b] + ([] if K_0 is None else [K_0]), M)
+        self.lam_op_min = float(fem1d.smallest_eigenpairs(
+            [1.0] + [0.0] * (len(self.pencil.terms) - 1), self.pencil).values[0])
 
     def mu1(self, gamma: float, with_vector: bool = False):
-        # K_0 + (gamma^p_low K_op + gamma^p_high K_b), summed in the solver's band
-        K = [(gamma ** self.p_low, self.K_op), (gamma ** self.p_high, self.K_b)]
-        if self.K_0 is not None:
-            K.append((1.0, self.K_0))
+        # gamma^p_low K_op + gamma^p_high K_b (+ K_0), summed in the solver's band
+        scales = [gamma ** self.p_low, gamma ** self.p_high] + ([] if self.K_0 is None else [1.0])
         lb = (self.lb_0 + gamma ** self.p_low * self.lam_op_min
               + gamma ** self.p_high * self.b_min)
         shift = lb - 0.005 * abs(lb)
-        pairs = fem1d.smallest_eigenpairs(K, self.M, x0=self._warm, shift=shift)
+        pairs = fem1d.smallest_eigenpairs(scales, self.pencil, x0=self._warm, shift=shift)
         self._warm = pairs.vectors
         mu = float(pairs.values[0])
         return (mu, pairs.vectors[:, 0]) if with_vector else mu

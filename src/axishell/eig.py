@@ -14,32 +14,38 @@ maps back to the M-normalized x = U^-1 y / sqrt(nu), and a start vector x0 to
 y0 = U x0 (``dtbmv``).  All n pairs (m = n, beyond ARPACK) come from the
 same operator, formed column by column and solved densely (``eigh``).
 
-Both stacks pass exactly symmetric CSR pencils in an ordering that is already
-banded, so no fill-reducing ordering is computed: the factor fills the band,
-stored zeros included.  K may be given as a short list of scaled symmetric
-terms, a matrix being the one-term case: the 2D stack passes K(k) as
-A0 + k A1 + k^2 A2 and the 1D gamma scans pass gamma^p_low K_op +
-gamma^p_high K_b (+ K_0), so no sum of them is formed.  Each term is read
-from its lower triangle only, given as it is or taken from a full matrix:
-it scatters, scaled, into the band through its own band map, term after
-term, so each band entry is the sum of the terms' entries in order, bit for
-bit what their sparse sum would store.  For a shift s != 0 the term (-s, M)
-is added last: k + (-(s m)) is k - s m.  ||K||_1, the largest column sum of
-|K|, is read from the band before the shift (a column's entries on and above
-the diagonal, and its row's entries right of it, which lie u apart in the
-band's memory), and K x is summed from the terms (a triangle L stands for
-L + L^T - diag(L)); neither holds a temporary of the band's or a term's size.
-M, in every Lanczos step, is full, and ||M||_1 is computed once per M.  The
-1D pencils have half-bandwidth 2 (quadratic Lagrange) or 3 (cubic Hermite).
+A pencil (``Pencil``) is K = s_1 K_1 + s_2 K_2 + ... and M, built once by its
+owner and solved at any scales s_t, so no sum of the terms is formed: a 2D
+family's K(k) = A0 + k A1 + k^2 A2, a 1D gamma scan's gamma^p_low K_op +
+gamma^p_high K_b (+ K_0); a matrix K, or a list of (scale, matrix) terms, and
+a matrix M make a pencil of one node component on the spot.  Each K_t is kept
+from its lower triangle as node-level component blocks on the pencil's lower
+node pairs (i, j), i >= j: DOF ncomp i + a is component a of node i, and
+block (a, b) holds K_t[ncomp i + a, ncomp j + b] on every pair or, when
+a < b, on the strict pairs i > j only (at i = j those entries lie above the
+diagonal).  The strict pairs come first, by row, then column, then the
+diagonal pairs, so a strict block covers a prefix of the pairs.  M stays a
+full CSR matrix, which every Lanczos step multiplies by, and ||M||_1 is
+computed once per pencil.
+
+The band (LAPACK upper band storage of half-bandwidth w, Fortran-ordered)
+holds the entry (r, c), r >= c, at flat index w (r + 1) + c, so block (a, b)
+lands at base[p] + w a + b for base[p] = w (ncomp i + 1) + ncomp j at pair
+p = (i, j): each block, scaled, is added through the pencil's one int32 base
+map into a view of the flat band offset by w a + b, term after term, so each
+band entry is the sum of the terms' entries in order, bit for bit what their
+sparse sum would store.  For a shift s != 0, M's lower entries are added
+last, scaled by -s: k + (-(s m)) is k - s m.  ||K||_1, the largest column sum
+of |K|, and K x are read from the blocks, one block of K at a time (its
+entries summed over the terms in order): the norm from the column and row
+sums of each block's magnitudes (``np.bincount``) before the band is
+allocated, and K x from each block's node matrix and its transpose.  The 1D
+pencils have half-bandwidth 2 (quadratic Lagrange) or 3 (cubic Hermite).
 The 2D pencils are numbered meridian-major, so their half-bandwidth,
 3 (p (p_t n_thickness + 1) + p_t) + 2 at meridian degree p and thickness
 degree p_t, grows with the thickness nodes: on the 2 cells that every
 default uses it is 254 at p = p_t = 6 and 137 at p_t = 3, and the factor's
-cost grows with its square.  What a pattern's solves reuse (its
-half-bandwidth, its band map at one band width, ||M||_1 of the data on it)
-is kept while the pattern's index buffer lives, so a family's or a scan's
-maps are built at its first solve and die with it.  Dense inputs are
-converted to CSR.
+cost grows with its square.  Dense inputs are converted to CSR.
 
 Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
 thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
@@ -56,7 +62,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +72,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
-__all__ = ["EigenPairs", "solve_smallest"]
+__all__ = ["EigenPairs", "Pencil", "solve_smallest"]
 
 MAX_RESTARTS = 200  # ARPACK's cap on implicit restarts (eigsh's maxiter)
 
@@ -113,195 +118,6 @@ def _one_blas_thread():
         _SET_BLAS_THREADS(previous)
 
 
-# entries of a term that one step of a band fill or norm reads: bounds the
-# temporaries that the step makes next to the band
-_CHUNK = 1 << 16
-
-
-class _PatternCache:
-    """What the solves of one CSR pattern reuse while its index buffer lives: its
-    half-bandwidth ``u``, the positions of its diagonal entries if it stores nothing
-    above its diagonal, its band map at one band width, and the 1-norm of one data
-    buffer on it."""
-
-    def __init__(self, a: sp.csr_matrix, spans: tuple):
-        self.indptr, self.spans = None, spans  # a weak reference to the indptr buffer
-        # rows are sorted, so each nonempty row's first and last entries bound it
-        ptr = a.indptr
-        rows = np.flatnonzero(np.diff(ptr))
-        ends = ptr[rows + 1] - 1
-        self.u = int((rows - a.indices[ptr[rows]]).max(initial=0))
-        # a lower triangle's diagonal entries end their rows; None for a full pattern
-        last = a.indices[ends]
-        self.diagonal = ends[last == rows] if np.all(last <= rows) else None
-        self.band_map = None  # (width, take, flat) of _build_band_map
-        self.norm = None      # (weak reference to a data buffer, its span, ||a||_1)
-
-
-# id of a CSR index buffer -> its _PatternCache; an entry dies with its index buffer
-_PATTERNS: dict[int, _PatternCache] = {}
-
-
-def _owner(x: np.ndarray):
-    """The object that owns x's memory: x itself, or the array that x views."""
-    return x if x.base is None else x.base
-
-
-def _span(x: np.ndarray) -> tuple:
-    return x.__array_interface__["data"][0], x.shape, x.strides, x.dtype.str
-
-
-def _cached(a: sp.csr_matrix) -> _PatternCache:
-    """The ``_PatternCache`` of a's CSR pattern, made once per pattern.
-
-    It is keyed on the buffer that a's index array views and on the memory spans
-    of a's two index arrays, and lives as long as that buffer does (nothing may
-    modify it in place), so a family's or a scan's patterns die with it.
-    """
-    idx, ptr = _owner(a.indices), _owner(a.indptr)
-    spans = _span(a.indices), _span(a.indptr)
-    entry = _PATTERNS.get(id(idx))
-    if entry is not None and entry.indptr() is ptr and entry.spans == spans:
-        return entry
-    made = _PatternCache(a, spans)
-    try:
-        made.indptr = weakref.ref(ptr)
-        if entry is None:  # a first pattern for this buffer: drop it when the buffer dies
-            weakref.finalize(idx, _PATTERNS.pop, id(idx), None).atexit = False
-        _PATTERNS[id(idx)] = made
-    except TypeError:  # a buffer that takes no weak reference is not cached
-        pass
-    return made
-
-
-def _build_band_map(a: sp.csr_matrix, width: int):
-    """``(take, flat)`` of a canonical CSR pattern: the positions of its lower-triangle
-    entries a[j, i], i <= j, among its entries (None when it stores no other entry), and
-    their flat indices in Fortran-ordered LAPACK upper band storage of half-bandwidth
-    ``width``, int32 where they fit."""
-    row = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
-    take = None
-    if _cached(a).diagonal is None:
-        take = np.flatnonzero(a.indices <= row).astype(np.int32)
-        row = row[take]
-    # a[i, j], i = col <= j = row, goes to band (width + i - j, j): flat index
-    # width (j + 1) + i in Fortran order, formed in place in row's array
-    n = a.shape[0]
-    flat = row.astype(np.int32 if (width + 1) * n <= np.iinfo(np.int32).max else np.intp,
-                      copy=False)
-    flat += 1
-    flat *= width
-    flat += a.indices if take is None else a.indices[take]
-    return take, flat
-
-
-def _band_map(a: sp.csr_matrix, width: int):
-    """``_build_band_map(a, width)``, built once per pattern and band width."""
-    entry = _cached(a)
-    if entry.band_map is None or entry.band_map[0] != width:
-        entry.band_map = (width, *_build_band_map(a, width))
-    return entry.band_map[1:]
-
-
-def _band(terms, width: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """LAPACK upper band storage, Fortran-ordered, of half-bandwidth ``width`` (the
-    terms' largest when None), of the symmetric sum of ``terms``: each (scale, A)
-    scaled and added, in order, into the zero band or into ``out``.
-
-    A symmetric CSR matrix A, given in full or as its lower triangle, adds its
-    lower triangle: row j's entries a[j, i], i <= j, are column j of the band
-    (a[i, j] = a[j, i]), so they fill it as they are stored.  Each entry of the
-    band is the sum of the terms' entries in order, bit for bit what the sparse
-    sum scale_0 A_0 + scale_1 A_1 + ... stores.  A new band views a buffer that
-    holds width^2 zeros past its end, which ``_band_norm1`` reads.
-    """
-    n = terms[0][1].shape[0]
-    if width is None:
-        width = max(_cached(A).u for _, A in terms)
-    maps = [_band_map(A, width) for _, A in terms]  # before the band is allocated
-    if out is None:
-        out = np.zeros((width + 1) * n + width * width)[:(width + 1) * n].reshape(
-            (width + 1, n), order="F")
-    flat_band = out.reshape(-1, order="F")  # a view: out is Fortran-contiguous
-    for (scale, A), (take, flat) in zip(terms, maps):
-        for start in range(0, len(flat), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            values = A.data[part] if take is None else A.data[take[part]]
-            # flat holds no index twice: each entry of the band is added to once
-            np.add.at(flat_band, flat[part], values if scale == 1.0 else scale * values)
-    return out
-
-
-def _band_norm1(band: np.ndarray) -> float:
-    """||K||_1, the largest column sum of |K|, of the symmetric K in a band of ``_band``.
-
-    Column j of |K| sums band column j, the entries K[i, j], i <= j, and the
-    entries K[j, j + t], 0 < t <= u, of row j, which lie u apart in the band's
-    memory from flat index (u + 1) j + 2 u on, the last of them in the zeros past
-    the band's end.
-    """
-    u, n = band.shape[0] - 1, band.shape[1]
-    buf = _owner(band)
-    size = buf.itemsize
-    row = np.lib.stride_tricks.as_strided(buf[2 * u:], shape=(n, u),
-                                          strides=(size * (u + 1), size * u), writeable=False)
-    step = max(1, _CHUNK // (u + 1))
-    norm = 0.0
-    for j in range(0, n, step):
-        sums = np.abs(band[:, j:j + step]).sum(axis=0) + np.abs(row[j:j + step]).sum(axis=1)
-        norm = max(norm, float(sums.max()))
-    return norm
-
-
-def _factorize(terms, M, shift: float) -> tuple[np.ndarray, float, float]:
-    """Upper banded Cholesky factor U of K - s M = U^T U, the s used, and ||K||_1, for
-    K the sum of ``terms``; a shift at which K - s M is not positive definite is
-    retried once, perturbed downwards.  K - s M adds the term (-s, M) to K's band:
-    k + (-(s m)) is k - s m, the sparse difference's entry, bit for bit."""
-    shifts = [shift, shift - 1e-3 * abs(shift) if shift != 0.0 else -1e-8]
-    u = max(_cached(A).u for _, A in terms)
-    k_norm = None
-    for s in shifts:
-        width = u if s == 0.0 else max(u, _cached(M).u)
-        if s != 0.0:
-            _band_map(M, width)  # built before the band is allocated
-        band = _band(terms, width)
-        if k_norm is None:
-            k_norm = _band_norm1(band)
-        if s != 0.0:
-            _band([(-s, M)], width, out=band)
-        try:
-            return sla.cholesky_banded(band, overwrite_ab=True), s, k_norm
-        except np.linalg.LinAlgError as err:  # K - s M not positive definite
-            last_err = err
-    raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
-
-
-def _norm1(a: sp.csr_matrix) -> float:
-    """||a||_1, the largest column sum of |a|, each column summed in row order; kept
-    with a's pattern while a's data buffer lives (nothing may modify it in place)."""
-    entry, data = _cached(a), _owner(a.data)
-    if entry.norm is None or entry.norm[0]() is not data or entry.norm[1] != _span(a.data):
-        value = float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[1]).max())
-        entry.norm = (weakref.ref(data), _span(a.data), value)
-    return entry.norm[2]
-
-
-def _product(terms, X: np.ndarray) -> np.ndarray:
-    """K X for K the sum of ``terms``; a term that stores nothing above its diagonal
-    stands for the symmetric matrix L + L^T - diag(L)."""
-    KX = np.zeros(X.shape)
-    for scale, A in terms:
-        AX = A @ X
-        at = _cached(A).diagonal
-        if at is not None:
-            AX += A.T @ X
-            rows = A.indices[at]
-            AX[rows] -= A.data[at, None] * X[rows]
-        KX += AX if scale == 1.0 else scale * AX
-    return KX
-
-
 def _csr(a) -> sp.csr_matrix:
     """``a`` as a canonical CSR matrix (sorted rows, no duplicates): itself if it is one."""
     a = a if sp.issparse(a) and a.format == "csr" else sp.csr_matrix(a)
@@ -311,6 +127,193 @@ def _csr(a) -> sp.csr_matrix:
     return a
 
 
+def _norm1(a: sp.csr_matrix) -> float:
+    """||a||_1, the largest column sum of |a|, each column summed in row order."""
+    return float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[1]).max())
+
+
+class Pencil:
+    """K = s_1 K_1 + s_2 K_2 + ... and M, for solves at any scales s_t.
+
+    ``indptr`` and ``cols`` (int32) are the CSR pattern of the strict lower
+    node pairs (i, j), i > j, rows sorted: pair p < ``strict`` is one of them,
+    and pair ``strict`` + i the diagonal pair (i, i).  ``terms`` holds each K_t
+    as {(a, b): its entries on the pairs}, every pair for a >= b and the strict
+    ones for a < b.  M is the full SPD matrix, of order ncomp times the nodes.
+    The half-bandwidth ``width`` is the widest reach of the blocks and of M,
+    and ``base`` the band map of the pairs at that width.
+    """
+
+    def __init__(self, ncomp: int, indptr: np.ndarray, cols: np.ndarray, terms: list,
+                 M) -> None:
+        self.ncomp, self.indptr, self.cols, self.terms, self.M = ncomp, indptr, cols, terms, _csr(M)
+        nodes = len(indptr) - 1
+        self.n, self.strict = ncomp * nodes, len(cols)
+        if self.M.shape != (self.n, self.n):
+            raise SolverError("pencil matrices must be square and of equal size")
+        rows = self.rows()
+        # DOF reach of block (a, b): ncomp times the node reach, plus a - b
+        reach = ncomp * int((rows - cols).max(initial=0)) if self.strict else 0
+        ptr = self.M.indptr
+        filled = np.flatnonzero(np.diff(ptr))  # rows are sorted: a row's first entry bounds it
+        self.width = w = max([reach + a - b for term in terms for a, b in term if a >= b or reach]
+                             + [int((filled - self.M.indices[ptr[filled]]).max(initial=0))])
+        dtype = np.int32 if (w + 1) * self.n <= np.iinfo(np.int32).max else np.intp
+        self.base = np.concatenate([w * (ncomp * rows + 1) + ncomp * cols,
+                                    (w + 1) * ncomp * np.arange(nodes) + w]).astype(dtype)
+        self.m_norm = _norm1(self.M)
+
+    @classmethod
+    def from_matrices(cls, matrices, M) -> "Pencil":
+        """The pencil of the symmetric matrices K_1, K_2, ..., each read from its lower
+        triangle, and M: one node component, each K_t one block on the union of
+        their lower triangles, zero where K_t stores no entry."""
+        M = _csr(M)
+        n = M.shape[0]
+        mats = [_csr(A) for A in matrices]
+        if not mats or M.shape[1] != n or any(A.shape != M.shape for A in mats):
+            raise SolverError("pencil matrices must be square and of equal size")
+        lower = []
+        for A in mats:
+            row = np.repeat(np.arange(n), np.diff(A.indptr))
+            lower.append((row, A.indices, A.data, A.indices < row))
+        pairs = np.unique(np.concatenate([row[below] * n + col[below]
+                                          for row, col, _, below in lower]))
+        rows, cols = np.divmod(pairs, n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        terms = []
+        for row, col, data, below in lower:
+            entries = np.zeros(len(pairs) + n)
+            entries[np.searchsorted(pairs, row[below] * n + col[below])] = data[below]
+            on = col == row
+            entries[len(pairs) + row[on]] = data[on]
+            terms.append({(0, 0): entries})
+        return cls(1, indptr.astype(np.int32), cols.astype(np.int32), terms, M)
+
+    def rows(self) -> np.ndarray:
+        """The row node of each strict pair."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def matrix(self, scales) -> sp.csr_matrix:
+        """K at ``scales``, in full, as a CSR matrix of its nonzero entries, rows sorted."""
+        nc = self.ncomp
+        nodes = np.arange(self.n // nc)
+        i, j = np.concatenate([self.rows(), nodes]), np.concatenate([self.cols, nodes])
+        parts = []
+        for (a, b), entries in _blocks(self, scales):
+            keep = np.flatnonzero(entries)
+            r, c, v = nc * i[keep] + a, nc * j[keep] + b, entries[keep]
+            mirror = r > c
+            parts.append((np.concatenate([v, v[mirror]]), np.concatenate([r, c[mirror]]),
+                          np.concatenate([c, r[mirror]])))
+        data, row, col = (np.concatenate(x) for x in zip(*parts))
+        return sp.csr_matrix((data, (row, col)), shape=(self.n, self.n))
+
+
+def _blocks(pencil: Pencil, scales):
+    """Each block (a, b) of K = sum_t scales[t] K_t, its entries summed over the terms in
+    order, one block at a time; an unscaled block of one term is the term's own array."""
+    for key in dict.fromkeys(key for term in pencil.terms for key in term):
+        total = None
+        for scale, term in zip(scales, pencil.terms):
+            if key in term:
+                part = term[key] if scale == 1.0 else scale * term[key]
+                total = part if total is None else total + part
+        yield key, total
+
+
+def _band(pencil: Pencil, scales) -> np.ndarray:
+    """LAPACK upper band storage, Fortran-ordered, of K = sum_t scales[t] K_t.
+
+    Block (a, b) of each term, scaled, is added in order through the base map into
+    the flat band offset by width a + b; no index appears twice in the map, so each
+    band entry is the sum of the terms' entries in order, bit for bit what the
+    sparse sum scales[0] K_0 + scales[1] K_1 + ... stores.
+    """
+    w, base = pencil.width, pencil.base
+    band = np.zeros((w + 1, pencil.n), order="F")
+    flat = band.reshape(-1, order="F")  # a view: the band is Fortran-contiguous
+    for scale, term in zip(scales, pencil.terms):
+        for (a, b), entries in term.items():
+            np.add.at(flat[w * a + b:], base[:len(entries)],
+                      entries if scale == 1.0 else scale * entries)
+    return band
+
+
+def _add_lower(band: np.ndarray, A: sp.csr_matrix, scale: float) -> None:
+    """Add ``scale`` times the lower triangle of the canonical CSR matrix A to the band."""
+    w = band.shape[0] - 1
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    below = A.indices <= row
+    band.reshape(-1, order="F")[w * (row[below] + 1) + A.indices[below]] += scale * A.data[below]
+
+
+def _stiffness_norm1(pencil: Pencil, scales) -> float:
+    """||K||_1, the largest column sum of |K|, for K = sum_t scales[t] K_t.
+
+    An entry of block (a, b) at a strict pair (i, j) adds its magnitude to column
+    ncomp j + b and, mirrored, to column ncomp i + a; at a diagonal pair to column
+    ncomp i + b, and also to ncomp i + a if a != b.  The strict pairs' magnitudes
+    are gathered by component, then summed by column and by row.
+    """
+    nc, strict = pencil.ncomp, pencil.strict
+    nodes = pencil.n // nc
+    by_col, by_row = np.zeros((nc, strict)), np.zeros((nc, strict))
+    sums = np.zeros((nc, nodes))
+    for (a, b), entries in _blocks(pencil, scales):
+        size = np.abs(entries)
+        by_col[b] += size[:strict]
+        by_row[a] += size[:strict]
+        if len(size) > strict:
+            sums[b] += size[strict:]
+            if a != b:
+                sums[a] += size[strict:]
+    rows = pencil.rows()
+    for a in range(nc):
+        sums[a] += np.bincount(pencil.cols, by_col[a], minlength=nodes)
+        sums[a] += np.bincount(rows, by_row[a], minlength=nodes)
+    return float(sums.max(initial=0.0))
+
+
+def _factorize(pencil: Pencil, scales, shift: float) -> tuple[np.ndarray, float, float]:
+    """Upper banded Cholesky factor U of K - s M = U^T U, the s used, and ||K||_1, for
+    K = sum_t scales[t] K_t; a shift at which K - s M is not positive definite is
+    retried once, perturbed downwards.  K - s M adds M's lower entries, scaled by -s,
+    to K's band: k + (-(s m)) is k - s m, the sparse difference's entry, bit for bit."""
+    shifts = [shift, shift - 1e-3 * abs(shift) if shift != 0.0 else -1e-8]
+    k_norm = _stiffness_norm1(pencil, scales)  # before the band is allocated
+    for s in shifts:
+        band = _band(pencil, scales)
+        if s != 0.0:
+            _add_lower(band, pencil.M, -s)
+        try:
+            return sla.cholesky_banded(band, overwrite_ab=True), s, k_norm
+        except np.linalg.LinAlgError as err:  # K - s M not positive definite
+            last_err = err
+    raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
+
+
+def _product(pencil: Pencil, scales, X: np.ndarray) -> np.ndarray:
+    """K X for K = sum_t scales[t] K_t: each block (a, b) adds S X_b to component a and
+    S^T X_a to b, S its strict pairs' node matrix, and its diagonal pairs, mirrored."""
+    nc, strict = pencil.ncomp, pencil.strict
+    nodes = pencil.n // nc
+    Xc = [np.ascontiguousarray(x) for x in X.reshape(nodes, nc, -1).transpose(1, 0, 2)]
+    Y = np.zeros((nc, nodes, X.shape[1]))
+    S = sp.csr_matrix((np.zeros(strict), pencil.cols, pencil.indptr), shape=(nodes, nodes))
+    T = S.T  # on S's index arrays; each block sets the entries of both
+    for (a, b), entries in _blocks(pencil, scales):
+        S.data = T.data = entries[:strict]
+        Y[a] += S @ Xc[b]
+        Y[b] += T @ Xc[a]
+        if len(entries) > strict:
+            diagonal = entries[strict:, None]
+            Y[a] += diagonal * Xc[b]
+            if a != b:
+                Y[b] += diagonal * Xc[a]
+    return Y.transpose(1, 0, 2).reshape(X.shape)
+
+
 @_one_blas_thread()
 def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
                    x0: np.ndarray | None = None) -> EigenPairs:
@@ -318,30 +321,30 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
 
     K is a symmetric matrix, or a short list of (scale, matrix) terms of symmetric
     matrices that sum to it, in order; a matrix is the term (1.0, K).  Each matrix
-    is given in full or as its lower triangle (one that stores nothing above its
-    diagonal is taken for one).  M (SPD, in full) and the matrices are square, of
-    equal size, dense or sparse.  The shift must lie below lambda_1, so that
-    K - shift M is positive definite for its Cholesky factor; where it is not,
-    the factor is retried once at a shift perturbed downwards (``shift`` in
+    is read from its lower triangle, so it may be given in full or as that
+    triangle.  M (SPD, in full) and the matrices are square, of equal size, dense
+    or sparse, and become a ``Pencil`` for this solve.  Or M is a ``Pencil``, and
+    K the scales of its terms, one per term.  The shift must lie below lambda_1,
+    so that K - shift M is positive definite for its Cholesky factor; where it is
+    not, the factor is retried once at a shift perturbed downwards (``shift`` in
     the result).
     ``tol`` bounds each pair's backward error and is checked on the result.
     Deterministic: a cold solve starts from one fixed vector, which an
     optional x0 (a vector or an (n, 1) column) replaces.
-    The band map of a sparse matrix's pattern is kept while its index arrays
-    live, and ||M||_1 while M's data lives, so neither may be modified in place
-    between solves (``sort_indices`` included).
     """
-    terms = ([(float(scale), _csr(A)) for scale, A in K] if isinstance(K, (list, tuple))
-             else [(1.0, _csr(K))])
-    M = _csr(M)
-    n = M.shape[0]
-    if not terms or M.shape[1] != n or any(A.shape != M.shape for _, A in terms):
-        raise SolverError("pencil matrices must be square and of equal size")
+    if isinstance(M, Pencil):
+        pencil, scales = M, [float(scale) for scale in K]
+    else:
+        terms = list(K) if isinstance(K, (list, tuple)) else [(1.0, K)]
+        pencil = Pencil.from_matrices([A for _, A in terms], M)
+        scales = [float(scale) for scale, _ in terms]
+    n, M = pencil.n, pencil.M
+    if not scales or len(scales) != len(pencil.terms):
+        raise SolverError(f"{len(scales)} scales for {len(pencil.terms)} stiffness terms")
     if not 1 <= m <= n:
         raise SolverError(f"cannot extract {m} pairs from an n = {n} pencil")
-    m_norm = _norm1(M)
     applied = 0
-    U, used, k_norm = _factorize(terms, M, shift)
+    U, used, k_norm = _factorize(pencil, scales, shift)
     u, tbsv = U.shape[0] - 1, sla.blas.dtbsv
 
     def apply(y):  # U^-T M U^-1 y
@@ -367,8 +370,9 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
     nu, values = nu[order], used + 1.0 / nu[order]
     # x = U^-1 y / sqrt(nu): x^T M x = y^T (U^-T M U^-1) y / nu = 1
     vectors = np.column_stack([tbsv(u, U, Y[:, j]) for j in order]) / np.sqrt(nu)
-    residuals = np.linalg.norm(_product(terms, vectors) - (M @ vectors) * values, axis=0) / (
-        (k_norm + np.abs(values) * m_norm) * np.linalg.norm(vectors, axis=0))
+    residuals = np.linalg.norm(_product(pencil, scales, vectors) - (M @ vectors) * values,
+                               axis=0) / (
+        (k_norm + np.abs(values) * pencil.m_norm) * np.linalg.norm(vectors, axis=0))
     if not np.all(residuals <= tol):
         raise SolverError(f"backward errors {residuals} exceed tol {tol:g}")
     # deterministic sign: largest-magnitude entry positive

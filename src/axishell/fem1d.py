@@ -9,17 +9,15 @@ f(z) s(z) dz and with clamped traces eliminated:
 
 Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
-product X^T diag(c) X, made exactly symmetric.  ``_NodePairs``, ``_scatter``
-and ``_compact`` are the sparse assembler of both stacks (lame2d too): the
-sorted unique pairs of free nodes that share a cell, found once per mesh,
-from which each CSR pattern is built straight away, for a chosen set of
-component pairs, in full or as its lower triangle, with the CSR position of
-every local entry; cell blocks summed into it in cell order, so K == K.T bit
-for bit, and exact zeros dropped (except in the 2D family, which keeps each
-matrix on the pattern of its nonzero component blocks).  A slot belongs to
-one component pair, so a caller may scatter each component block on its own
-slice of the positions, as lame2d does.  The (K, M) pairs go through
-``eig.solve_smallest(K, M, ...)`` like the 2D ones.
+product X^T diag(c) X, made exactly symmetric.  ``_NodePairs`` holds the
+sorted unique pairs of free nodes that share a cell, found once per mesh, for
+both stacks.  For the 1D matrices it builds the CSR pattern of every
+component pair straight away, with the CSR position of every local entry,
+into which ``_scatter`` sums the cell blocks in cell order, so K == K.T bit
+for bit, and ``_compact`` drops exact zeros.  For lame2d it gives the lower
+node pairs, on which the stiffness blocks are summed, and the block-diagonal
+mass matrix.  The (K, M) pairs go through ``eig.solve_smallest(K, M, ...)``
+like the 2D ones.
 """
 
 from __future__ import annotations
@@ -84,12 +82,13 @@ class Mesh1D:
 
 
 class _NodePairs:
-    """The sorted unique pairs of free nodes that share a cell, from which every CSR
+    """The sorted unique pairs of free nodes that share a cell, from which every
     pattern of one mesh is built.
 
     ``fn[c, i]`` is the index among the free nodes of local node i of cell c, or
     -1 on a clamped node; a clamped node has all its components fixed, so the
-    free DOF of component a of free node i is ncomp i + a.
+    free DOF of component a of free node i is ncomp i + a.  ``pair[c, i nloc + j]``
+    is the pair of local nodes i and j of cell c, -1 where either is clamped.
     """
 
     def __init__(self, fn: np.ndarray):
@@ -111,51 +110,55 @@ class _NodePairs:
         pairs = np.flatnonzero(seen)
         index = np.empty(len(seen), dtype=np.int32)  # of each key among the pairs
         index[pairs] = np.arange(len(pairs), dtype=np.int32)
-        pair = index[keys]
+        self.pair = np.full((n_cells, nloc * nloc), -1, dtype=np.int32)
+        self.pair[both.reshape(n_cells, -1)] = index[keys]
         del seen, index
         fi, fj = np.divmod(pairs, span)  # node pairs by row, then column
         fj += fi - span // 2
-        self.fj = fj.astype(np.int32)
+        self.fi, self.fj = fi.astype(np.int32), fj.astype(np.int32)
         self.deg = np.bincount(fi, minlength=n_free)
-        first = np.cumsum(self.deg) - self.deg  # first pair of each node row
-        # the neighbours j < i of node i come first in its row, then i itself
-        self.below = np.bincount(fi[fj < fi], minlength=n_free)
-        self.lower = np.flatnonzero(fj <= fi)  # the pairs of a lower triangle
-        # the rank of each pair in its node row, and of each local pair (i, j) of a
-        # cell, at i nloc + j; a clamped local pair keeps an arbitrary rank
-        self.rank = (np.arange(len(pairs)) - first[fi]).astype(np.int32)
-        self.both = both.reshape(n_cells, nloc * nloc)
-        self.offset = np.zeros(self.both.shape, dtype=np.int32)
-        self.offset[self.both] = self.rank[pair]
+        # the rank of each pair in its node row
+        self.rank = (np.arange(len(pairs)) - (np.cumsum(self.deg) - self.deg)[fi]).astype(np.int32)
 
-    def pattern(self, ncomp: int, blocks: np.ndarray | None = None,
-                lower: bool = False) -> "_Pattern":
-        """The CSR pattern of the component pairs (a, b) where ``blocks[a, b]`` (a
-        symmetric ncomp x ncomp mask; every pair when None), in full or its lower
-        triangle only.  Row ncomp i + a lists ncomp j + b for the node neighbours j
-        of i in order, and for each the components b of row a, b fastest; a lower
-        row stops at j = i, b <= a."""
-        sel = np.ones((ncomp, ncomp), dtype=bool) if blocks is None else np.asarray(blocks)
-        width = sel.sum(axis=1, dtype=np.int32)
-        rank = np.cumsum(sel, axis=1, dtype=np.int32) - 1  # of b among the components of row a
-        counts = (self.below[:, None] * width + np.diagonal(rank) + 1 if lower
-                  else self.deg[:, None] * width)
-        indptr = np.concatenate([[0], np.cumsum(counts.ravel())]).astype(np.int32)
+    def pattern(self, ncomp: int) -> "_Pattern":
+        """The CSR pattern of every component pair: row ncomp i + a lists ncomp j + b
+        for the node neighbours j of i in order, and for each the components b."""
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(ncomp * self.deg, ncomp))]
+                                ).astype(np.int32)
         indices = np.empty(indptr[-1], dtype=np.int32)
-        # the node pairs that the rows list, by node row: j <= i in a triangle
-        p, count = (self.lower, self.below + 1) if lower else (slice(None), self.deg)
-        at, col = self.rank[p], ncomp * self.fj[p]
-        below = np.flatnonzero(at < np.repeat(self.below, count)) if lower else None
         for a in range(ncomp):
             # where the entries of each pair start in row (i, a)
-            start = np.repeat(indptr[a:-1:ncomp], count)
-            start += width[a] * at
-            for b in np.flatnonzero(sel[a]):
-                if b > a:  # a lower row ends at (i, a): no diagonal pair
-                    indices[start[below] + rank[a, b]] = col[below] + b
-                else:
-                    indices[start + rank[a, b]] = col + b
-        return _Pattern(self, ncomp, indptr, indices, width, rank)
+            start = np.repeat(indptr[a:-1:ncomp], self.deg) + ncomp * self.rank
+            for b in range(ncomp):
+                indices[start + b] = ncomp * self.fj + b
+        return _Pattern(self, ncomp, indptr, indices)
+
+    def lower(self):
+        """The lower node pairs (i, j), i >= j: ``(indptr, cols, where)``, the CSR
+        pattern (int32) of the strict ones, i > j, rows sorted, and the position of
+        each pair among the lower pairs, the strict ones first and then the diagonal
+        pairs (i, i) in node order; -1 for a pair i < j."""
+        strict = self.fj < self.fi
+        n_strict, n_free = int(strict.sum()), len(self.deg)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.fi[strict], minlength=n_free))])
+        where = np.full(len(self.fj), -1, dtype=np.int32)
+        where[strict] = np.arange(n_strict, dtype=np.int32)
+        where[self.fj == self.fi] = n_strict + np.arange(n_free, dtype=np.int32)
+        return indptr.astype(np.int32), self.fj[strict], where
+
+    def block_diagonal(self, blocks) -> sp.csr_matrix:
+        """The CSR matrix of ncomp = len(blocks) components whose block (a, a) holds
+        ``blocks[a]``, one entry per node pair, and whose other blocks are empty:
+        row ncomp i + a lists ncomp j + a for the node neighbours j of i in order."""
+        ncomp = len(blocks)
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(self.deg, ncomp))]).astype(np.int32)
+        first = indptr[:-1:ncomp][self.fi] + self.rank  # of each pair in row (i, 0)
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+        for a, entries in enumerate(blocks):
+            at = first + a * self.deg[self.fi]
+            data[at], indices[at] = entries, ncomp * self.fj + a
+        n = ncomp * len(self.deg)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -166,20 +169,17 @@ class _Pattern:
     ncomp: int
     indptr: np.ndarray
     indices: np.ndarray
-    width: np.ndarray   # the number of components b of row a
-    rank: np.ndarray    # rank[a, b]: the position of b among them
 
     def slot(self, a: int, b: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The CSR positions of the local entries (a, i[t], b, j[t]) of every cell,
-        shape (cells, len(i)), int32, nnz where an entry touches a clamped DOF.  The
-        pattern must hold every entry asked for."""
+        shape (cells, len(i)), int32, nnz where an entry touches a clamped DOF."""
         pairs = self.pairs
-        at = i * pairs.fn.shape[1] + j
-        # the rows of a clamped node (fn -1) index arbitrary entries until nnz
-        # overwrites every entry that touches it
-        slot = self.indptr[self.ncomp * pairs.fn.take(i, axis=1) + a] + self.rank[a, b]
-        slot += self.width[a] * pairs.offset.take(at, axis=1)
-        np.copyto(slot, self.indptr[-1], where=~pairs.both.take(at, axis=1))
+        pair = pairs.pair.take(i * pairs.fn.shape[1] + j, axis=1)
+        # the rows of a clamped node (fn -1) and the rank of a clamped pair (-1) index
+        # arbitrary entries until nnz overwrites every entry that touches it
+        slot = self.indptr[self.ncomp * pairs.fn.take(i, axis=1) + a] + b
+        slot += self.ncomp * pairs.rank[pair]
+        np.copyto(slot, self.indptr[-1], where=pair < 0)
         return slot
 
 
@@ -334,5 +334,6 @@ def smallest_eigenpairs(
 ) -> eig.EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, through ``eig.solve_smallest``:
     Lanczos on U^-T M U^-1 for the banded Cholesky factor K - shift M = U^T U.
-    K is a matrix or a list of (scale, matrix) terms that sum to it."""
+    K is a matrix or a list of (scale, matrix) terms that sum to it, or M is an
+    ``eig.Pencil`` and K the scales of its terms."""
     return eig.solve_smallest(K, M, m, shift=shift, x0=x0)

@@ -4,10 +4,11 @@ The shell's 3D vibration problem separates over azimuthal modes e^{ik phi};
 each mode is a 3-component problem for (u^r, u^phi, u^tau) on the meridian
 domain.  With the azimuthal component rotated by i the bilinear form is real
 symmetric and splits as A0 + k A1 + k^2 A2, so one assembly per (mesh, eps)
-serves the whole wavenumber sweep.  A0, A1 and A2 are kept as the lower
-triangles of their nonzero component blocks, the part that the banded
-Cholesky factor reads, and K(k) stays those three terms: the solver adds
-them, scaled by 1, k and k^2, into its band, so no K(k) matrix is formed.
+serves the whole wavenumber sweep.  The family keeps A0, A1 and A2, with the
+mass, as one ``eig.Pencil`` of node-level component blocks on the lower pairs
+of free nodes that share a cell, the part that the banded Cholesky factor
+reads, and K(k) is that pencil at the scales 1, k and k^2: the solver adds
+the blocks, so scaled, into its band, so no K(k) matrix is formed.
 
 Assembly happens on the parametric rectangle I x (-eps, eps) using the exact
 normal-coordinate map (r, tau) = (f + x3/s, z - x3 f'/s) and its Jacobian;
@@ -18,13 +19,14 @@ nearly polynomial of low degree through the thickness, so p_t = min(p, 3)
 for 0.01 <= eps < 0.05 (see ``_thickness_degree``) and p_t = p otherwise; the
 band, set by the thickness nodes, then halves.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
-computed for all cells at once, and each matrix is summed by the sparse
-assembler of fem1d into a CSR pattern of its nonzero component blocks only,
-built from the mesh's node pairs: 3 of the 9 component pairs in M, kept in
-full for every Lanczos matvec, and the lower triangles of 5 in A0, 4 in A1
-and 3 in A2, into which each cell block scatters only its lower entries.
-Every stored sum runs over the cells in cell order, so each entry is bit for
-bit the one the full matrix would hold.
+computed for all cells at once, and each nonzero component block (a, b) is
+summed over the cells in cell order by one ``np.bincount`` into one array on
+the mesh's lower node pairs from fem1d's ``_NodePairs``: 5 arrays in A0, 4 in
+A1 and 2 in A2, whose (tau, tau) block is its (r, r) block; each cell block
+gives only its entries (i, j), i >= j, and a block with a < b those with
+i > j only.  M, in every Lanczos step, is kept as the full CSR matrix of its
+3 diagonal component blocks, summed on every node pair.  Each stored entry is
+bit for bit the one the full matrix would hold.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import scipy.sparse as sp
 
 from . import asymptotics, eig
 from .errors import AssemblyError, SolverError, ThicknessError
-from .fem1d import _NodePairs, _scatter
+from .fem1d import _NodePairs
 from .profiles import ShellProfile
 
 __all__ = [
@@ -99,24 +101,22 @@ class MeridianMesh:
 
 @dataclass
 class LameFamily:
-    """k-independent pieces: stiffness = A0 + k A1 + k^2 A2, plus the mass.
+    """k-independent pieces: the stiffness terms of A0 + k A1 + k^2 A2 and the mass
+    M, as one ``eig.Pencil``.
 
     Elements are Lagrange of degree ``degree`` along the meridian and
     ``thickness_degree`` through the thickness, which ``get_family`` takes
-    from ``_thickness_degree(eps, degree)``.  Each matrix is stored on the CSR
-    pattern of its nonzero component blocks only, (a, b) and its mirror (b, a):
-    A0 on (r, r), (phi, phi), (tau, tau) and (r, tau), A1 on (phi, r) and
-    (phi, tau), A2 on the three diagonal pairs, as lower triangles (diagonal
-    included); M on the three diagonal pairs, in full.  Nothing may modify
-    their index arrays in place.
+    from ``_thickness_degree(eps, degree)``.  A0, A1 and A2 are node-level
+    component blocks on the lower pairs of free nodes that share a cell, one
+    array per nonzero component pair (a, b): A0 on (r, r), (phi, phi), (tau, tau),
+    (tau, r) and (r, tau), A1 on (phi, r), (r, phi), (phi, tau) and (tau, phi),
+    A2 on the three diagonal pairs, its (tau, tau) array its (r, r) one; M is
+    the full CSR matrix of its three diagonal component blocks.
     """
 
     degree: int               # Lagrange degree along the meridian
     thickness_degree: int     # Lagrange degree through the thickness
-    A0: sp.csr_matrix
-    A1: sp.csr_matrix
-    A2: sp.csr_matrix
-    M: sp.csr_matrix
+    pencil: eig.Pencil        # terms A0, A1, A2 and the mass M
     free: np.ndarray          # free DOFs among the 3 * n_nodes unknowns
     node_z: np.ndarray        # parametric z per scalar node (nz,)
     node_t: np.ndarray        # parametric x3 per scalar node (nt,)
@@ -131,8 +131,9 @@ class LameFamily:
 class FourierLameSystem:
     """The pencil K(k) x = lambda M x of one wavenumber k of a family.
 
-    K(k) = A0 + k A1 + k^2 A2 is kept as those terms (``terms``), which the
-    solver adds into its band; no K(k) matrix is formed for a solve.
+    K(k) = A0 + k A1 + k^2 A2 is the family's pencil at the scales 1, k and k^2
+    (``scales``), which the solver adds into its band; no K(k) matrix is formed
+    for a solve.
     """
 
     k: int
@@ -140,30 +141,18 @@ class FourierLameSystem:
     mesh: MeridianMesh
 
     @property
-    def terms(self) -> list:
-        """K(k) as (scale, lower triangle) terms: A0 + k A1 + k^2 A2, in that order."""
-        fam = self.family
-        return [(1.0, fam.A0), (float(self.k), fam.A1), (float(self.k * self.k), fam.A2)]
+    def scales(self) -> tuple:
+        """The scales of A0, A1 and A2 in K(k): 1, k and k^2."""
+        return (1.0, float(self.k), float(self.k * self.k))
 
     @property
     def mass(self) -> sp.csr_matrix:
-        return self.family.M
+        return self.family.pencil.M
 
     @property
     def stiffness(self) -> sp.csr_matrix:
-        """The full symmetric K(k), summed and mirrored from its terms at each read."""
-        fam, k = self.family, self.k
-        return _symmetric_from_lower(fam.A0 + k * fam.A1 + (k * k) * fam.A2)
-
-
-def _symmetric_from_lower(lower: sp.csr_matrix) -> sp.csr_matrix:
-    """The symmetric CSR matrix whose lower triangle is ``lower``, every stored entry
-    (exact zeros too) mirrored, rows sorted."""
-    t = lower.tocoo()
-    strict = t.row > t.col
-    return sp.csr_matrix((np.concatenate([t.data, t.data[strict]]),
-                          (np.concatenate([t.row, t.col[strict]]),
-                           np.concatenate([t.col, t.row[strict]]))), shape=lower.shape)
+        """The full symmetric K(k), its nonzero entries, formed from the blocks at each read."""
+        return self.family.pencil.matrix(self.scales)
 
 
 @dataclass
@@ -352,58 +341,62 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
     inv = 1.0 / det
     Gr = (tau_t * inv)[:, :, None] * Gz - (tau_z * inv)[:, :, None] * Gt
     Gtau = (-r_t * inv)[:, :, None] * Gz + (r_z * inv)[:, :, None] * Gt
+    del Gz, Gt
 
     # node (iz, it) -> scalar id iz*nt + it; dof = 3*id + comp.  The clamped
     # lateral ends z = z+- hold the first and the last nt ids.
     ids = ((p * cz[:, None] + np.arange(p + 1))[:, :, None] * nt
            + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
-    fn = np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1)
-    pairs = _NodePairs(fn)
-    # local node order follows global order inside a cell, so local entry
-    # (a, i, b, j) lies in the lower triangle exactly when i > j, or i = j and
-    # a >= b: tri[a >= b] lists those (i, j) of a block as i nloc + j
-    tri = {True: np.flatnonzero(np.tri(nloc, dtype=bool)),
-           False: np.flatnonzero(np.tri(nloc, k=-1, dtype=bool))}
-    every = np.arange(nloc * nloc)
+    pairs = _NodePairs(np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1))
+    indptr, cols, where = pairs.lower()
+    # local node order follows global order inside a cell, so the local entries
+    # (i, j), i >= j, of a block land on the lower node pairs: the strict ones
+    # (i > j) first, then the diagonal, as i nloc + j, and mirrored as j nloc + i
+    i_s, j_s = np.nonzero(np.tri(nloc, k=-1, dtype=bool))
+    i_l, j_l = (np.concatenate([x, np.arange(nloc)]) for x in (i_s, j_s))
+    at = {(False, False): i_l * nloc + j_l, (False, True): j_l * nloc + i_l,
+          (True, False): i_s * nloc + j_s, (True, True): j_s * nloc + i_s}
+    # the lower pair of each local entry, cell after cell, and the pairs kept, for
+    # the blocks on every pair (False) and on the strict ones (True); a clamped
+    # entry goes to a last slot, past the pairs that its block keeps
+    strict, size = len(cols), len(cols) + len(indptr) - 1
+    local = pairs.pair[:, at[False, False]]
+    into = np.where(local >= 0, where[local], size).astype(np.intp)
+    into = {False: (into.ravel(), size),
+            True: (np.minimum(into[:, :len(i_s)], strict).ravel(), strict)}
+    del local, where
 
-    def entries(lower, parts):
-        # (a, b, local nodes i and j, block, its entries) of each block B at (a, b);
-        # an off-diagonal block also enters the mirrored slots (b, a) as B^T
+    blocks = _component_blocks(E, nu, r, wq, N, Gr, Gtau)
+    del Gr, Gtau  # the blocks' generator holds them until its last block
+    # M, in full on every node pair, for the product in every Lanczos step; a
+    # block shared by two component pairs is summed once
+    _, parts = next(blocks)
+    full = np.where(pairs.pair >= 0, pairs.pair, len(pairs.fj)).astype(np.intp).ravel()
+    sums = {}
+    for B in parts.values():
+        if id(B) not in sums:
+            sums[id(B)] = np.bincount(full, B.ravel(), minlength=len(pairs.fj) + 1)[:-1]
+    M = pairs.block_diagonal([sums[id(parts[a, a])] for a in range(3)])
+    del pairs, full, sums, parts
+    terms = []
+    for _, parts in blocks:  # A0, A1 and A2
+        # an off-diagonal block also holds its mirror (b, a), transposed; a block
+        # with a < b keeps the strict pairs only.  Each is summed over the cells in
+        # cell order, once for the component pairs that share it
+        sums, term = {}, {}
         for (a, b), B in parts.items():
-            B = B.reshape(n_cells, nloc * nloc)
             for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
-                at = tri[a >= b] if lower else every
-                i, j = np.divmod(at, nloc)
-                yield a, b, i, j, B, j * nloc + i if flip else at
-
-    n = len(free)
-    mats = {}
-    for name, parts in _component_blocks(E, nu, r, wq, N, Gr, Gtau):
-        # M, in every Lanczos matvec, is stored in full, A0, A1 and A2 as their lower
-        # triangles; each on the pattern of its nonzero component blocks only
-        blocks = np.zeros((3, 3), dtype=bool)
-        for a, b in parts:
-            blocks[a, b] = blocks[b, a] = True
-        lower = name != "M"
-        pattern = pairs.pattern(3, blocks, lower)
-        pieces = list(entries(lower, parts))
-        # one scatter of the pieces' slots and values, piece after piece and cell
-        # after cell in each: a slot belongs to one component pair, so each entry is
-        # summed over the cells in cell order.  Every index is in range, and mode
-        # "clip" lets take write into the output without a buffer.
-        size = n_cells * sum(len(i) for _, _, i, *_ in pieces)
-        where, local = np.empty(size, dtype=np.int32), np.empty(size)
-        start = 0
-        for a, b, i, j, B, at in pieces:
-            end = start + n_cells * len(i)
-            where[start:end] = pattern.slot(a, b, i, j).ravel()
-            np.take(B, at, axis=1, out=local[start:end].reshape(n_cells, -1), mode="clip")
-            start = end
-        mats[name] = sp.csr_matrix((_scatter(where, local, pattern.indptr), pattern.indices,
-                                    pattern.indptr), shape=(n, n))
-    return LameFamily(degree=p, thickness_degree=pt, **mats, free=free, node_z=node_z,
-                      node_t=node_t, n_nodes=n_nodes)
+                key = (id(B), a < b, flip)
+                if key not in sums:
+                    local = np.take(B.reshape(n_cells, nloc * nloc), at[a < b, flip], axis=1)
+                    index, n = into[a < b]
+                    sums[key] = np.bincount(index, local.ravel(), minlength=n + 1)[:n]
+                term[a, b] = sums[key]
+        terms.append(term)
+    del parts, into
+    return LameFamily(degree=p, thickness_degree=pt, pencil=eig.Pencil(3, indptr, cols, terms, M),
+                      free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes)
 
 
 def get_family(mesh: MeridianMesh, degree: int = DEFAULT_DEGREE) -> LameFamily:
@@ -431,7 +424,7 @@ def first_eigenpair_2d(
     system: FourierLameSystem, x0: np.ndarray | None = None,
 ) -> tuple[SweepRecord, np.ndarray]:
     """Smallest eigenpair of the assembled mode; returns (record, eigenvector)."""
-    pairs = eig.solve_smallest(system.terms, system.mass, 1, tol=1e-8, x0=x0)
+    pairs = eig.solve_smallest(system.scales, system.family.pencil, 1, tol=1e-8, x0=x0)
     rec = SweepRecord(
         eps=system.mesh.eps, k=system.k, lambda1=float(pairs.values[0]),
         dof_count=system.family.dof_count, residual=float(pairs.residuals[0]),

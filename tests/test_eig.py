@@ -157,159 +157,176 @@ def test_dense_solve_of_every_pair_uses_the_standard_form():
     np.testing.assert_allclose(low.T @ (M @ low), np.eye(3), rtol=0, atol=1e-12)
 
 
-def _band_matrices():
-    """(name, K) pairs, K a matrix or a list of (scale, matrix) terms: 1D and 2D
-    pencils, a dense input and a far coupling."""
+def _band_pencils():
+    """(name, pencil, scales, dense K) of 1D and 2D pencils, a dense input and a far
+    coupling: matrices made pencils on the spot, and a 2D family's pencil."""
     prof = ax.preset("B")
     mesh1d = fem1d.Mesh1D.uniform(prof.interval, 24)
     K1, M1 = fem1d.assemble_h20(prof, lambda z: 1.0 + z**2, lambda z: np.cos(z), mesh1d)
     mesh2d = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2)
-    # K(k) as the terms A0 + k A1 + k^2 A2, lower triangles of their own patterns,
-    # and summed in full
-    K2 = [(f"2d K({k}) {part}", getattr(lame2d.assemble_fourier_lame(mesh2d, k, degree=3), attr))
-          for k in range(6) for part, attr in (("terms", "terms"), ("full", "stiffness"))]
+    fam = lame2d.get_family(mesh2d, 3)
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 9))
-    return [("h20 K", K1), ("h20 M", M1), *K2, ("2d M", lame2d.get_family(mesh2d, 3).M),
-            ("dense", A @ A.T + np.diag(np.arange(9.0))), ("far", _sparse_pencil()[0])]
+    out = []
+    for name, K, M in [("h20 K", K1, M1), ("h20 M", M1, M1), ("2d M", fam.pencil.M, fam.pencil.M),
+                       ("dense", A @ A.T + np.diag(np.arange(9.0)), np.eye(9)),
+                       ("far", *_sparse_pencil())]:
+        out.append((name, eig.Pencil.from_matrices([K], M), [1.0], sp.csr_matrix(K).toarray()))
+    # K(k) as the family's blocks at the scales 1, k and k^2, and summed in full
+    for k in range(6):
+        system = lame2d.assemble_fourier_lame(mesh2d, k, degree=3)
+        dense = system.stiffness.toarray()
+        out.append((f"2d K({k}) blocks", fam.pencil, system.scales, dense))
+        out.append((f"2d K({k}) full", eig.Pencil.from_matrices([system.stiffness], fam.pencil.M),
+                    [1.0], dense))
+    return out
 
 
-def _as_terms(K):
-    return K if isinstance(K, list) else [(1.0, sp.csr_matrix(K))]
-
-
-def _dense(K):
-    """The dense symmetric sum of K's terms, added in order; a term that stores
-    nothing above its diagonal is a lower triangle."""
-    total = 0.0
-    for scale, A in _as_terms(K):
-        A = A.toarray()
-        if not np.triu(A, 1).any():
-            A = A + np.tril(A, -1).T
-        total = total + scale * A
-    return total
+def _reach(*dense):
+    """The largest distance below the diagonal of a nonzero entry of the matrices."""
+    return max(int(np.max(np.subtract(*np.nonzero(x)))) for x in dense)
 
 
 def test_upper_band_matches_a_band_built_diagonal_by_diagonal():
-    mats = _band_matrices()
-    # the terms of K(k) differ in half-bandwidth and share the widest one's band
-    A0, A1, A2 = (A for _, A in dict(mats)["2d K(3) terms"])
-    assert eig._cached(A2).u < eig._cached(A1).u < eig._cached(A0).u
-    for name, K in mats:
-        dense = _dense(K)
-        u = max(int(np.max(A.tocoo().row - A.tocoo().col)) for _, A in _as_terms(K))
+    for name, pencil, scales, dense in _band_pencils():
+        u = _reach(dense, pencil.M.toarray())
+        assert pencil.width == u, name
         want = np.zeros((u + 1, len(dense)))
         for d in range(u + 1):
             want[u - d, d:] = np.diag(dense, d)
-        band = eig._band(_as_terms(K))
+        band = eig._band(pencil, scales)
         assert band.flags.f_contiguous, name
         assert band.shape == want.shape and np.array_equal(band, want), name
 
 
 def test_shifted_band_is_the_band_of_the_sparse_difference():
-    # the factor's K - s M adds the term (-s, M) to K's band: entry for entry what
-    # scipy's sparse difference holds, also where K's and M's half-bandwidths differ
+    # the factor's K - s M adds M's lower triangle, scaled by -s, to K's band:
+    # entry for entry what scipy's sparse difference holds, also where K's and
+    # M's half-bandwidths differ
     rng = np.random.default_rng(4)
-    h20 = _band_matrices()[:2]
+    h20 = _band_pencils()[:2]
     diag = sp.diags(1.0 + rng.random(46)).tocsr()
     tri = sp.diags([rng.random(45), 2.0 + rng.random(46), rng.random(45)], [-1, 0, 1]).tocsr()
-    for K, M in ((h20[0][1], h20[1][1]), (diag, tri), (tri, diag)):
+    K1, M1 = (sp.csr_matrix(dense) for *_, dense in h20)
+    for K, M in ((K1, M1), (diag, tri), (tri, diag)):
+        pencil = eig.Pencil.from_matrices([K], M)
         for s in (0.7, -1.3):
-            width = max(eig._cached(K).u, eig._cached(M).u)
-            got = eig._band([(-s, M)], width, out=eig._band([(1.0, K)], width))
-            want = eig._band([(1.0, (K - s * M).tocsr())])
+            got = eig._band(pencil, [1.0])
+            eig._add_lower(got, pencil.M, -s)
+            want = eig._band(eig.Pencil.from_matrices([(K - s * M).tocsr()], M), [1.0])
             assert got.shape == want.shape and np.array_equal(got, want)
-            assert np.array_equal(eig._band([(1.0, K), (-s, M)]), want)
+            # M as the last term of a pencil adds the same entries
+            both = eig._band(eig.Pencil.from_matrices([K, M], M), [1.0, -s])
+            assert np.array_equal(both, want)
 
 
 def test_band_map_built_once_per_family_and_dropped_with_it(monkeypatch):
+    # the family builds its pencil, with the one band map of its solves, once;
+    # the pencil and its map die with the family
     built = []
-    build = eig._build_band_map
+    init = eig.Pencil.__init__
 
-    def counting(a, width):
-        built.append(id(a))
-        return build(a, width)
+    def counting(self, *args):
+        built.append(weakref.ref(self))
+        init(self, *args)
 
-    monkeypatch.setattr(eig, "_build_band_map", counting)
+    monkeypatch.setattr(eig.Pencil, "__init__", counting)
     mesh = lame2d.build_meridian_mesh(ax.preset("B"), 0.1, 4, 2)
     for k in range(6):
-        eig._band(lame2d.assemble_fourier_lame(mesh, k, degree=3).terms)
+        lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, k, degree=3))
     fam = lame2d.get_family(mesh, 3)
-    # one map for each of A0, A1 and A2, at the width of the widest
-    assert built == [id(fam.A0), id(fam.A1), id(fam.A2)]
-    keys = [id(eig._owner(A.indices)) for A in (fam.A0, fam.A1, fam.A2)]
-    assert len(set(keys)) == 3  # each on a pattern of its own
-    maps = []
-    for key in keys:
-        width, take, flat = eig._PATTERNS[key].band_map
-        # a lower triangle: no positions to take, and its entries in stored order
-        assert take is None and flat.dtype == np.int32 and width == eig._cached(fam.A0).u
-        maps.append(weakref.ref(flat))
-    del mesh, fam, flat
+    assert [ref() for ref in built] == [fam.pencil]
+    pencil = fam.pencil
+    # one base per node pair, at the width of the widest block, A0's (tau, r)
+    assert pencil.base.dtype == np.int32 and len(pencil.base) == pencil.strict + pencil.n // 3
+    assert pencil.width == 3 * int(np.max(pencil.rows() - pencil.cols)) + 2
+    base = weakref.ref(pencil.base)
+    del mesh, fam, pencil
     gc.collect()
-    assert not any(key in eig._PATTERNS for key in keys)
-    assert all(ref() is None for ref in maps)
+    assert built[0]() is None and base() is None
 
 
 def test_full_pattern_band_map_records_its_triangle():
-    # a full K (the 1D assemblers, dense input) reaches the band through the
-    # positions of its lower-triangle entries, kept in its band map
-    K = _band_matrices()[0][1]
+    # a full K (the 1D assemblers, dense input) and its lower triangle make the
+    # same pencil: its strict entries in row order, then its diagonal
+    K, M = (sp.csr_matrix(dense) for *_, dense in _band_pencils()[:2])
     L = sp.tril(K, format="csr")
-    band = eig._band([(1.0, K)])
-    assert np.array_equal(band, eig._band([(1.0, L)]))
-    width, take, _ = eig._PATTERNS[id(eig._owner(K.indices))].band_map
-    assert take.dtype == np.int32 and np.array_equal(K.data[take], L.data)
-    assert eig._cached(K).diagonal is None
-    # a triangle is its own: its entries go to the band as they are stored
-    assert np.array_equal(L.indices[eig._cached(L).diagonal], np.arange(K.shape[0]))
-    assert eig._PATTERNS[id(eig._owner(L.indices))].band_map[1] is None
+    full, lower = (eig.Pencil.from_matrices([A], M) for A in (K, L))
+    for part in ("indptr", "cols", "base"):
+        assert np.array_equal(getattr(full, part), getattr(lower, part)), part
+    entries = full.terms[0][0, 0]
+    assert np.array_equal(entries, lower.terms[0][0, 0])
+    assert np.array_equal(entries, np.concatenate([sp.tril(K, -1, format="csr").data,
+                                                   K.diagonal()]))
+    assert np.array_equal(eig._band(full, [1.0]), eig._band(lower, [1.0]))
 
 
 def test_norm1_matches_scipy_column_sums_bit_for_bit():
-    for name, A in _band_matrices():
-        if not isinstance(A, list):
-            want = float(abs(sp.csr_matrix(A)).sum(axis=0).max())
-            assert eig._norm1(sp.csr_matrix(A)) == want, name
+    for name, pencil, _, dense in _band_pencils():
+        assert pencil.m_norm == float(abs(pencil.M).sum(axis=0).max()), name
+        assert eig._norm1(sp.csr_matrix(dense)) == float(abs(sp.csr_matrix(dense)).sum(axis=0).max())
 
 
 def test_mass_norm_kept_while_its_data_lives(monkeypatch):
-    # ||M||_1 is computed once per M: kept with M's pattern, keyed on M's data
-    M = lame2d.get_family(lame2d.build_meridian_mesh(ax.preset("H"), 0.1, 4, 2), 3).M
+    # ||M||_1 is computed once per pencil, which keeps it for every solve and
+    # drops it with M
     counted = []
-    bincount = np.bincount
+    norm1 = eig._norm1
 
-    def counting(*args, **kwargs):
+    def counting(a):
         counted.append(1)
-        return bincount(*args, **kwargs)
+        return norm1(a)
 
-    monkeypatch.setattr(np, "bincount", counting)
-    value = eig._norm1(M)
-    assert value == eig._norm1(sp.csr_matrix(M)) and len(counted) == 1  # one M, shared arrays
-    # new data on the same pattern is a new M
-    doubled = sp.csr_matrix((2.0 * M.data, M.indices, M.indptr), shape=M.shape)
-    assert eig._norm1(doubled) == 2.0 * value and len(counted) == 2
-    entry = eig._PATTERNS[id(eig._owner(M.indices))]
-    data = weakref.ref(entry.norm[0]())
-    del doubled
+    monkeypatch.setattr(eig, "_norm1", counting)
+    mesh = lame2d.build_meridian_mesh(ax.preset("H"), 0.1, 4, 2)
+    for k in range(3):
+        lame2d.first_eigenpair_2d(lame2d.assemble_fourier_lame(mesh, k, degree=3))
+    pencil = lame2d.get_family(mesh, 3).pencil
+    assert len(counted) == 1 and pencil.m_norm == norm1(pencil.M)
+    data = weakref.ref(pencil.M.data)
+    del mesh, pencil
     gc.collect()
-    assert data() is None and entry.norm[0]() is None  # dropped with its data
-    assert eig._norm1(M) == value and len(counted) == 3
+    assert data() is None
 
 
 def test_norm1_of_a_lower_triangle_matches_the_full_matrix():
-    # column j of |K| sums band column j and the entries of row j past the
-    # diagonal, u apart in the band's memory; the sums run in another order than
-    # the full matrix's column sums
+    # ||K||_1 from the blocks, each entry counted in its column and, mirrored, in
+    # its row, summed in another order than the full matrix's column sums
     empty_row = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
-    for name, K in _band_matrices() + [("empty row", empty_row)]:
-        want = eig._norm1(sp.csr_matrix(_dense(K)))
-        for terms in (_as_terms(K), [(1.0, sp.tril(_dense(K), format="csr"))]):
-            got = eig._band_norm1(eig._band(terms))
+    cases = [(name, pencil, scales, dense) for name, pencil, scales, dense in _band_pencils()]
+    cases.append(("empty row", eig.Pencil.from_matrices([empty_row], np.eye(3)), [1.0], empty_row))
+    for name, pencil, scales, dense in cases:
+        want = eig._norm1(sp.csr_matrix(dense))
+        lower = eig.Pencil.from_matrices([sp.tril(dense, format="csr")], pencil.M)
+        for got in (eig._stiffness_norm1(pencil, scales), eig._stiffness_norm1(lower, [1.0])):
             assert abs(got / want - 1.0) <= 1e-15, name
     # a row with no stored entry, solved below a shift that makes K - s M definite
     out = eig.solve_smallest(sp.csr_matrix(empty_row), np.eye(3), 2, shift=-1.0)
     np.testing.assert_allclose(out.values, [0.0, sla.eigvalsh(empty_row)[1]], atol=1e-12)
+
+
+def test_product_from_blocks_matches_the_full_matrix():
+    # K X from each block's node matrix, its transpose and its diagonal pairs
+    X = np.random.default_rng(6).standard_normal
+    for name, pencil, scales, dense in _band_pencils():
+        x = X((len(dense), 2))
+        np.testing.assert_allclose(eig._product(pencil, scales, x), dense @ x,
+                                   rtol=0, atol=1e-13 * np.abs(dense).max() * np.abs(x).max()
+                                   * len(dense), err_msg=name)
+
+
+def test_eig_keeps_no_state_between_solves():
+    # what a solve reuses lives on its pencil: the module holds no mutable
+    # container, no id() keys and no weak references, beside the BLAS setter
+    immutable = (int, float, str, tuple, frozenset, type(None))
+    state = {name: value for name, value in vars(eig).items()
+             if not name.startswith("__") and not inspect.ismodule(value)
+             and not inspect.isfunction(value) and not inspect.isclass(value)
+             and not isinstance(value, immutable)
+             and type(value).__module__ != "__future__"}  # ``annotations``
+    assert list(state) == ["_SET_BLAS_THREADS"]
+    source = inspect.getsource(eig)
+    assert "weakref" not in source and "id(" not in source
 
 
 def _pencils():
@@ -337,12 +354,12 @@ def test_lower_triangle_and_full_pencil_solve_alike(which, shift):
 
 
 def _scan_terms(monkeypatch, scan, gamma):
-    """The K that ``scan.mu1(gamma)`` hands the solver."""
+    """The (scales, pencil) that ``scan.mu1(gamma)`` hands the solver."""
     seen = []
     solve = fem1d.smallest_eigenpairs
 
     def recording(K, M, **kwargs):
-        seen.append(K)
+        seen.append((K, M))
         return solve(K, M, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -352,9 +369,9 @@ def _scan_terms(monkeypatch, scan, gamma):
 
 
 def _term_pencils(monkeypatch):
-    """(terms, their sparse sum, M): the parabolic and the elliptic 1D scan at one
-    gamma, the terms as mu1 passes them and the sum as it was formed before, and
-    a 2D K(k)."""
+    """(scales, pencil, their sparse sum, M): the parabolic and the elliptic 1D scan
+    at one gamma, the scales and pencil as mu1 passes them and the sum as it was
+    formed before, and a 2D K(k)."""
     scan = asymptotics._parabolic_scan(ax.preset("B"))
     gamma = 1.7
     ell = asymptotics._elliptic_scan(ax.preset("H"), asymptotics.compute(ax.preset("H")).a0, 1e-3)
@@ -362,23 +379,24 @@ def _term_pencils(monkeypatch):
     system = lame2d.assemble_fourier_lame(
         lame2d.build_meridian_mesh(ax.preset("D"), 0.1, 4, 2), 3, degree=3)
     return {
-        "1d": (_scan_terms(monkeypatch, scan, gamma),
+        "1d": (*_scan_terms(monkeypatch, scan, gamma),
                gamma ** -4 * scan.K_op + gamma ** 4 * scan.K_b, scan.M),
-        "1d K_0": (_scan_terms(monkeypatch, ell, k),
+        "1d K_0": (*_scan_terms(monkeypatch, ell, k),
                    ell.K_0 + (k ** -2 * ell.K_op + k ** 4 * ell.K_b), ell.M),
-        "2d": (system.terms, system.stiffness, system.mass),
+        "2d": (system.scales, system.family.pencil, system.stiffness, system.mass),
     }
 
 
 @pytest.mark.parametrize("which", ["1d", "1d K_0", "2d"])
 @pytest.mark.parametrize("shift", [0.0, -0.5])
 def test_terms_and_their_sum_solve_alike(which, shift, monkeypatch):
-    # the band of the terms is the band of their sparse sum, so both give the
-    # same factor and Lanczos run; K x comes from the terms, in another order
-    terms, K, M = _term_pencils(monkeypatch)[which]
-    assert isinstance(terms, list)
-    assert np.array_equal(eig._band(terms), eig._band([(1.0, K)]))
-    split = eig.solve_smallest(terms, M, 3, shift=shift)
+    # the band of the pencil's terms is the band of their sparse sum, so both give
+    # the same factor and Lanczos run; K x comes from the blocks, in another order
+    scales, pencil, K, M = _term_pencils(monkeypatch)[which]
+    assert isinstance(pencil, eig.Pencil) and len(scales) == len(pencil.terms)
+    assert np.array_equal(eig._band(pencil, scales),
+                          eig._band(eig.Pencil.from_matrices([K], M), [1.0]))
+    split = eig.solve_smallest(scales, pencil, 3, shift=shift)
     summed = eig.solve_smallest(K, M, 3, shift=shift)
     assert np.array_equal(split.values, summed.values)
     assert np.array_equal(split.vectors, summed.vectors)
@@ -386,28 +404,29 @@ def test_terms_and_their_sum_solve_alike(which, shift, monkeypatch):
     assert np.all(np.abs(split.residuals - summed.residuals) <= 1e-14)
 
 
-def test_scan_builds_one_band_map_per_matrix(monkeypatch):
-    # a gamma scan passes its terms, so each of its matrices gets one band map for
-    # all its solves, not a sum, a triangle and a map per solve
+def test_scan_builds_one_pencil_for_all_its_solves(monkeypatch):
+    # a gamma scan holds one pencil of its matrices for all its solves, the first
+    # of them lambda_1[K_op], not a sum, a triangle and a map per solve
     built = []
-    build = eig._build_band_map
+    init = eig.Pencil.__init__
 
-    def counting(a, width):
-        built.append(a)
-        return build(a, width)
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
 
     solves = []
     solve = eig.solve_smallest
 
     def counting_solves(*args, **kwargs):
-        solves.append(1)
+        solves.append(args[1])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(eig, "_build_band_map", counting)
+    monkeypatch.setattr(eig.Pencil, "__init__", counting)
     monkeypatch.setattr(eig, "solve_smallest", counting_solves)
     scan = asymptotics.compute(ax.preset("B")).diagnostics["scan"]
     assert len(solves) >= 10  # lambda_1[K_op] and the scan's solves
-    assert sorted(map(id, built)) == sorted(map(id, (scan.K_op, scan.K_b, scan.M)))
+    assert built == [scan.pencil] and all(M is scan.pencil for M in solves)
+    assert len(scan.pencil.terms) == 2 and scan.pencil.M is scan.M
 
 
 def test_not_positive_definite_shift_is_retried_below():

@@ -168,7 +168,6 @@ def _record_scatters(monkeypatch):
         return scatter(slot, local, indptr)
 
     monkeypatch.setattr(fem1d, "_scatter", record)
-    monkeypatch.setattr(lame2d, "_scatter", record)
     return seen
 
 
@@ -262,68 +261,65 @@ def _kron_pattern(fn, ncomp):
     return dof.indptr, dof.indices, pos.transpose(0, 3, 1, 4, 2).ravel()
 
 
-def _mask(ncomp, pairs):
-    blocks = np.zeros((ncomp, ncomp), dtype=bool)
-    for a, b in pairs:
-        blocks[a, b] = blocks[b, a] = True
-    return blocks
-
-
-def _restricted_pattern(fn, ncomp, blocks, lower):
-    """``_kron_pattern`` cut to the component pairs of ``blocks`` and, if ``lower``,
-    to the lower triangle: the kept entries in their order, and each local
-    entry's slot looked up by (row, column), nnz where the entry is cut."""
-    indptr, indices, slot = _kron_pattern(fn, ncomp)
-    if blocks.all() and not lower:
-        return indptr, indices, slot
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    keep = blocks[rows % ncomp, indices % ncomp] & ((rows >= indices) | (not lower))
-    counts = np.bincount(rows[keep], minlength=len(indptr) - 1)
-    new_indptr = np.concatenate([[0], np.cumsum(counts)])
-    moved = np.full(len(indices) + 1, keep.sum())
-    moved[np.flatnonzero(keep)] = np.arange(keep.sum())
-    return new_indptr, indices[keep], moved[slot]
-
-
-@pytest.mark.parametrize("fn, ncomp, blocks, lower", [
-    (_free_nodes_1d(7, 1), 2, None, False),           # cubic Hermite, (value, slope) per node
-    (_free_nodes_1d(7, 2), 1, None, False),           # quadratic Lagrange
-    (_free_nodes_2d(4, 2, 3, 2), 3, None, False),     # thickness degree below the meridian degree
-    (_free_nodes_1d(7, 1), 2, None, True),
-    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(0, 0), (1, 1), (2, 2)]), False),  # M
-    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(0, 0), (1, 1), (2, 2), (0, 2)]), True),  # A0
-    (_free_nodes_2d(4, 2, 3, 2), 3, _mask(3, [(1, 0), (1, 2)]), True),  # A1
-], ids=["h20", "h10", "2d", "h20 lower", "2d M", "2d A0", "2d A1"])
-def test_shared_pattern_matches_kron_construction(fn, ncomp, blocks, lower):
-    # each pattern is built straight from the node pairs, for its component pairs,
-    # in full or as its lower triangle, and is the full pattern cut to them
-    every = np.ones((ncomp, ncomp), dtype=bool)
-    pattern = fem1d._NodePairs(fn).pattern(ncomp, blocks, lower)
-    blocks = every if blocks is None else blocks
-    want = _restricted_pattern(fn, ncomp, blocks, lower)
+@pytest.mark.parametrize("fn, ncomp", [
+    (_free_nodes_1d(7, 1), 2),           # cubic Hermite, (value, slope) per node
+    (_free_nodes_1d(7, 2), 1),           # quadratic Lagrange
+    (_free_nodes_2d(4, 2, 3, 2), 3),     # thickness degree below the meridian degree
+], ids=["h20", "h10", "2d"])
+def test_shared_pattern_matches_kron_construction(fn, ncomp):
+    # the pattern is built straight from the node pairs, for every component pair
+    want = _kron_pattern(fn, ncomp)
+    pattern = fem1d._NodePairs(fn).pattern(ncomp)
     assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
     assert np.array_equal(pattern.indptr, want[0]) and np.array_equal(pattern.indices, want[1])
-    # the position of every local entry that the pattern holds or that is clamped
+    # the position of every local entry, nnz where it touches a clamped DOF
     n_cells, nloc = fn.shape
     i, j = (x.ravel() for x in np.indices((nloc, nloc)))
-    fi, fj = fn[:, i], fn[:, j]
     slot = want[2].reshape(n_cells, ncomp, nloc, ncomp, nloc)
-    for a, b in zip(*np.nonzero(blocks)):
-        got = pattern.slot(a, b, i, j)
-        asked = (fi < 0) | (fj < 0) | (not lower) | (ncomp * fi + a >= ncomp * fj + b)
-        assert got.dtype == np.int32
-        assert np.array_equal(got[asked], slot[:, a, :, b, :].reshape(n_cells, -1)[asked])
+    for a in range(ncomp):
+        for b in range(ncomp):
+            got = pattern.slot(a, b, i, j)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, slot[:, a, :, b, :].reshape(n_cells, -1))
     assert (want[2] == pattern.indptr[-1]).any()  # entries on clamped nodes
-    if (blocks == every).all() and not lower:  # the 1D matrices' pattern
-        shared = fem1d._shared_pattern(fn, ncomp)
-        assert shared[2].dtype == np.int32
-        assert all(np.array_equal(a, b) for a, b in zip(shared, want))
+    shared = fem1d._shared_pattern(fn, ncomp)
+    assert shared[2].dtype == np.int32
+    assert all(np.array_equal(a, b) for a, b in zip(shared, want))
+
+
+@pytest.mark.parametrize("fn", [_free_nodes_2d(4, 2, 3, 2), _free_nodes_2d(3, 3, 2, 2),
+                                _free_nodes_1d(7, 1)], ids=["2d", "2d p_t = p", "1d"])
+def test_lower_node_pairs_and_block_diagonal_match_kron_construction(fn):
+    # the lower node pairs, the strict ones first, are the lower triangle of the
+    # node pattern; the block-diagonal matrix holds block a's entry of node pair
+    # (i, j) at (3 i + a, 3 j + a)
+    pairs = fem1d._NodePairs(fn)
+    node_ptr, node_idx, _ = _kron_pattern(fn, 1)
+    n = len(node_ptr) - 1
+    # entry q of the node pattern, pair q of the node pairs, holds q + 1
+    node = sp.csr_matrix((np.arange(1.0, len(node_idx) + 1), node_idx, node_ptr), shape=(n, n))
+    strict = sp.tril(node, -1, format="csr")
+    indptr, cols, where = pairs.lower()
+    assert indptr.dtype == cols.dtype == where.dtype == np.int32
+    assert np.array_equal(indptr, strict.indptr) and np.array_equal(cols, strict.indices)
+    lower = np.concatenate([strict.data, node.diagonal()]).astype(int) - 1
+    assert np.array_equal(where[lower], np.arange(len(lower)))
+    assert np.all(np.delete(where, lower) == -1)
+    blocks = [np.arange(node.nnz) + 0.5, -np.arange(node.nnz) - 0.25, np.arange(node.nnz) * 2.0]
+    got = pairs.block_diagonal(blocks)
+    t = node.tocoo()
+    q = (t.data - 1).astype(int)
+    want = sp.csr_matrix((np.concatenate([x[q] for x in blocks]),
+                          (np.concatenate([3 * t.row + a for a in range(3)]),
+                           np.concatenate([3 * t.col + a for a in range(3)]))), shape=(3 * n, 3 * n))
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
     # every stored entry is the cell-order sum of the full cell blocks'
-    # contributions, bit for bit: M in full, A0, A1 and A2 in their lower triangle
-    seen = _record_scatters(monkeypatch)
+    # contributions, bit for bit: M in full, A0, A1 and A2 as node-level blocks
     blocks = []
     component_blocks = lame2d._component_blocks
 
@@ -334,14 +330,13 @@ def test_shared_scatter_matches_dense_accumulation_2d(monkeypatch):
 
     monkeypatch.setattr(lame2d, "_component_blocks", record_blocks)
     for p in (3, 6):
-        seen.clear()
         blocks.clear()
-        _check_family_scatter(p, seen, blocks)
+        _check_family_scatter(p, blocks)
 
 
-def _check_family_scatter(p, seen, blocks):
+def _check_family_scatter(p, blocks):
     """The family of degree p on D@0.1 4 x 2 cells against the dense sum of the
-    recorded cell blocks; ``seen`` and ``blocks`` record its build."""
+    recorded cell blocks of its build."""
     nz_cells, nt_cells = 4, 2
     mesh = lame2d.build_meridian_mesh(ax.preset("D"), 0.1, nz_cells, nt_cells)
     fam = lame2d.get_family(mesh, degree=p)
@@ -366,50 +361,33 @@ def _check_family_scatter(p, seen, blocks):
             local[:, a, :, b, :] = B
             local[:, b, :, a, :] = B.transpose(0, 2, 1)
         ref[name] = _dense_sum(local.reshape(n_cells, 3 * nloc, 3 * nloc), dof, n)
-    assert np.array_equal(fam.M.toarray(), ref["M"])
-    assert np.all(fam.M.data != 0.0)
-    _assert_sorted_csr(fam.M)
-    for name in ("A0", "A1", "A2"):
-        A = getattr(fam, name)
-        assert np.array_equal(A.toarray(), np.tril(ref[name])), name
-        _assert_sorted_csr(A)
-    # one scatter per matrix, each on the pattern of its nonzero component blocks:
-    # M's in full, A0's, A1's and A2's lower triangles, with only the lower entries
-    # of each cell block: all (i, j), i >= j, of a block (a, b) with a >= b, and
-    # i > j where a < b.  Over the P node pairs (i, j) that share a cell, n / 3 of
-    # them with i = j, a lower pattern holds half the off-diagonal pairs' entries
-    # and those with a >= b of the diagonal pairs': 4 of A0's 5 component pairs,
-    # 2 of A1's 4 and A2's 3
-    pairs, nodes = fam.M.nnz // 3, n // 3
-    assert [nnz for *_, nnz in seen] == [fam.M.nnz, fam.A0.nnz, fam.A1.nnz, fam.A2.nnz]
-    assert [A.nnz for A in (fam.A0, fam.A1, fam.A2)] == [
-        (5 * (pairs - nodes)) // 2 + 4 * nodes, (4 * (pairs - nodes)) // 2 + 2 * nodes,
-        (3 * (pairs - nodes)) // 2 + 3 * nodes]
-    incl, strict = nloc * (nloc + 1) // 2, nloc * (nloc - 1) // 2
-    assert [local.size for _, local, _ in seen] == [
-        n_cells * 3 * nloc * nloc, n_cells * (4 * incl + strict),
-        n_cells * (2 * incl + 2 * strict), n_cells * 3 * incl]
-    # K(k) is kept as the terms A0 + k A1 + k^2 A2; the full K(k) is summed and
-    # mirrored from them
-    patterns = [(A.indptr.copy(), A.indices.copy()) for A in (fam.A0, fam.A1, fam.A2)]
+    pencil = fam.pencil
+    assert np.array_equal(pencil.M.toarray(), ref["M"])
+    assert np.all(pencil.M.data != 0.0)
+    _assert_sorted_csr(pencil.M)
+    # each block (a, b) and its mirror (b, a) on the lower node pairs: the strict
+    # pairs i > j, then the diagonal pairs i = i, unless a < b
+    nodes = n // 3
+    i = np.concatenate([pencil.rows(), np.arange(nodes)])
+    j = np.concatenate([pencil.cols, np.arange(nodes)])
+    keys = [{(a, b) for a, b in wanted[name]} | {(b, a) for a, b in wanted[name]}
+            for name in ("A0", "A1", "A2")]
+    assert [set(term) for term in pencil.terms] == keys
+    for name, term in zip(("A0", "A1", "A2"), pencil.terms):
+        lower = np.zeros((n, n))
+        for (a, b), entries in term.items():
+            assert len(entries) == pencil.strict + (nodes if a >= b else 0), (name, a, b)
+            lower[3 * i[:len(entries)] + a, 3 * j[:len(entries)] + b] = entries
+        assert np.array_equal(lower, np.tril(ref[name])), name
+    assert pencil.terms[2][T, T] is pencil.terms[2][R, R]  # A2's (tau, tau) block is (r, r)
+    # K(k) = A0 + k A1 + k^2 A2 is formed in full from the blocks
+    saved = [{key: x.copy() for key, x in term.items()} for term in pencil.terms]
     for k in (0, 3):
         system = lame2d.assemble_fourier_lame(mesh, k, degree=p)
         want = ref["A0"] + k * ref["A1"] + (k * k) * ref["A2"]
         assert np.array_equal(system.stiffness.toarray(), want)
-        assert np.array_equal(_dense_terms(system.terms), want)
-        assert all(A is B for (_, A), B in zip(system.terms, (fam.A0, fam.A1, fam.A2)))
         _assert_sorted_csr(system.stiffness)
         lame2d.first_eigenpair_2d(system)
-    # the solves left every index array as it was
-    for A, (indptr, indices) in zip((fam.A0, fam.A1, fam.A2), patterns):
-        assert np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
-        assert len(A.indices) == A.indptr[-1]
-
-
-def _dense_terms(terms):
-    """The dense sum of (scale, lower triangle) terms, each mirrored, in order."""
-    total = 0.0
-    for scale, A in terms:
-        A = A.toarray()
-        total = total + scale * (A + np.tril(A, -1).T)
-    return total
+    # the solves left every block as it was
+    assert all(np.array_equal(term[key], x) for term, kept in zip(pencil.terms, saved)
+               for key, x in kept.items())
