@@ -61,6 +61,7 @@ set, so its processes and pool workers start no helper threads at all.
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 from dataclasses import dataclass
 
@@ -141,7 +142,8 @@ class Pencil:
     as {(a, b): its entries on the pairs}, every pair for a >= b and the strict
     ones for a < b.  M is the full SPD matrix, of order ncomp times the nodes.
     The half-bandwidth ``width`` is the widest reach of the blocks and of M,
-    and ``base`` the band map of the pairs at that width.
+    ``base`` the band map of the pairs at that width, and ``node`` the strict
+    pairs' node matrix (CSR) and its transpose, with placeholder data.
     """
 
     def __init__(self, ncomp: int, indptr: np.ndarray, cols: np.ndarray, terms: list,
@@ -162,6 +164,10 @@ class Pencil:
         self.base = np.concatenate([w * (ncomp * rows + 1) + ncomp * cols,
                                     (w + 1) * ncomp * np.arange(nodes) + w]).astype(dtype)
         self.m_norm = _norm1(self.M)
+        # the strict pairs' node matrix and its transpose on the pattern's index
+        # arrays, for K x; each product sets the data of its own shallow copies
+        S = sp.csr_matrix((np.broadcast_to(0.0, self.strict), cols, indptr), shape=(nodes, nodes))
+        self.node = (S, S.T)
 
     @classmethod
     def from_matrices(cls, matrices, M) -> "Pencil":
@@ -300,8 +306,7 @@ def _product(pencil: Pencil, scales, X: np.ndarray) -> np.ndarray:
     nodes = pencil.n // nc
     Xc = [np.ascontiguousarray(x) for x in X.reshape(nodes, nc, -1).transpose(1, 0, 2)]
     Y = np.zeros((nc, nodes, X.shape[1]))
-    S = sp.csr_matrix((np.zeros(strict), pencil.cols, pencil.indptr), shape=(nodes, nodes))
-    T = S.T  # on S's index arrays; each block sets the entries of both
+    S, T = (copy.copy(A) for A in pencil.node)  # each block sets the entries of both
     for (a, b), entries in _blocks(pencil, scales):
         S.data = T.data = entries[:strict]
         Y[a] += S @ Xc[b]

@@ -11,13 +11,13 @@ Assembly runs over all elements at once: every coefficient is evaluated in
 one call on all quadrature points, and every local block is a Gram-type
 product X^T diag(c) X, made exactly symmetric.  ``_NodePairs`` holds the
 sorted unique pairs of free nodes that share a cell, found once per mesh, for
-both stacks.  For the 1D matrices it builds the CSR pattern of every
-component pair straight away, with the CSR position of every local entry,
-into which ``_scatter`` sums the cell blocks in cell order, so K == K.T bit
-for bit, and ``_compact`` drops exact zeros.  For lame2d it gives the lower
-node pairs, on which the stiffness blocks are summed, and the block-diagonal
-mass matrix.  The (K, M) pairs go through ``eig.solve_smallest(K, M, ...)``
-like the 2D ones.
+both stacks, and sums cell blocks onto them in cell order with one
+``np.bincount``.  The 1D stack counts each unknown as a node (a Hermite node's
+value and slope are two), so a matrix is the one-component block-diagonal CSR
+matrix of its sums, K == K.T bit for bit, with exact zeros dropped.  For
+lame2d the same pairs give the block-diagonal mass matrix and the stiffness
+blocks on the lower node pairs.  The (K, M) pairs go through
+``eig.solve_smallest(K, M, ...)`` like the 2D ones.
 """
 
 from __future__ import annotations
@@ -82,13 +82,16 @@ class Mesh1D:
 
 
 class _NodePairs:
-    """The sorted unique pairs of free nodes that share a cell, from which every
-    pattern of one mesh is built.
+    """The sorted unique pairs of free nodes that share a cell, onto which every
+    matrix of one mesh is summed.
 
     ``fn[c, i]`` is the index among the free nodes of local node i of cell c, or
-    -1 on a clamped node; a clamped node has all its components fixed, so the
-    free DOF of component a of free node i is ncomp i + a.  ``pair[c, i nloc + j]``
-    is the pair of local nodes i and j of cell c, -1 where either is clamped.
+    -1 on a clamped node.  ``fi`` and ``fj`` (int32) are the nodes of each pair, by
+    row, then column, and ``pair[c, i nloc + j]`` is the pair of local nodes i and
+    j of cell c, or the number of pairs where either is clamped.  A node may be a
+    DOF: the 1D stack gives each unknown its own index.  ``sum`` adds cell blocks
+    onto every pair, ``block_diagonal`` makes a CSR matrix of such sums, and
+    ``lower`` gives the lower pairs, onto which ``eig.Pencil``'s blocks are summed.
     """
 
     def __init__(self, fn: np.ndarray):
@@ -110,7 +113,7 @@ class _NodePairs:
         pairs = np.flatnonzero(seen)
         index = np.empty(len(seen), dtype=np.int32)  # of each key among the pairs
         index[pairs] = np.arange(len(pairs), dtype=np.int32)
-        self.pair = np.full((n_cells, nloc * nloc), -1, dtype=np.int32)
+        self.pair = np.full((n_cells, nloc * nloc), len(pairs), dtype=np.int32)
         self.pair[both.reshape(n_cells, -1)] = index[keys]
         del seen, index
         fi, fj = np.divmod(pairs, span)  # node pairs by row, then column
@@ -120,31 +123,34 @@ class _NodePairs:
         # the rank of each pair in its node row
         self.rank = (np.arange(len(pairs)) - (np.cumsum(self.deg) - self.deg)[fi]).astype(np.int32)
 
-    def pattern(self, ncomp: int) -> "_Pattern":
-        """The CSR pattern of every component pair: row ncomp i + a lists ncomp j + b
-        for the node neighbours j of i in order, and for each the components b."""
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(ncomp * self.deg, ncomp))]
-                                ).astype(np.int32)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for a in range(ncomp):
-            # where the entries of each pair start in row (i, a)
-            start = np.repeat(indptr[a:-1:ncomp], self.deg) + ncomp * self.rank
-            for b in range(ncomp):
-                indices[start + b] = ncomp * self.fj + b
-        return _Pattern(self, ncomp, indptr, indices)
+    def sum(self, blocks: np.ndarray) -> np.ndarray:
+        """The cell blocks (cells, nloc, nloc) summed onto every pair: each pair's
+        entries added over the cells in cell order, those on clamped nodes dropped."""
+        n = len(self.fj)
+        return np.bincount(self.pair.ravel(), blocks.ravel(), minlength=n + 1)[:n]
 
-    def lower(self):
-        """The lower node pairs (i, j), i >= j: ``(indptr, cols, where)``, the CSR
-        pattern (int32) of the strict ones, i > j, rows sorted, and the position of
-        each pair among the lower pairs, the strict ones first and then the diagonal
-        pairs (i, i) in node order; -1 for a pair i < j."""
+    def lower(self) -> "_LowerPairs":
+        """The lower node pairs (i, j), i >= j, onto which ``_LowerPairs.blocks`` sums
+        cell blocks.  Local node order must follow the free nodes' order in every
+        cell, so that the local entries (i, j), i >= j, land on the lower pairs."""
         strict = self.fj < self.fi
         n_strict, n_free = int(strict.sum()), len(self.deg)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(self.fi[strict], minlength=n_free))])
-        where = np.full(len(self.fj), -1, dtype=np.int32)
-        where[strict] = np.arange(n_strict, dtype=np.int32)
-        where[self.fj == self.fi] = n_strict + np.arange(n_free, dtype=np.int32)
-        return indptr.astype(np.int32), self.fj[strict], where
+        # the position of each pair among the lower pairs, -1 for a pair i < j, and
+        # past them for a clamped entry
+        where = np.full(len(self.fj) + 1, -1)
+        where[:-1][strict] = np.arange(n_strict)
+        where[:-1][self.fj == self.fi] = n_strict + np.arange(n_free)
+        where[-1] = n_strict + n_free
+        nloc = self.fn.shape[1]
+        i_s, j_s = np.tril_indices(nloc, -1)
+        i_l, j_l = (np.concatenate([x, np.arange(nloc)]) for x in (i_s, j_s))
+        at = {(False, False): i_l * nloc + j_l, (False, True): j_l * nloc + i_l,
+              (True, False): i_s * nloc + j_s, (True, True): j_s * nloc + i_s}
+        into = where[self.pair[:, at[False, False]]]
+        into = {False: (into.ravel(), n_strict + n_free),
+                True: (np.minimum(into[:, :len(i_s)], n_strict).ravel(), n_strict)}
+        return _LowerPairs(indptr.astype(np.int32), self.fj[strict], at, into)
 
     def block_diagonal(self, blocks) -> sp.csr_matrix:
         """The CSR matrix of ncomp = len(blocks) components whose block (a, a) holds
@@ -162,62 +168,46 @@ class _NodePairs:
 
 
 @dataclass(frozen=True)
-class _Pattern:
-    """A CSR pattern of ``_NodePairs.pattern``, with the position of each local entry."""
+class _LowerPairs:
+    """The lower node pairs of a ``_NodePairs`` as ``eig.Pencil`` keeps them: the
+    strict pairs i > j first, whose CSR pattern (int32) ``indptr`` and ``cols``
+    are, then the diagonal pairs (i, i) in node order.
 
-    pairs: _NodePairs
-    ncomp: int
+    ``at[strict, flip]`` lists the local entries (i, j), i >= j, or i > j if
+    ``strict``, as i nloc + j, or as j nloc + i if ``flip``, and ``into[strict]``
+    their lower pairs, cell after cell, with the number of pairs kept, which a
+    clamped entry gets.  No array of the node pairs is kept.
+    """
+
     indptr: np.ndarray
-    indices: np.ndarray
+    cols: np.ndarray
+    at: dict
+    into: dict
 
-    def slot(self, a: int, b: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The CSR positions of the local entries (a, i[t], b, j[t]) of every cell,
-        shape (cells, len(i)), int32, nnz where an entry touches a clamped DOF."""
-        pairs = self.pairs
-        pair = pairs.pair.take(i * pairs.fn.shape[1] + j, axis=1)
-        # the rows of a clamped node (fn -1) and the rank of a clamped pair (-1) index
-        # arbitrary entries until nnz overwrites every entry that touches it
-        slot = self.indptr[self.ncomp * pairs.fn.take(i, axis=1) + a] + b
-        slot += self.ncomp * pairs.rank[pair]
-        np.copyto(slot, self.indptr[-1], where=pair < 0)
-        return slot
-
-
-def _shared_pattern(fn: np.ndarray, ncomp: int):
-    """CSR pattern over the free DOFs of every component pair, shared by every matrix
-    of one 1D mesh.  Returns ``(indptr, indices, slot)``, all int32: the index
-    arrays with sorted rows, and ``slot``, the CSR position of every local entry
-    (cell, comp, i, comp', j) in that order, or nnz where the entry touches a
-    clamped DOF."""
-    pattern = _NodePairs(fn).pattern(ncomp)
-    n_cells, nloc = fn.shape
-    i, j = (x.ravel() for x in np.indices((nloc, nloc)))
-    slot = np.empty((n_cells, ncomp, nloc, ncomp, nloc), dtype=np.int32)
-    for a in range(ncomp):
-        for b in range(ncomp):
-            slot[:, a, :, b, :] = pattern.slot(a, b, i, j).reshape(n_cells, nloc, nloc)
-    return pattern.indptr, pattern.indices, slot.ravel()
-
-
-def _scatter(slot: np.ndarray, local: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """CSR data: each entry of ``local`` summed, in order, into its slot (an array of
-    the same shape); slot nnz dropped."""
-    nnz = int(indptr[-1])
-    return np.bincount(slot.ravel(), weights=local.ravel(), minlength=nnz + 1)[:nnz]
-
-
-def _compact(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix on the pattern without exact zeros; the shared index arrays stay intact."""
-    # eliminate_zeros compacts the index arrays in place
-    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(len(indptr) - 1,) * 2)
-    A.eliminate_zeros()
-    return A
+    def blocks(self, parts: dict) -> dict:
+        """The component blocks of a symmetric matrix, as ``eig.Pencil`` keeps them,
+        from its nonzero cell blocks ``parts`` {(a, b): (cells, nloc, nloc)}: block
+        (a, b) and, for a != b, its mirror (b, a) from the cell blocks transposed,
+        each on the lower pairs, or on the strict ones only if a < b.  Each is summed
+        over the cells in cell order, once for the component pairs that share it."""
+        sums, term = {}, {}
+        for (a, b), B in parts.items():
+            for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
+                key = (id(B), a < b, flip)
+                if key not in sums:
+                    local = np.take(B.reshape(len(B), -1), self.at[a < b, flip], axis=1)
+                    index, n = self.into[a < b]
+                    sums[key] = np.bincount(index, local.ravel(), minlength=n + 1)[:n]
+                term[a, b] = sums[key]
+        return term
 
 
 class _Elements:
     """Quadrature and shape tables of every element of a mesh at once.
 
-    Arrays are indexed (element, quadrature point, local shape function).
+    Arrays are indexed (element, quadrature point, local shape function).  The
+    local shape functions run component by component, node by node within each;
+    DOF ncomp i + a, component a of free node i, is one node of ``pairs``.
     """
 
     def __init__(self, profile: ShellProfile, mesh: Mesh1D, space: str):
@@ -235,8 +225,9 @@ class _Elements:
         # element e holds nodes step e .. step (e + 1); both end nodes are clamped
         step = self.N.shape[-1] // ncomp - 1
         node = step * np.arange(mesh.n_elements)[:, None] + np.arange(step + 1)
-        self.indptr, self.indices, self.slot = _shared_pattern(
-            np.where((node > 0) & (node < step * mesh.n_elements), node - 1, -1), ncomp)
+        fn = np.where((node > 0) & (node < step * mesh.n_elements), node - 1, -1)
+        self.pairs = _NodePairs(np.concatenate(
+            [np.where(fn >= 0, ncomp * fn + a, -1) for a in range(ncomp)], axis=1))
 
     def values(self, coeff) -> np.ndarray:
         """A constant, or a callable of an array of z, at every quadrature point."""
@@ -245,16 +236,19 @@ class _Elements:
         return np.broadcast_to(np.asarray(coeff, dtype=float), self.z.shape)
 
     def gram(self, *terms) -> sp.csr_matrix:
-        """sum over (c, X) of int c X_i X_j f s dz on the free DOFs, exactly symmetric."""
+        """sum over (c, X) of int c X_i X_j f s dz on the free DOFs, exactly symmetric,
+        without exact zeros."""
         blocks = 0.0
         for c, X in terms:
             b = np.einsum("eq,eqi,eqj->eij", self.measure * c, X, X)
             blocks = blocks + 0.5 * (b + b.transpose(0, 2, 1))
-        return _compact(_scatter(self.slot, blocks, self.indptr), self.indices, self.indptr)
+        A = self.pairs.block_diagonal([self.pairs.sum(blocks)])
+        A.eliminate_zeros()
+        return A
 
 
 def _hermite_shapes(h, xi):
-    # columns (value_0, value_1, slope_0, slope_1): component-major, as the pattern expects
+    # columns (value_0, value_1, slope_0, slope_1): component-major, as _Elements numbers them
     N = np.stack([
         1 - 3 * xi**2 + 2 * xi**3,
         3 * xi**2 - 2 * xi**3,

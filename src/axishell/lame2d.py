@@ -20,13 +20,13 @@ for 0.01 <= eps < 0.05 (see ``_thickness_degree``) and p_t = p otherwise; the
 band, set by the thickness nodes, then halves.  Assembly is batched
 over cells: the map, the basis gradients and every X^T diag(w) Y block are
 computed for all cells at once, and each nonzero component block (a, b) is
-summed over the cells in cell order by one ``np.bincount`` into one array on
-the mesh's lower node pairs from fem1d's ``_NodePairs``: 5 arrays in A0, 4 in
-A1 and 2 in A2, whose (tau, tau) block is its (r, r) block; each cell block
-gives only its entries (i, j), i >= j, and a block with a < b those with
-i > j only.  M, in every Lanczos step, is kept as the full CSR matrix of its
-3 diagonal component blocks, summed on every node pair.  Each stored entry is
-bit for bit the one the full matrix would hold.
+summed over the cells in cell order by one ``np.bincount`` onto the mesh's
+node pairs from fem1d's ``_NodePairs``.  A0, A1 and A2 keep one array per
+block on the lower node pairs (``_NodePairs.lower``): 5 in A0, 4 in A1
+and 2 in A2, whose (tau, tau) block is its (r, r) block.  M, in every Lanczos
+step, is kept as the full CSR matrix of its 3 diagonal component blocks,
+summed on every node pair.  Each stored entry is bit for bit the one the full
+matrix would hold.
 """
 
 from __future__ import annotations
@@ -349,54 +349,21 @@ def _build_family(mesh: MeridianMesh, degree: int, thickness_degree: int) -> Lam
            + (pt * ct[:, None] + np.arange(pt + 1))[:, None, :]).reshape(n_cells, nloc)
     free = np.arange(3 * nt, 3 * (nz - 1) * nt)
     pairs = _NodePairs(np.where((ids >= nt) & (ids < (nz - 1) * nt), ids - nt, -1))
-    indptr, cols, where = pairs.lower()
-    # local node order follows global order inside a cell, so the local entries
-    # (i, j), i >= j, of a block land on the lower node pairs: the strict ones
-    # (i > j) first, then the diagonal, as i nloc + j, and mirrored as j nloc + i
-    i_s, j_s = np.nonzero(np.tri(nloc, k=-1, dtype=bool))
-    i_l, j_l = (np.concatenate([x, np.arange(nloc)]) for x in (i_s, j_s))
-    at = {(False, False): i_l * nloc + j_l, (False, True): j_l * nloc + i_l,
-          (True, False): i_s * nloc + j_s, (True, True): j_s * nloc + i_s}
-    # the lower pair of each local entry, cell after cell, and the pairs kept, for
-    # the blocks on every pair (False) and on the strict ones (True); a clamped
-    # entry goes to a last slot, past the pairs that its block keeps
-    strict, size = len(cols), len(cols) + len(indptr) - 1
-    local = pairs.pair[:, at[False, False]]
-    into = np.where(local >= 0, where[local], size).astype(np.intp)
-    into = {False: (into.ravel(), size),
-            True: (np.minimum(into[:, :len(i_s)], strict).ravel(), strict)}
-    del local, where
+    lower = pairs.lower()  # local node order follows global order inside a cell
 
     blocks = _component_blocks(E, nu, r, wq, N, Gr, Gtau)
     del Gr, Gtau  # the blocks' generator holds them until its last block
     # M, in full on every node pair, for the product in every Lanczos step; a
     # block shared by two component pairs is summed once
     _, parts = next(blocks)
-    full = np.where(pairs.pair >= 0, pairs.pair, len(pairs.fj)).astype(np.intp).ravel()
-    sums = {}
-    for B in parts.values():
-        if id(B) not in sums:
-            sums[id(B)] = np.bincount(full, B.ravel(), minlength=len(pairs.fj) + 1)[:-1]
+    sums = {id(B): B for B in parts.values()}
+    sums = {key: pairs.sum(B) for key, B in sums.items()}
     M = pairs.block_diagonal([sums[id(parts[a, a])] for a in range(3)])
-    del pairs, full, sums, parts
-    terms = []
-    for _, parts in blocks:  # A0, A1 and A2
-        # an off-diagonal block also holds its mirror (b, a), transposed; a block
-        # with a < b keeps the strict pairs only.  Each is summed over the cells in
-        # cell order, once for the component pairs that share it
-        sums, term = {}, {}
-        for (a, b), B in parts.items():
-            for a, b, flip in [(a, b, False)] + ([(b, a, True)] if a != b else []):
-                key = (id(B), a < b, flip)
-                if key not in sums:
-                    local = np.take(B.reshape(n_cells, nloc * nloc), at[a < b, flip], axis=1)
-                    index, n = into[a < b]
-                    sums[key] = np.bincount(index, local.ravel(), minlength=n + 1)[:n]
-                term[a, b] = sums[key]
-        terms.append(term)
-    del parts, into
-    return LameFamily(degree=p, thickness_degree=pt, pencil=eig.Pencil(3, indptr, cols, terms, M),
-                      free=free, node_z=node_z, node_t=node_t, n_nodes=n_nodes)
+    del pairs, sums, parts
+    terms = [lower.blocks(parts) for _, parts in blocks]  # A0, A1 and A2
+    pencil = eig.Pencil(3, lower.indptr, lower.cols, terms, M)
+    return LameFamily(degree=p, thickness_degree=pt, pencil=pencil, free=free,
+                      node_z=node_z, node_t=node_t, n_nodes=n_nodes)
 
 
 def get_family(mesh: MeridianMesh, degree: int = DEFAULT_DEGREE) -> LameFamily:

@@ -1,10 +1,13 @@
 """1D finite elements: oracles, symmetry, convergence."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import axishell as ax
@@ -157,17 +160,66 @@ def test_batched_assembly_regression():
         assert abs(lam / lam_ref - 1.0) <= 1e-12
 
 
+def _assemblies_1d(prof, mesh):
+    """The matrices of all three 1D assemblers on one mesh, by name."""
+    return {
+        "h20": fem1d.assemble_h20(prof, lambda z: 1.0 + 0.5 * z**2, lambda z: np.cos(z), mesh),
+        "h10": fem1d.assemble_h10(prof, lambda z: 2.0 - z, lambda z: z * z, mesh),
+        "mass H20": (fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H20"),),
+        "mass H10": (fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H10"),),
+    }
+
+
+# SHA-256 (first 32 hex digits) of the data, indices and indptr arrays, dtype
+# first, of each assembler's matrices in order, as the DOF-level CSR pattern with
+# a slot for every local entry summed and compacted them; every 1D pencil of the
+# constants is built from such arrays
+ASSEMBLY_1D_PINS = {
+    ("B", False, "h20"): "cd49187366b587e7f430da3409e78d05",
+    ("B", False, "h10"): "ae41d586a4c272516ee20d8bb8d07166",
+    ("B", False, "mass H20"): "5e389d77dec70c5f1834a2caaf4c354b",
+    ("B", False, "mass H10"): "9351681f0975514458231a25d6a4c095",
+    ("B", True, "h20"): "15287aa6096de53cd018786ae2741611",
+    ("B", True, "h10"): "e59503f7f8182fc21d5022d5af644fcd",
+    ("B", True, "mass H20"): "921e2e09755132d4cb3d13767c59b9a6",
+    ("B", True, "mass H10"): "ba4d4c1bc6f3afc924200b39835b8933",
+    ("D", False, "h20"): "1f01256070d6e19eda14b69e9df5d80b",
+    ("D", False, "h10"): "2846b1835c076a452126358c0eac9a88",
+    ("D", False, "mass H20"): "bbf37a93f8ee7b30ee83b3e22d4420ba",
+    ("D", False, "mass H10"): "842dcac1e2b679aa1113da816090217b",
+    ("D", True, "h20"): "c76a8c83ac7c28ea424407dc082c9a12",
+    ("D", True, "h10"): "5e8345ad03194802fcacff22fe7795b5",
+    ("D", True, "mass H20"): "e00b95b3a007bd3b74b7dd6489140650",
+    ("D", True, "mass H10"): "47ffb0b14aa372598f2ea7dc2782b47b",
+}
+
+
+@pytest.mark.parametrize("model, graded", [("B", False), ("B", True), ("D", False), ("D", True)])
+def test_assembled_csr_arrays_are_pinned(model, graded):
+    # uniform 128-element and boundary-graded 24-element meshes
+    prof = ax.preset(model)
+    mesh = (fem1d.Mesh1D.boundary_graded(prof.interval, 24, 1.2) if graded
+            else fem1d.Mesh1D.uniform(prof.interval, 128))
+    for name, mats in _assemblies_1d(prof, mesh).items():
+        digest = hashlib.sha256()
+        for A in mats:
+            for part in (A.data, A.indices, A.indptr):
+                digest.update(part.dtype.str.encode())
+                digest.update(part.tobytes())
+        assert digest.hexdigest()[:32] == ASSEMBLY_1D_PINS[model, graded, name], name
+
+
 def _record_scatters(monkeypatch):
-    """Every (slot, local blocks, pattern nnz) that goes through ``fem1d._scatter``, in
-    call order."""
+    """Every (free nodes, cell blocks, number of pairs) that ``fem1d._NodePairs.sum``
+    sums, in call order."""
     seen = []
-    scatter = fem1d._scatter
+    node_sum = fem1d._NodePairs.sum
 
-    def record(slot, local, indptr):
-        seen.append((np.array(slot), local.copy(), int(indptr[-1])))
-        return scatter(slot, local, indptr)
+    def record(pairs, blocks):
+        seen.append((pairs.fn.copy(), blocks.copy(), len(pairs.fj)))
+        return node_sum(pairs, blocks)
 
-    monkeypatch.setattr(fem1d, "_scatter", record)
+    monkeypatch.setattr(fem1d._NodePairs, "sum", record)
     return seen
 
 
@@ -202,33 +254,47 @@ def _dofs_1d(n_el, space):
     return _free_nodes_1d(n_el, 2), 2 * n_el - 1
 
 
+def _check_dense_accumulation(prof, mesh, monkeypatch):
+    """Every matrix of the three 1D assemblers on ``mesh`` holds the cell-order sum of
+    its element contributions, bit for bit, without exact zeros, rows sorted."""
+    seen = _record_scatters(monkeypatch)
+    mats = [(name[-3:].upper(), A) for name, group in _assemblies_1d(prof, mesh).items()
+            for A in group]
+    assert len(seen) == len(mats)
+    for (space, A), (fn, local, n_pairs) in zip(mats, seen):
+        dof, n = _dofs_1d(mesh.n_elements, space)
+        assert np.array_equal(fn, dof)  # one node per DOF, in (component, node) order
+        assert np.array_equal(A.toarray(), _dense_sum(local, dof, n))
+        assert np.all(A.data != 0.0) and A.nnz <= n_pairs
+        _assert_sorted_csr(A)
+
+
 @pytest.mark.parametrize("model, graded", [("B", False), ("D", False), ("L", False), ("D", True)])
 def test_shared_scatter_matches_dense_accumulation_1d(model, graded, monkeypatch):
-    # every stored entry is the cell-order sum of its element contributions,
-    # bit for bit, and compaction drops exact zeros only
+    # compaction drops exact zeros only
     prof = ax.preset(model)
     mesh = (fem1d.Mesh1D.boundary_graded(prof.interval, 24, 1.2) if graded
             else fem1d.Mesh1D.uniform(prof.interval, 128))
-    seen = _record_scatters(monkeypatch)
-    mats = [
-        ("H20", fem1d.assemble_h20(prof, lambda z: 1.0 + 0.5 * z**2, lambda z: np.cos(z), mesh)),
-        ("H10", fem1d.assemble_h10(prof, lambda z: 2.0 - z, lambda z: z * z, mesh)),
-        ("H20", (fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H20"),)),
-        ("H10", (fem1d.assemble_weighted_mass(prof, lambda z: 1.0 + z**4, mesh, "H10"),)),
-    ]
-    mats = [(space, A) for space, group in mats for A in group]
-    assert len(seen) == len(mats)
-    for (space, A), (_, local, nnz) in zip(mats, seen):
-        dof, n = _dofs_1d(mesh.n_elements, space)
-        local = local.reshape(len(local), dof.shape[1], dof.shape[1])  # (component, node) order
-        assert np.array_equal(A.toarray(), _dense_sum(local, dof, n))
-        assert np.all(A.data != 0.0) and A.nnz <= nnz
-        _assert_sorted_csr(A)
-    # the pattern is built once per mesh and space; compacting K must leave it to M
+    _check_dense_accumulation(prof, mesh, monkeypatch)
+    # the node pairs are found once per mesh and space; a gram leaves them intact
     el = fem1d._Elements(prof, mesh, "H20")
-    pattern = [a.copy() for a in (el.indptr, el.indices, el.slot)]
+    names = ("fn", "fi", "fj", "pair", "deg", "rank")
+    kept = [getattr(el.pairs, name).copy() for name in names]
     el.gram((1.0, el.D)), el.gram((1.0, el.N))
-    assert all(np.array_equal(a, b) for a, b in zip(pattern, (el.indptr, el.indices, el.slot)))
+    assert all(np.array_equal(a, getattr(el.pairs, name)) for a, name in zip(kept, names))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=2, max_size=40))
+def test_assembly_matches_dense_accumulation_on_any_mesh(gaps):
+    # strictly increasing nodes spanning model D's interval, element sizes drawn
+    # as integer multiples of the interval over their sum
+    prof = ax.preset("D")
+    a, b = prof.interval
+    t = np.concatenate([[0], np.cumsum(gaps)]) / sum(gaps)
+    mesh = fem1d.Mesh1D(a + (b - a) * t)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_dense_accumulation(prof, mesh, monkeypatch)
 
 
 def _free_nodes_2d(p, pt, nz_cells, nt_cells):
@@ -242,9 +308,11 @@ def _free_nodes_2d(p, pt, nz_cells, nt_cells):
 
 
 def _kron_pattern(fn, ncomp):
-    """``fem1d._shared_pattern`` built the long way: the sorted unique node pairs,
-    their Kronecker product with an ncomp x ncomp block of ones, sorted rows, and
-    the slot of each free local entry written through a mask."""
+    """The CSR pattern of every component pair of the free nodes ``fn`` built the long
+    way: the sorted unique node pairs, their Kronecker product with an ncomp x ncomp
+    block of ones and sorted rows; and the position of each free local entry (cell,
+    comp, i, comp', j) in that order written through a mask, nnz where it touches a
+    clamped node."""
     n_free = int(fn.max()) + 1
     both = (fn[:, :, None] >= 0) & (fn[:, None, :] >= 0)
     fi = np.broadcast_to(fn[:, :, None], both.shape)[both]
@@ -262,49 +330,55 @@ def _kron_pattern(fn, ncomp):
 
 
 @pytest.mark.parametrize("fn, ncomp", [
-    (_free_nodes_1d(7, 1), 2),           # cubic Hermite, (value, slope) per node
+    (_dofs_1d(7, "H20")[0], 2),          # cubic Hermite: value and slope are two nodes
     (_free_nodes_1d(7, 2), 1),           # quadratic Lagrange
-    (_free_nodes_2d(4, 2, 3, 2), 3),     # thickness degree below the meridian degree
+    (_free_nodes_2d(4, 2, 3, 2), 1),     # thickness degree below the meridian degree
 ], ids=["h20", "h10", "2d"])
 def test_shared_pattern_matches_kron_construction(fn, ncomp):
-    # the pattern is built straight from the node pairs, for every component pair
-    want = _kron_pattern(fn, ncomp)
-    pattern = fem1d._NodePairs(fn).pattern(ncomp)
-    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
-    assert np.array_equal(pattern.indptr, want[0]) and np.array_equal(pattern.indices, want[1])
-    # the position of every local entry, nnz where it touches a clamped DOF
-    n_cells, nloc = fn.shape
-    i, j = (x.ravel() for x in np.indices((nloc, nloc)))
-    slot = want[2].reshape(n_cells, ncomp, nloc, ncomp, nloc)
-    for a in range(ncomp):
-        for b in range(ncomp):
-            got = pattern.slot(a, b, i, j)
-            assert got.dtype == np.int32
-            assert np.array_equal(got, slot[:, a, :, b, :].reshape(n_cells, -1))
-    assert (want[2] == pattern.indptr[-1]).any()  # entries on clamped nodes
-    shared = fem1d._shared_pattern(fn, ncomp)
-    assert shared[2].dtype == np.int32
-    assert all(np.array_equal(a, b) for a, b in zip(shared, want))
+    # the pairs are the node pattern, rows sorted, and the pair of every local
+    # entry is its position there, the number of pairs where it touches a clamped node
+    want = _kron_pattern(fn, 1)
+    pairs = fem1d._NodePairs(fn)
+    assert pairs.fi.dtype == pairs.fj.dtype == pairs.pair.dtype == np.int32
+    assert np.array_equal(pairs.fi, np.repeat(np.arange(len(want[0]) - 1), np.diff(want[0])))
+    assert np.array_equal(pairs.fj, want[1])
+    assert np.array_equal(pairs.pair.ravel(), want[2])
+    assert (want[2] == len(want[1])).any()  # entries on clamped nodes
+    # the 1D DOF pairs are the Kronecker pattern of the mesh's node pairs
+    n_cells = len(fn)
+    nodes = fn[:, :fn.shape[1] // ncomp] // ncomp
+    want = _kron_pattern(nodes, ncomp)
+    assert np.array_equal(np.concatenate([[0], np.cumsum(pairs.deg)]), want[0])
+    assert np.array_equal(pairs.fj, want[1])
+    assert np.array_equal(pairs.pair.reshape(n_cells, -1), want[2].reshape(n_cells, -1)), ncomp
 
 
 @pytest.mark.parametrize("fn", [_free_nodes_2d(4, 2, 3, 2), _free_nodes_2d(3, 3, 2, 2),
                                 _free_nodes_1d(7, 1)], ids=["2d", "2d p_t = p", "1d"])
 def test_lower_node_pairs_and_block_diagonal_match_kron_construction(fn):
     # the lower node pairs, the strict ones first, are the lower triangle of the
-    # node pattern; the block-diagonal matrix holds block a's entry of node pair
-    # (i, j) at (3 i + a, 3 j + a)
+    # node pattern, and the cell blocks summed onto them its dense cell-order sums;
+    # the block-diagonal matrix holds block a's entry of node pair (i, j) at
+    # (3 i + a, 3 j + a)
     pairs = fem1d._NodePairs(fn)
     node_ptr, node_idx, _ = _kron_pattern(fn, 1)
     n = len(node_ptr) - 1
     # entry q of the node pattern, pair q of the node pairs, holds q + 1
     node = sp.csr_matrix((np.arange(1.0, len(node_idx) + 1), node_idx, node_ptr), shape=(n, n))
     strict = sp.tril(node, -1, format="csr")
-    indptr, cols, where = pairs.lower()
-    assert indptr.dtype == cols.dtype == where.dtype == np.int32
-    assert np.array_equal(indptr, strict.indptr) and np.array_equal(cols, strict.indices)
-    lower = np.concatenate([strict.data, node.diagonal()]).astype(int) - 1
-    assert np.array_equal(where[lower], np.arange(len(lower)))
-    assert np.all(np.delete(where, lower) == -1)
+    lower = pairs.lower()
+    assert lower.indptr.dtype == lower.cols.dtype == np.int32
+    assert np.array_equal(lower.indptr, strict.indptr) and np.array_equal(lower.cols, strict.indices)
+    # a diagonal block on every lower pair; an off-diagonal one on the strict pairs
+    # and its mirror, from the cell blocks transposed, on every lower pair
+    i = np.concatenate([np.repeat(np.arange(n), np.diff(strict.indptr)), np.arange(n)])
+    j = np.concatenate([strict.indices, np.arange(n)])
+    B, C = np.random.default_rng(2).standard_normal((2, len(fn), fn.shape[1], fn.shape[1]))
+    term = lower.blocks({(0, 0): B, (0, 1): C})
+    assert set(term) == {(0, 0), (0, 1), (1, 0)}
+    assert np.array_equal(term[0, 0], _dense_sum(B, fn, n)[i, j])
+    assert np.array_equal(term[0, 1], _dense_sum(C, fn, n)[i, j][:strict.nnz])
+    assert np.array_equal(term[1, 0], _dense_sum(C.transpose(0, 2, 1), fn, n)[i, j])
     blocks = [np.arange(node.nnz) + 0.5, -np.arange(node.nnz) - 0.25, np.arange(node.nnz) * 2.0]
     got = pairs.block_diagonal(blocks)
     t = node.tocoo()
