@@ -17,16 +17,15 @@ same operator, formed column by column and solved densely (``eigh``).
 A pencil (``Pencil``) is K = s_1 K_1 + s_2 K_2 + ... and M, built once by its
 owner and solved at any scales s_t, so no sum of the terms is formed: a 2D
 family's K(k) = A0 + k A1 + k^2 A2, a 1D gamma scan's gamma^p_low K_op +
-gamma^p_high K_b (+ K_0); a matrix K, or a list of (scale, matrix) terms, and
-a matrix M make a pencil of one node component on the spot.  Each K_t is kept
-from its lower triangle as node-level component blocks on the pencil's lower
-node pairs (i, j), i >= j: DOF ncomp i + a is component a of node i, and
-block (a, b) holds K_t[ncomp i + a, ncomp j + b] on every pair or, when
-a < b, on the strict pairs i > j only (at i = j those entries lie above the
-diagonal).  The strict pairs come first, by row, then column, then the
-diagonal pairs, so a strict block covers a prefix of the pairs.  M stays a
-full CSR matrix, which every Lanczos step multiplies by, and ||M||_1 is
-computed once per pencil.
+gamma^p_high K_b (+ K_0); a matrix K and a matrix M make a pencil of one term
+and one node component on the spot.  Each K_t is kept from its lower triangle
+as node-level component blocks on the pencil's lower node pairs (i, j),
+i >= j: DOF ncomp i + a is component a of node i, and block (a, b) holds
+K_t[ncomp i + a, ncomp j + b] on every pair or, when a < b, on the strict
+pairs i > j only (at i = j those entries lie above the diagonal).  The strict
+pairs come first, by row, then column, then the diagonal pairs, so a strict
+block covers a prefix of the pairs.  M stays a full CSR matrix, which every
+Lanczos step multiplies by, and ||M||_1 is computed once per pencil.
 
 The band (LAPACK upper band storage of half-bandwidth w, Fortran-ordered)
 holds the entry (r, c), r >= c, at flat index w (r + 1) + c, so block (a, b)
@@ -324,15 +323,13 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
                    x0: np.ndarray | None = None) -> EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, for a ``shift`` below lambda_1.
 
-    K is a symmetric matrix, or a short list of (scale, matrix) terms of symmetric
-    matrices that sum to it, in order; a matrix is the term (1.0, K).  Each matrix
-    is read from its lower triangle, so it may be given in full or as that
-    triangle.  M (SPD, in full) and the matrices are square, of equal size, dense
-    or sparse, and become a ``Pencil`` for this solve.  Or M is a ``Pencil``, and
-    K the scales of its terms, one per term.  The shift must lie below lambda_1,
-    so that K - shift M is positive definite for its Cholesky factor; where it is
-    not, the factor is retried once at a shift perturbed downwards (``shift`` in
-    the result).
+    K is a symmetric matrix, read from its lower triangle, so it may be given in
+    full or as that triangle.  K and M (SPD, in full) are square, of equal size,
+    dense (arrays or nested lists) or sparse, and become a ``Pencil`` of one term
+    for this solve.  Or M is a ``Pencil``, and K the scales of its terms, one per
+    term.  The shift must lie below lambda_1, so that K - shift M is positive
+    definite for its Cholesky factor; where it is not, the factor is retried once
+    at a shift perturbed downwards (``shift`` in the result).
     ``tol`` bounds each pair's backward error and is checked on the result.
     Deterministic: a cold solve starts from one fixed vector, which an
     optional x0 (a vector or an (n, 1) column) replaces.
@@ -340,9 +337,7 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
     if isinstance(M, Pencil):
         pencil, scales = M, [float(scale) for scale in K]
     else:
-        terms = list(K) if isinstance(K, (list, tuple)) else [(1.0, K)]
-        pencil = Pencil.from_matrices([A for _, A in terms], M)
-        scales = [float(scale) for scale, _ in terms]
+        pencil, scales = Pencil.from_matrices([K], M), [1.0]
     n, M = pencil.n, pencil.M
     if not scales or len(scales) != len(pencil.terms):
         raise SolverError(f"{len(scales)} scales for {len(pencil.terms)} stiffness terms")

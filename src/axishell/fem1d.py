@@ -328,6 +328,5 @@ def smallest_eigenpairs(
 ) -> eig.EigenPairs:
     """The m smallest eigenpairs of K x = lambda M x, through ``eig.solve_smallest``:
     Lanczos on U^-T M U^-1 for the banded Cholesky factor K - shift M = U^T U.
-    K is a matrix or a list of (scale, matrix) terms that sum to it, or M is an
-    ``eig.Pencil`` and K the scales of its terms."""
+    K is a matrix, or M is an ``eig.Pencil`` and K the scales of its terms."""
     return eig.solve_smallest(K, M, m, shift=shift, x0=x0)

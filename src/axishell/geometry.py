@@ -8,14 +8,15 @@ and the leading bending coefficient B0 = E / (3 (1 - nu^2) f^4).
 ``frame_at`` takes one coordinate or an array of them; an array is evaluated
 in one batch of numpy calls, and classification samples its grid that way.
 The minima of H0 and the extremes of the essential spectrum are refined the
-same way: one golden-section search runs every candidate as a lane of numpy
-arrays, each with its own stop.
+same way: one Newton search on the exact jet, kept inside each candidate's
+sampled bracket by bisection ("rtsafe", Press et al., *Numerical Recipes*,
+sec. 9.4), runs every candidate as a lane of numpy arrays, each with its own
+stop.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,9 @@ __all__ = [
     "b0_at",
 ]
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 H0_CONST_RTOL = 1e-10  # relative variation below which H0 counts as constant
 MULTI_MIN_ATOL = 1e-8  # minima within this of the global value are branches
-H0_GOLDEN_XTOL = 1e-10  # bracket width that ends the golden search for an H0 minimum
+SEARCH_STEPS = 60  # step cap of the extremum search: a bisecting lane halves its cell to rounding
 ESSENTIAL_CELLS = 2048  # sampling cells of the essential-spectrum range
 CLASSIFY_CELLS = 1024  # sampling cells of classification and of the H0 minimum scan
 
@@ -158,30 +158,34 @@ def frame_at(profile: ShellProfile, z) -> GeometryFrame:
     return GeometryFrame(E=profile.E, nu=profile.nu, **fields)
 
 
-def _golden_min(fun, a, b, tol: float) -> np.ndarray:
-    """Golden-section minima of unimodal functions, one per lane of [a, b].
+def _newton_min(jet, z, lo, hi, sign=1.0) -> np.ndarray:
+    """Minima of ``sign`` times smooth functions, one lane per start z in [lo, hi].
 
-    ``fun`` maps an array of points to their values, element by element.
-    A lane steps until its own bracket is at most ``tol`` wide and is frozen
-    from then on, so it makes the same floating-point operations as a search
-    of that bracket alone.
+    ``jet`` maps an array of points to the function's jet there (order >= 2),
+    element by element; ``sign`` (-1 to find a maximum) is per lane or shared.
+    Each step moves one end of a lane's bracket to z by the sign of the first
+    derivative, then takes the Newton step, or halves the bracket where the
+    second derivative is not positive or the step would leave it.  A lane
+    stops after a step of at most 1e-15 max(1, |z|) and is frozen from then
+    on, so it makes the same floating-point operations as a search of that
+    lane alone.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fun(np.stack([x1, x2]))
-    while True:
-        active = b - a > tol
-        if not active.any():
-            return 0.5 * (a + b)
-        left = active & (f1 <= f2)
-        right = active & ~left
-        b, x2, f2 = np.where(left, x2, b), np.where(left, x1, x2), np.where(left, f1, f2)
-        a, x1, f1 = np.where(right, x1, a), np.where(right, x2, x1), np.where(right, f2, f1)
-        x_new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        f_new = fun(x_new)
-        x1, f1 = np.where(left, x_new, x1), np.where(left, f_new, f1)
-        x2, f2 = np.where(right, x_new, x2), np.where(right, f_new, f2)
+    z, lo, hi = (np.array(v, dtype=float) for v in (z, lo, hi))
+    sign = np.broadcast_to(sign, z.shape)
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(SEARCH_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        z_old, j = z[idx], jet(z[idx])
+        d1, d2 = sign[idx] * j.derivative(1), sign[idx] * j.derivative(2)
+        lo[idx] = a = np.where(d1 < 0.0, z_old, lo[idx])
+        hi[idx] = b = np.where(d1 > 0.0, z_old, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = z_old - d1 / d2
+        z[idx] = np.where((d2 > 0.0) & (a <= step) & (step <= b), step, 0.5 * (a + b))
+        active[idx] = np.abs(z[idx] - z_old) > 1e-15 * np.maximum(1.0, np.abs(z_old))
+    return z
 
 
 def _h0_constant(h0: np.ndarray) -> bool:
@@ -196,12 +200,13 @@ def _sampled_frame(profile: ShellProfile) -> tuple[np.ndarray, GeometryFrame]:
 
 
 def locate_H0_minimum(profile: ShellProfile) -> H0Minimum:
-    """Locate all global minimizers of H0 by grid scan plus golden refinement.
+    """Locate all global minimizers of H0 by grid scan plus Newton refinement.
 
     The grid has CLASSIFY_CELLS cells.  All sampled local minima are refined
-    at once: one batched golden section over the two cells around each, then
-    a Newton polish on the analytic derivative with a stop per candidate.  Derivatives at the minimizer come
-    from the exact jet (first derivative needs f''', second needs f'''').
+    at once: one batched Newton search on the exact jet, each candidate from
+    its sample, kept inside the two cells around it by bisection, with its
+    own stop.  Derivatives at the minimizer come from the exact jet (first
+    derivative needs f''', second needs f'''').
     Minima within 1e-8 of the global value are reported together as
     branches; the returned top-level fields describe the branch at the
     smallest z.  A potential that ``classify`` counts as constant has no
@@ -220,24 +225,8 @@ def _h0_minimum(profile: ShellProfile, zs: np.ndarray, vals: np.ndarray) -> H0Mi
         ends = [z_end for z_end, at_min in ((z_minus, vals[0] <= vals[1]),
                                             (z_plus, vals[-1] <= vals[-2])) if at_min]
         interior = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-        lo, hi = zs[interior - 1], zs[interior + 1]
-        z = _golden_min(lambda x: h0_taylor(profile, x, 0).value, lo, hi, H0_GOLDEN_XTOL)
-        # Newton polish on the analytic derivative: golden section alone stalls
-        # at the sqrt(eps) noise plateau of H0 comparisons.  A candidate stops
-        # where H0'' <= 0, or after a step of at most 1e-15 max(1, |z|).
-        active = np.ones(z.shape, dtype=bool)
-        for _ in range(8):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            j = h0_taylor(profile, z[idx], 2)
-            d1, d2 = j.derivative(1), j.derivative(2)
-            convex = d2 > 0.0
-            idx, d1, d2 = idx[convex], d1[convex], d2[convex]
-            z_old = z[idx]
-            z[idx] = np.minimum(np.maximum(z_old - d1 / d2, lo[idx]), hi[idx])
-            active[:] = False
-            active[idx] = np.abs(z[idx] - z_old) > 1e-15 * np.maximum(1.0, np.abs(z_old))
+        z = _newton_min(lambda x: h0_taylor(profile, x, 2),
+                        zs[interior], zs[interior - 1], zs[interior + 1])
     candidates = [(z0, True) for z0 in ends] + [(z0, False) for z0 in z.tolist()]
 
     j = h0_taylor(profile, np.array([z0 for z0, _ in candidates]), 2)
@@ -323,9 +312,9 @@ def classify(profile: ShellProfile) -> ShellClass:
 def essential_spectrum_range(profile: ShellProfile):
     """Range of E b_phi^2 = E / (f^2 s^2) over the interval.
 
-    Sampled min/max, each refined by golden section over the cells around
-    its sample: the min and the max (as the min of -sig) are the two lanes
-    of one search.
+    Sampled min/max, each refined by the Newton search on the exact jet of
+    sig from its sample, inside the cells around it: the min and the max (as
+    the min of -sig) are the two lanes of one search.
     """
     z_minus, z_plus = profile.interval
     zs = np.linspace(z_minus, z_plus, ESSENTIAL_CELLS + 1)
@@ -334,9 +323,14 @@ def essential_spectrum_range(profile: ShellProfile):
         f, fp = profile.f(z), profile.df(z)
         return profile.E / (f * f * (1.0 + fp * fp))
 
+    def sig_jet(z):
+        fj = profile.taylor(z, 3)
+        fpj = fj.diff()
+        return profile.E / (fj * fj * (1.0 + fpj * fpj))
+
     vals = sig(zs)
     idx = np.array([np.argmin(vals), np.argmax(vals)])
-    sign = np.array([1.0, -1.0])
     lo, hi = zs[np.maximum(idx - 1, 0)], zs[np.minimum(idx + 1, len(zs) - 1)]
-    s_min, s_max = sig(_golden_min(lambda z: sign * sig(z), lo, hi, 1e-12)).tolist()
+    z = _newton_min(sig_jet, zs[idx], lo, hi, sign=np.array([1.0, -1.0]))
+    s_min, s_max = sig(z).tolist()
     return min(float(vals.min()), s_min), max(float(vals.max()), s_max)

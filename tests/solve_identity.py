@@ -6,15 +6,17 @@ Usage (from the repository root):
     PYTHONPATH=src python tests/solve_identity.py record after.json
     python tests/solve_identity.py compare before.json after.json
 
-``record`` runs the 16 table sweeps, the 7 cold single-mode solves of the
-benchmark's ``modes2d`` workload, the constants of models A, B, D, H and L at
-Young's modulus E = 1 and E = 2, two torus sweeps (the fingerprint grid and the
-benchmark's), ``energy_ratio`` for A, B, H and L at eps = 0.01 and
-``elliptic_k_minimization`` for H and L at eps = 1e-3 and 1e-4.  Every call of
-``eig.solve_smallest`` writes one line: its eigenvalues as ``float.hex``, the
-SHA-256 of its eigenvectors' bytes, its iteration count, the shift it used and
-its residuals; each case also writes its results (k_opt, the constants, the
-torus rows, the ratio) as ``float.hex``.
+``record`` runs ``classify``, ``locate_H0_minimum`` and
+``essential_spectrum_range`` of models A, B, D, H and L, the 16 table sweeps,
+the 7 cold single-mode solves of the benchmark's ``modes2d`` workload, the
+constants of models A, B, D, H and L at Young's modulus E = 1 and E = 2, two
+torus sweeps (the fingerprint grid and the benchmark's), ``energy_ratio`` for
+A, B, H and L at eps = 0.01 and ``elliptic_k_minimization`` for H and L at
+eps = 1e-3 and 1e-4.  Every call of ``eig.solve_smallest`` writes one line:
+its eigenvalues as ``float.hex``, the SHA-256 of its eigenvectors' bytes, its
+iteration count, the shift it used and its residuals; each case also writes
+its results (the class, the potential minimum and its branches, the spectrum
+ends, k_opt, the constants, the torus rows, the ratio) as ``float.hex``.
 
 ``compare`` requires equal values, eigenvectors, iteration counts, shifts and
 results, prints the largest move of the residuals, and exits with 1 when
@@ -24,6 +26,7 @@ anything but the residuals differs.  pytest does not collect this file.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import sys
@@ -48,6 +51,12 @@ def _cases():
 
     asym = {m: asymptotics.compute(ax.preset(m)) for m in "ABDHL"}
     cases = []
+    for m in "ABDHL":
+        def geometry(m=m):
+            prof = ax.preset(m)
+            return {"class": ax.classify(prof), "H0 minimum": ax.locate_H0_minimum(prof),
+                    "essential spectrum": ax.essential_spectrum_range(prof)}
+        cases.append((f"geometry {m}", geometry))
     for m in "BDHL":
         for eps in (0.1, 0.05, 0.02, 0.01):
             def sweep(m=m, eps=eps):
@@ -99,6 +108,8 @@ def _plain(result):
         return [_plain(v) for v in result]
     if isinstance(result, (float, np.floating)):
         return float(result).hex()
+    if isinstance(result, enum.Enum):
+        return result.value
     if isinstance(result, (int, str, bool)) or result is None:
         return result
     return type(result).__name__  # an object such as a scan: its kind only

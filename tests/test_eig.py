@@ -66,6 +66,16 @@ def test_dense_and_sparse_inputs_agree():
     np.testing.assert_allclose(dense.values, sparse.values, rtol=1e-10)
 
 
+@pytest.mark.parametrize("K", [[[2.0, -1.0], [-1.0, 2.0]],
+                               [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]])
+def test_nested_list_matrix(K):
+    # a dense K given as nested lists is a matrix, not a list of terms
+    M = np.eye(len(K))
+    lists, array = (eig.solve_smallest(A, M, 1) for A in (K, np.array(K)))
+    assert np.array_equal(lists.values, array.values)
+    assert np.array_equal(lists.vectors, array.vectors)
+
+
 def test_deterministic_cold_start():
     # two cold solves of one pencil start from the same fixed vector
     rng = np.random.default_rng(1)

@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import axishell as ax
 from axishell import geometry
-from axishell.errors import DomainError, GeometryError
+from axishell.errors import AxishellError, DomainError, GeometryError
 from axishell.geometry import ShellClassTag
 from axishell.profiles import ShellProfile
 
@@ -221,9 +223,9 @@ def test_locate_minimum_model_D_constant():
 
 
 # (z0, value, d1, d2, boundary) of every branch, and both ends of the
-# essential spectrum, as float.hex.  Each candidate of the batched
-# golden/Newton search must make the floating-point operations of a search
-# of its cells alone, with its own stop, so these bits do not move.
+# essential spectrum, as float.hex.  Each candidate of the batched Newton
+# search must make the floating-point operations of a search from its sample
+# alone, with its own stop, so these bits do not move.
 H0_MIN_BITS = {
     "H": ([("0x0.0p+0", "0x1.0000000000000p-4", "0x0.0p+0", "0x1.7400000000000p-1", False)],
           ("0x1.0000000000000p+0", "0x1.363ac622898b1p+0")),
@@ -234,19 +236,20 @@ H0_MIN_BITS = {
                   "0x1.a8ac5c13fd0d0p-1", True),
                  ("0x1.0000000000000p+0", "0x1.0624dd2f1a9fcp-5", "-0x1.3a92a30553261p-3",
                   "0x1.a8ac5c13fd0d0p-1", True)],
-                ("0x1.2f684bda12f6ap-3", "0x1.0000000000000p-2")),
+                ("0x1.2f684bda12f68p-3", "0x1.0000000000000p-2")),
     "two-well": ([("-0x1.03816f86f981cp-1", "0x1.3a81927a1b688p-5", "0x1.32fd2e9ec8465p-56",
                    "0x1.9462b57cd0b33p-1", False),
                   ("0x1.03816f86f981cp-1", "0x1.3a81927a1b688p-5", "-0x1.32fd2e9ec8465p-56",
                    "0x1.9462b57cd0b33p-1", False)],
                  ("0x1.0000000000000p-2", "0x1.0c2f560625ed7p-2")),
-    # the two-well profile moved to (0, 2): its left candidate stops on a
-    # Newton step of a few ulp, after which a further step would still move it
-    "two-well (0, 2)": ([("0x1.f8fd20f20cfcbp-2", "0x1.3a81927a1b679p-5", "-0x1.2d3ba28bce1e9p-53",
-                          "0x1.9462b57cd0b1cp-1", False),
-                         ("0x1.81c0b7c37cc12p+0", "0x1.3a81927a1b643p-5", "-0x1.fa882685fda73p-56",
-                          "0x1.9462b57cd0b26p-1", False)],
-                        ("0x1.0000000000000p-2", "0x1.0c2f560625ed7p-2")),
+    # the two-well profile moved to (0, 2): the jet's H0' there is rounding
+    # noise of some 1e-16, so its left candidate ends on a last Newton step of
+    # 6 ulp, 5 ulp above the correctly rounded minimizer
+    "two-well (0, 2)": ([("0x1.f8fd20f20cfd0p-2", "0x1.3a81927a1b67bp-5", "-0x1.706304be89edfp-59",
+                          "0x1.9462b57cd0b0ap-1", False),
+                         ("0x1.81c0b7c37cc13p+0", "0x1.3a81927a1b636p-5", "0x1.adc8dade4b95ap-55",
+                          "0x1.9462b57cd0b23p-1", False)],
+                        ("0x1.0000000000000p-2", "0x1.0c2f560625ed8p-2")),
 }
 # model D: its flat H0 is one branch at the midpoint
 H0_MIN_D = ([("0x0.0p+0", "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0", False)],
@@ -280,13 +283,54 @@ def test_h0_minimum_and_spectrum_bits():
     prof = ax.preset("D")
     assert _branch_rows(ax.locate_H0_minimum(prof)) == H0_MIN_D[0]
     assert tuple(v.hex() for v in ax.essential_spectrum_range(prof)) == H0_MIN_D[1]
-    # brackets of different widths stop at different steps; a stopped lane
-    # must stay as it would be searched alone
-    h0 = lambda z: geometry.h0_taylor(profs["H"], z, 0).value  # noqa: E731
-    lo, hi = np.array([-0.1, -1e-3, -0.3]), np.array([0.2, 3e-3, 0.25])
-    batched = geometry._golden_min(h0, lo, hi, 1e-10)
-    alone = [geometry._golden_min(h0, lo[i:i + 1], hi[i:i + 1], 1e-10)[0] for i in range(3)]
+    # lanes from different starts stop at different steps; a stopped lane must
+    # stay as it would be searched alone.  The last bracket holds no minimum of
+    # H0 (at 0): every Newton step leaves it, so that lane bisects to its left end
+    h0 = lambda z: geometry.h0_taylor(profs["H"], z, 2)  # noqa: E731
+    z = np.array([0.1, 2e-3, -0.3, 0.2])
+    lo, hi = np.array([-0.1, -1e-3, -0.3, 1e-3]), np.array([0.2, 3e-3, 0.25, 0.3])
+    batched = geometry._newton_min(h0, z, lo, hi)
+    alone = [geometry._newton_min(h0, z[i:i + 1], lo[i:i + 1], hi[i:i + 1])[0]
+             for i in range(4)]
     assert batched.tolist() == alone
+    assert np.all(np.abs(batched[:3]) < 1e-15) and 0.0 < batched[3] - 1e-3 < 1e-15
+
+
+@st.composite
+def concave_barrels(draw):
+    """f = c0 + c1 z + ... + c4 z^4 on a random interval, with f'' <= c2 < 0 and f >= 0.5."""
+    z_minus = draw(st.floats(-1.5, 0.5))
+    z_plus = z_minus + draw(st.floats(0.5, 2.0))
+    # c4 < 0 makes |f''| least inside the interval often enough that about a
+    # third of the draws have an interior minimum of H0
+    c1, c2, c4 = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.5, -0.02)), draw(st.floats(-1.0, -0.1))
+    # 6 |c3| |z| <= -c2, so f'' = 2 c2 + 6 c3 z + 12 c4 z^2 <= c2
+    c3 = draw(st.floats(-1.0, 1.0)) * -c2 / (6.0 * max(abs(z_minus), abs(z_plus)))
+    ends = np.array([z_minus, z_plus])  # a concave f is least at an end
+    c0 = 0.5 - float((c1 * ends + c2 * ends**2 + c3 * ends**3 + c4 * ends**4).min())
+    c0 += draw(st.floats(0.0, 1.5))
+    return ShellProfile("polynomial", (z_minus, z_plus), coeffs=(c0, c1, c2, c3, c4))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(concave_barrels())
+def test_geometry_chain_on_random_barrels(prof):
+    # classification, the potential minimum and the spectrum range raise only
+    # typed errors, and every branch is a point of the interval whose fields are
+    # the jet's there; an interior branch with H0'' > 0 is stationary
+    try:
+        ax.classify(prof)
+        mn = ax.locate_H0_minimum(prof)
+        lo, hi = ax.essential_spectrum_range(prof)
+    except AxishellError:
+        return
+    z_minus, z_plus = prof.interval
+    for b in mn.branches:
+        assert z_minus <= b.z0 <= z_plus
+        assert b.value == geometry.h0_taylor(prof, b.z0).value
+        if not b.boundary and b.d2 > 0.0:
+            assert abs(b.d1) <= 1e-9
+    assert 0.0 < lo <= hi
 
 
 def test_multi_minimum_report():
