@@ -449,9 +449,12 @@ def _elliptic_constants(profile: ShellProfile, cls: ShellClass) -> AsymptoticsRe
 
 def _h2_pencil(profile: ShellProfile, lam0: float, mesh: fem1d.Mesh1D):
     """The (K, M) pencil of H2 (lam0 substituted) on H^1_0."""
+    last = {}
 
-    def h2(z):
-        return h2_coefficients(frame_at(profile, z), lam0)
+    def h2(z):  # g and V read the same quadrature points: one evaluation serves both
+        if last.get("z") is not z:
+            last.update(z=z, coefficients=h2_coefficients(frame_at(profile, z), lam0))
+        return last["coefficients"]
 
     return fem1d.assemble_h10(profile, lambda z: -h2(z)[2], lambda z: h2(z)[0], mesh)
 

@@ -30,21 +30,21 @@ Lanczos step multiplies by, and ||M||_1 is computed once per pencil.
 The band (LAPACK upper band storage of half-bandwidth w, Fortran-ordered)
 holds the entry (r, c), r >= c, at flat index w (r + 1) + c, so block (a, b)
 lands at base[p] + w a + b for base[p] = w (ncomp i + 1) + ncomp j at pair
-p = (i, j): each block, scaled, is added through the pencil's one int32 base
-map into a view of the flat band offset by w a + b, term after term, so each
-band entry is the sum of the terms' entries in order, bit for bit what their
-sparse sum would store.  For a shift s != 0, M's lower entries are added
-last, scaled by -s: k + (-(s m)) is k - s m.  ||K||_1, the largest column sum
-of |K|, and K x are read from the blocks, one block of K at a time (its
-entries summed over the terms in order): the norm from the column and row
-sums of each block's magnitudes (``np.bincount``) before the band is
-allocated, and K x from each block's node matrix and its transpose.  The 1D
-pencils have half-bandwidth 2 (quadratic Lagrange) or 3 (cubic Hermite).
-The 2D pencils are numbered meridian-major, so their half-bandwidth,
-3 (p (p_t n_thickness + 1) + p_t) + 2 at meridian degree p and thickness
-degree p_t, grows with the thickness nodes: on the 2 cells that every
-default uses it is 254 at p = p_t = 6 and 137 at p_t = 3, and the factor's
-cost grows with its square.  Dense inputs are converted to CSR.
+p = (i, j).  K is read only one block at a time, its entries summed over the
+terms in order (``_blocks``).  Each summed block is assigned through the
+pencil's one int32 base map into a view of the flat band offset by w a + b;
+no band slot is written twice, so each band entry is bit for bit what the
+terms' sparse sum would store.  For a shift s != 0, M's lower entries are
+added last, scaled by -s: k + (-(s m)) is k - s m.  K X comes from each
+block's node matrix, its transpose and its diagonal pairs, and |K| X the same
+way from each block's magnitudes: ||K||_1, the largest column sum of |K|, is
+the largest entry of |K| 1 (K is symmetric), computed before the band is
+allocated.  The 1D pencils have half-bandwidth 2 (quadratic Lagrange) or 3
+(cubic Hermite).  The 2D pencils are numbered meridian-major, so their
+half-bandwidth, 3 (p (p_t n_thickness + 1) + p_t) + 2 at meridian degree p
+and thickness degree p_t, grows with the thickness nodes: on the 2 cells that
+every default uses it is 254 at p = p_t = 6 and 137 at p_t = 3, and the
+factor's cost grows with its square.  Dense inputs are converted to CSR.
 
 Every solve runs its BLAS on one thread.  On these pencils a second OpenBLAS
 thread mostly spins (on 2 cores it doubled the CPU time of the 2D wavenumber
@@ -230,18 +230,16 @@ def _blocks(pencil: Pencil, scales):
 def _band(pencil: Pencil, scales) -> np.ndarray:
     """LAPACK upper band storage, Fortran-ordered, of K = sum_t scales[t] K_t.
 
-    Block (a, b) of each term, scaled, is added in order through the base map into
-    the flat band offset by width a + b; no index appears twice in the map, so each
+    Each summed block (a, b) of ``_blocks`` is assigned through the base map into
+    the flat band offset by width a + b; no band slot is written twice, so each
     band entry is the sum of the terms' entries in order, bit for bit what the
     sparse sum scales[0] K_0 + scales[1] K_1 + ... stores.
     """
-    w, base = pencil.width, pencil.base
+    w = pencil.width
     band = np.zeros((w + 1, pencil.n), order="F")
     flat = band.reshape(-1, order="F")  # a view: the band is Fortran-contiguous
-    for scale, term in zip(scales, pencil.terms):
-        for (a, b), entries in term.items():
-            np.add.at(flat[w * a + b:], base[:len(entries)],
-                      entries if scale == 1.0 else scale * entries)
+    for (a, b), entries in _blocks(pencil, scales):
+        flat[w * a + b:][pencil.base[:len(entries)]] = entries
     return band
 
 
@@ -253,40 +251,15 @@ def _add_lower(band: np.ndarray, A: sp.csr_matrix, scale: float) -> None:
     band.reshape(-1, order="F")[w * (row[below] + 1) + A.indices[below]] += scale * A.data[below]
 
 
-def _stiffness_norm1(pencil: Pencil, scales) -> float:
-    """||K||_1, the largest column sum of |K|, for K = sum_t scales[t] K_t.
-
-    An entry of block (a, b) at a strict pair (i, j) adds its magnitude to column
-    ncomp j + b and, mirrored, to column ncomp i + a; at a diagonal pair to column
-    ncomp i + b, and also to ncomp i + a if a != b.  The strict pairs' magnitudes
-    are gathered by component, then summed by column and by row.
-    """
-    nc, strict = pencil.ncomp, pencil.strict
-    nodes = pencil.n // nc
-    by_col, by_row = np.zeros((nc, strict)), np.zeros((nc, strict))
-    sums = np.zeros((nc, nodes))
-    for (a, b), entries in _blocks(pencil, scales):
-        size = np.abs(entries)
-        by_col[b] += size[:strict]
-        by_row[a] += size[:strict]
-        if len(size) > strict:
-            sums[b] += size[strict:]
-            if a != b:
-                sums[a] += size[strict:]
-    rows = pencil.rows()
-    for a in range(nc):
-        sums[a] += np.bincount(pencil.cols, by_col[a], minlength=nodes)
-        sums[a] += np.bincount(rows, by_row[a], minlength=nodes)
-    return float(sums.max(initial=0.0))
-
-
 def _factorize(pencil: Pencil, scales, shift: float) -> tuple[np.ndarray, float, float]:
     """Upper banded Cholesky factor U of K - s M = U^T U, the s used, and ||K||_1, for
     K = sum_t scales[t] K_t; a shift at which K - s M is not positive definite is
-    retried once, perturbed downwards.  K - s M adds M's lower entries, scaled by -s,
-    to K's band: k + (-(s m)) is k - s m, the sparse difference's entry, bit for bit."""
+    retried once, perturbed downwards.  ||K||_1 is the largest entry of |K| 1, K being
+    symmetric.  K - s M adds M's lower entries, scaled by -s, to K's band:
+    k + (-(s m)) is k - s m, the sparse difference's entry, bit for bit."""
     shifts = [shift, shift - 1e-3 * abs(shift) if shift != 0.0 else -1e-8]
-    k_norm = _stiffness_norm1(pencil, scales)  # before the band is allocated
+    row_sums = _product(pencil, scales, np.ones((pencil.n, 1)), absolute=True)
+    k_norm = float(row_sums.max(initial=0.0))  # before the band is allocated
     for s in shifts:
         band = _band(pencil, scales)
         if s != 0.0:
@@ -298,15 +271,18 @@ def _factorize(pencil: Pencil, scales, shift: float) -> tuple[np.ndarray, float,
     raise SolverError(f"factorization failed at shifts {shifts}: {last_err}")
 
 
-def _product(pencil: Pencil, scales, X: np.ndarray) -> np.ndarray:
-    """K X for K = sum_t scales[t] K_t: each block (a, b) adds S X_b to component a and
-    S^T X_a to b, S its strict pairs' node matrix, and its diagonal pairs, mirrored."""
+def _product(pencil: Pencil, scales, X: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """K X for K = sum_t scales[t] K_t, or |K| X if ``absolute``: each summed block
+    (a, b) adds S X_b to component a and S^T X_a to b, S its strict pairs' node
+    matrix, and its diagonal pairs, mirrored."""
     nc, strict = pencil.ncomp, pencil.strict
     nodes = pencil.n // nc
     Xc = [np.ascontiguousarray(x) for x in X.reshape(nodes, nc, -1).transpose(1, 0, 2)]
     Y = np.zeros((nc, nodes, X.shape[1]))
     S, T = (copy.copy(A) for A in pencil.node)  # each block sets the entries of both
     for (a, b), entries in _blocks(pencil, scales):
+        if absolute:
+            entries = np.abs(entries)
         S.data = T.data = entries[:strict]
         Y[a] += S @ Xc[b]
         Y[b] += T @ Xc[a]
@@ -332,7 +308,7 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
     at a shift perturbed downwards (``shift`` in the result).
     ``tol`` bounds each pair's backward error and is checked on the result.
     Deterministic: a cold solve starts from one fixed vector, which an
-    optional x0 (a vector or an (n, 1) column) replaces.
+    optional x0 (n entries or an (n, 1) column, else ``SolverError``) replaces.
     """
     if isinstance(M, Pencil):
         pencil, scales = M, [float(scale) for scale in K]
@@ -343,6 +319,8 @@ def solve_smallest(K, M, m: int, shift: float = 0.0, tol: float = 1e-10,
         raise SolverError(f"{len(scales)} scales for {len(pencil.terms)} stiffness terms")
     if not 1 <= m <= n:
         raise SolverError(f"cannot extract {m} pairs from an n = {n} pencil")
+    if x0 is not None and np.shape(x0) not in ((n,), (n, 1)):
+        raise SolverError(f"x0 of shape {np.shape(x0)} is not {n} entries or an ({n}, 1) column")
     applied = 0
     U, used, k_norm = _factorize(pencil, scales, shift)
     u, tbsv = U.shape[0] - 1, sla.blas.dtbsv

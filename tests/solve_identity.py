@@ -19,7 +19,9 @@ its results (the class, the potential minimum and its branches, the spectrum
 ends, k_opt, the constants, the torus rows, the ratio) as ``float.hex``.
 
 ``compare`` requires equal values, eigenvectors, iteration counts, shifts and
-results, prints the largest move of the residuals, and exits with 1 when
+results, prints the largest absolute and the largest relative move of the
+residuals (relative to the larger of the two) with the solve where each
+happens, and exits with 1 when
 anything but the residuals differs.  pytest does not collect this file.
 """
 
@@ -151,23 +153,25 @@ def compare(before: str, after: str) -> int:
     bad = []
     if len(a["solves"]) != len(b["solves"]):
         bad.append(f"solve counts {len(a['solves'])} and {len(b['solves'])}")
-    move = (0.0, None)
+    moves = {"absolute": (0.0, None), "relative": (0.0, None)}
     for i, (x, y) in enumerate(zip(a["solves"], b["solves"])):
         for key in ("case", "values", "vectors", "iterations", "shift"):
             if x[key] != y[key]:
                 bad.append(f"solve {i} ({x['case']}): {key} differs")
         for r, s in zip(x["residuals"], y["residuals"]):
-            d = abs(float.fromhex(r) - float.fromhex(s))
-            if d > move[0]:
-                move = (d, f"solve {i} ({x['case']}): {float.fromhex(r):.3e} -> "
-                           f"{float.fromhex(s):.3e}")
+            r, s = float.fromhex(r), float.fromhex(s)
+            d = abs(r - s)
+            for kind, size in (("absolute", d), ("relative", d / max(r, s) if d else 0.0)):
+                if size > moves[kind][0]:
+                    moves[kind] = (size, f"solve {i} ({x['case']}): {r:.3e} -> {s:.3e}")
     for x, y in zip(a["results"], b["results"]):
         if x != y:
             bad.append(f"result of {x['case']} differs")
     if a["results"] != b["results"] and not any(s.startswith("result") for s in bad):
         bad.append("case lists differ")
     print(f"{len(a['solves'])} solves, {len(a['results'])} cases compared")
-    print(f"largest residual move: {move[0]:.3e}" + (f" at {move[1]}" if move[1] else ""))
+    for kind, (size, where) in moves.items():
+        print(f"largest {kind} residual move: {size:.3e}" + (f" at {where}" if where else ""))
     for line in bad:
         print("DIFFERS", line)
     return 1 if bad else 0

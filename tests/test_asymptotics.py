@@ -373,6 +373,38 @@ def test_stationarity_certificate_at_returned_optima(asym_results):
     assert 0 < data["k_iterations"] <= 10 and data["bracket_expansions"] == 0
 
 
+@pytest.mark.parametrize("scan", ["toroidal D", "elliptic H"])
+def test_h2_coefficients_evaluated_once_per_assembly(monkeypatch, asym_results, scan):
+    # the H2 pencil's g and V come from one evaluation of the frames and of H2's
+    # coefficients at the quadrature points, bit for bit the matrices of one each
+    mid = scan[-1]
+    prof, lam0 = ax.preset(mid), asym_results(mid).a0
+    frame_at, h2_coefficients = asy.frame_at, asy.h2_coefficients
+    frames, coefficients = [], []
+
+    def counting_frames(profile, z):
+        frames.append(np.shape(z))
+        return frame_at(profile, z)
+
+    def counting_coefficients(frame, lam):
+        coefficients.append(1)
+        return h2_coefficients(frame, lam)
+
+    monkeypatch.setattr(asy, "frame_at", counting_frames)
+    monkeypatch.setattr(asy, "h2_coefficients", counting_coefficients)
+    if mid == "D":
+        built, elements = asy._toroidal_scan(prof, lam0), asy.DEFAULT_ELEMENTS
+    else:
+        built, elements = asy._elliptic_scan(prof, lam0, 1e-3), asy.K_SCAN_ELEMENTS
+    assert len(frames) == len(coefficients) == 1 and frames[0][0] == elements
+    mesh = fem1d.Mesh1D.uniform(prof.interval, elements)
+    K, M = fem1d.assemble_h10(prof, lambda z: -h2_coefficients(frame_at(prof, z), lam0)[2],
+                              lambda z: h2_coefficients(frame_at(prof, z), lam0)[0], mesh)
+    for got, want in ((built.K_op, K), (built.M, M)):
+        assert all(np.array_equal(getattr(got, a), getattr(want, a))
+                   for a in ("data", "indices", "indptr"))
+
+
 def test_stationarity_iteration_falls_back_outside_fixed_point_basin(monkeypatch):
     # an energy balance that points to the bracket edge gamma = 30 stands for a
     # start outside the fixed point's basin: the grid leaves D's optimum ~ 0.857

@@ -4,6 +4,7 @@ import ctypes
 import gc
 import inspect
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -300,15 +301,16 @@ def test_mass_norm_kept_while_its_data_lives(monkeypatch):
 
 
 def test_norm1_of_a_lower_triangle_matches_the_full_matrix():
-    # ||K||_1 from the blocks, each entry counted in its column and, mirrored, in
-    # its row, summed in another order than the full matrix's column sums
+    # ||K||_1 as the factorization reads it, the largest entry of |K| 1 from the
+    # blocks' magnitudes, summed in another order than the full matrix's column sums
     empty_row = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
     cases = [(name, pencil, scales, dense) for name, pencil, scales, dense in _band_pencils()]
     cases.append(("empty row", eig.Pencil.from_matrices([empty_row], np.eye(3)), [1.0], empty_row))
     for name, pencil, scales, dense in cases:
         want = eig._norm1(sp.csr_matrix(dense))
         lower = eig.Pencil.from_matrices([sp.tril(dense, format="csr")], pencil.M)
-        for got in (eig._stiffness_norm1(pencil, scales), eig._stiffness_norm1(lower, [1.0])):
+        for p, s in ((pencil, scales), (lower, [1.0])):
+            got = eig._factorize(p, s, -1.0)[2]  # K + M is positive definite on every case
             assert abs(got / want - 1.0) <= 1e-15, name
     # a row with no stored entry, solved below a shift that makes K - s M definite
     out = eig.solve_smallest(sp.csr_matrix(empty_row), np.eye(3), 2, shift=-1.0)
@@ -316,13 +318,16 @@ def test_norm1_of_a_lower_triangle_matches_the_full_matrix():
 
 
 def test_product_from_blocks_matches_the_full_matrix():
-    # K X from each block's node matrix, its transpose and its diagonal pairs
+    # K X from each block's node matrix, its transpose and its diagonal pairs, and
+    # |K| X from the blocks' magnitudes
     X = np.random.default_rng(6).standard_normal
     for name, pencil, scales, dense in _band_pencils():
         x = X((len(dense), 2))
+        atol = 1e-13 * np.abs(dense).max() * np.abs(x).max() * len(dense)
         np.testing.assert_allclose(eig._product(pencil, scales, x), dense @ x,
-                                   rtol=0, atol=1e-13 * np.abs(dense).max() * np.abs(x).max()
-                                   * len(dense), err_msg=name)
+                                   rtol=0, atol=atol, err_msg=name)
+        np.testing.assert_allclose(eig._product(pencil, scales, x, absolute=True),
+                                   np.abs(dense) @ x, rtol=0, atol=atol, err_msg=name)
 
 
 def test_eig_keeps_no_state_between_solves():
@@ -500,6 +505,21 @@ def test_bad_sizes():
         eig.solve_smallest(np.ones((3, 4)), np.ones((3, 4)), 1)
     with pytest.raises(SolverError):
         eig.solve_smallest(np.eye(3), np.eye(3), 5)
+
+
+def test_start_vector_shape():
+    # x0 is n entries or an (n, 1) column; a longer, shorter or two-column x0 is refused
+    n = 30
+    K = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    M = sp.identity(n, format="csr")
+    x = np.linspace(1.0, 2.0, n)
+    cold = eig.solve_smallest(K, M, 1)
+    for x0 in (x, x[:, None]):
+        warm = eig.solve_smallest(K, M, 1, x0=x0)
+        np.testing.assert_allclose(warm.values, cold.values, rtol=1e-12)
+    for x0 in (np.ones(n + 1), np.ones((n, 2)), np.ones(n - 1)):
+        with pytest.raises(SolverError, match=rf"x0 of shape {re.escape(str(x0.shape))}"):
+            eig.solve_smallest(K, M, 1, x0=x0)
 
 
 _OPENBLAS = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
